@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 
 from . import sim
-from .grover import SCHEDULE_GROWTH, UNKNOWN_BUDGET_FACTOR, _rounds_from_angle
+from .grover import _rounds_from_angle, restart_schedule, unknown_count_budget
 from .sim import ParameterError, PredicateOracle, SeededRng, StateVector
 
 __all__ = [
@@ -89,6 +89,11 @@ def preparation_from_target(target_amps, cost: int = 1) -> StatePreparation:
     return _householder_preparation(arr, cost)
 
 
+def _check_floor(success_floor: float) -> None:
+    if not 0.0 < success_floor <= 1.0:
+        raise ParameterError(f"success_floor must be in (0, 1], got {success_floor}")
+
+
 @dataclass(frozen=True)
 class AmplifyParams:
     """Success-probability floor plus the good-outcome predicate.
@@ -103,10 +108,7 @@ class AmplifyParams:
     floor_is_lower_bound: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.success_floor <= 1.0:
-            raise ParameterError(
-                f"success_floor must be in (0, 1], got {self.success_floor}"
-            )
+        _check_floor(self.success_floor)
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,7 @@ class AmplifyResult:
 
 def predicted_repetitions(success_floor: float) -> int:
     """Rounds after which a start state with this good projection peaks."""
-    if not 0.0 < success_floor <= 1.0:
-        raise ParameterError(f"success_floor must be in (0, 1], got {success_floor}")
+    _check_floor(success_floor)
     return _rounds_from_angle(math.asin(math.sqrt(success_floor)))
 
 
@@ -130,15 +131,13 @@ def amplification_schedule_scale(success_floor: float) -> float:
     Useful for scaling fits, where integer rounding at small counts would
     swamp the trend.
     """
-    if not 0.0 < success_floor <= 1.0:
-        raise ParameterError(f"success_floor must be in (0, 1], got {success_floor}")
+    _check_floor(success_floor)
     return math.pi / (4.0 * math.asin(math.sqrt(success_floor)))
 
 
 def classical_repetitions(success_floor: float) -> int:
     """Expected-repetition count for classical retry at the same floor."""
-    if not 0.0 < success_floor <= 1.0:
-        raise ParameterError(f"success_floor must be in (0, 1], got {success_floor}")
+    _check_floor(success_floor)
     return math.ceil(1.0 / success_floor)
 
 
@@ -151,19 +150,8 @@ def _reflect_about_zero(state: StateVector) -> StateVector:
 
 def _good_mask(good, dimension: int) -> np.ndarray:
     if callable(good):
-        mask = np.fromiter((bool(good(i)) for i in range(dimension)), dtype=bool, count=dimension)
-        return mask
-    arr = np.asarray(good)
-    if arr.dtype == bool:
-        if arr.size != dimension:
-            raise ParameterError("good mask length must match preparation dimension")
-        return arr.copy()
-    mask = np.zeros(dimension, dtype=bool)
-    idx = arr.astype(np.int64).ravel()
-    if idx.size and (idx.min() < 0 or idx.max() >= dimension):
-        raise IndexError("good index out of range")
-    mask[idx] = True
-    return mask
+        return np.fromiter((bool(good(i)) for i in range(dimension)), dtype=bool, count=dimension)
+    return sim.marked_mask(good, dimension)
 
 
 def amplification_round(
@@ -177,6 +165,15 @@ def amplification_round(
     state = prep.inverse(state)
     state = _reflect_about_zero(state)
     return prep.forward(state)
+
+
+def _amplified_state(
+    prep: StatePreparation, rounds: int, good_indices: np.ndarray, counter: PredicateOracle
+) -> StateVector:
+    state = prep.forward(sim.basis_state(prep.dimension))
+    for _ in range(rounds):
+        state = amplification_round(state, prep, good_indices, counter)
+    return state
 
 
 def amplitude_amplify(
@@ -195,10 +192,7 @@ def amplitude_amplify(
 
     if not params.floor_is_lower_bound:
         rounds = predicted_repetitions(params.success_floor)
-        state = prep.forward(sim.basis_state(dimension))
-        for _ in range(rounds):
-            state = amplification_round(state, prep, good_idx, counter)
-        index = sim.measure(state, rng)
+        index = sim.measure(_amplified_state(prep, rounds, good_idx, counter), rng)
         queries = (2 * rounds + 1) * prep.cost + counter.query_count
         return AmplifyResult(
             index=index, good=bool(mask[index]), queries=queries, rounds=rounds
@@ -208,25 +202,16 @@ def amplitude_amplify(
     # count can overshoot.  Reuse the unknown-count schedule over rounds,
     # verifying each measurement (one charged predicate query per attempt).
     cap = float(predicted_repetitions(params.success_floor) + 1)
-    budget = math.ceil(UNKNOWN_BUDGET_FACTOR * cap) + 12
-    ceiling = 1.0
-    spent = 0
     rounds_used = 0
     prep_applications = 0
     index = 0
-    while spent < budget:
-        rounds = int(rng.generator.integers(0, math.ceil(ceiling)))
-        state = prep.forward(sim.basis_state(dimension))
-        prep_applications += 1
-        for _ in range(rounds):
-            state = amplification_round(state, prep, good_idx, counter)
-        prep_applications += 2 * rounds
+    for rounds in restart_schedule(rng, cap, unknown_count_budget(cap)):
+        state = _amplified_state(prep, rounds, good_idx, counter)
+        prep_applications += 2 * rounds + 1
         rounds_used += rounds
-        spent += rounds + 1
         index = sim.measure(state, rng)
         if counter.query(index):
             break
-        ceiling = min(SCHEDULE_GROWTH * ceiling, cap)
     queries = prep_applications * prep.cost + counter.query_count
     return AmplifyResult(
         index=index, good=bool(mask[index]), queries=queries, rounds=rounds_used

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -44,6 +45,7 @@ __all__ = [
 
 CSV_HEADER = "experiment,size,trial,seed,queries,steps,success,ms"
 _FIELD_NAMES = ("experiment", "size", "trial", "seed", "queries", "steps", "success", "ms")
+_FORMATS = {"csv": "csv", "jsonl": "jsonl", "json-lines": "jsonl"}
 
 
 class UsageError(Exception):
@@ -52,6 +54,20 @@ class UsageError(Exception):
 
 class FitError(ValueError):
     """Scaling fit asked for on unusable points."""
+
+
+def _normalize_format(fmt: str) -> str:
+    normalized = _FORMATS.get(fmt)
+    if normalized is None:
+        raise UsageError(f"format must be csv or jsonl, got {fmt!r}")
+    return normalized
+
+
+def _check_jobs(jobs: int) -> None:
+    # more workers than cores only oversubscribes the machine
+    limit = os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise UsageError(f"jobs must be in [1, {limit}] (the cpu count), got {jobs}")
 
 
 @dataclass(frozen=True)
@@ -398,12 +414,8 @@ class ExperimentConfig:
             raise UsageError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise UsageError("seed must be non-negative")
-        if self.jobs < 1:
-            raise UsageError(f"jobs must be >= 1, got {self.jobs}")
-        fmt = {"csv": "csv", "jsonl": "jsonl", "json-lines": "jsonl"}.get(self.format)
-        if fmt is None:
-            raise UsageError(f"format must be csv or jsonl, got {self.format!r}")
-        object.__setattr__(self, "format", fmt)
+        _check_jobs(self.jobs)
+        object.__setattr__(self, "format", _normalize_format(self.format))
 
 
 def parse_sizes(text: str) -> Tuple[int, ...]:
@@ -489,15 +501,19 @@ def _trial_worker(payload):
 
 
 def iter_records(config: ExperimentConfig, jobs: Optional[int] = None) -> Iterator[ExperimentRecord]:
-    """Yield records in (size, trial) order; order is scheduling-independent."""
+    """Yield records in (size, trial) order; order is scheduling-independent.
+
+    A `jobs` override is held to the config's limits: 1 up to the cpu count.
+    """
     jobs = config.jobs if jobs is None else jobs
+    _check_jobs(jobs)
     param_items = tuple(sorted(config.params.items()))
     payloads = [
         (config.experiment, size_index, size, trial, config.seed, param_items)
         for size_index, size in enumerate(config.sizes)
         for trial in range(config.trials)
     ]
-    if jobs <= 1:
+    if jobs == 1:
         results = map(_trial_worker, payloads)
     else:
         pool = ProcessPoolExecutor(max_workers=jobs)
@@ -555,9 +571,7 @@ def record_line(record: ExperimentRecord, fmt: str) -> str:
 
 def emit(records: Iterable[ExperimentRecord], fmt: str, path: Union[str, Path]) -> None:
     """Write records to path; CSV gets the fixed header, both end in newline."""
-    fmt = {"csv": "csv", "jsonl": "jsonl", "json-lines": "jsonl"}.get(fmt)
-    if fmt is None:
-        raise UsageError("format must be csv or jsonl")
+    fmt = _normalize_format(fmt)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         if fmt == "csv":
             handle.write(CSV_HEADER + "\n")

@@ -40,7 +40,8 @@ def _build_parser() -> _Parser:
     run.add_argument("--format", default=None, choices=("csv", "jsonl", "json-lines"),
                      help="record format (default csv)")
     run.add_argument("--jobs", type=int, default=None,
-                     help="concurrent trial workers (output order is unchanged)")
+                     help="concurrent trial workers, at most the cpu count "
+                          "(output order is unchanged)")
     run.add_argument("--no-summary", action="store_true",
                      help="skip the per-experiment summary on stderr")
 
@@ -94,7 +95,7 @@ def _cmd_run(args) -> int:
                 seed=args.seed if args.seed is not None else 0,
                 out=args.out,
                 format=args.format or "csv",
-                jobs=args.jobs or 1,
+                jobs=args.jobs if args.jobs is not None else 1,
             )
             for name in names
         ]

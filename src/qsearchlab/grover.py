@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -33,6 +33,8 @@ __all__ = [
     "search",
     "search_with_certainty",
     "prepared_certain_state",
+    "restart_schedule",
+    "unknown_count_budget",
     "search_unknown_count",
     "find_all",
 ]
@@ -74,28 +76,29 @@ def _rounds_from_angle(theta: float) -> int:
     return max(0, math.ceil(raw - 1e-12))  # guard knife-edge float error
 
 
-def optimal_query_count(size: int, marked_count: int) -> int:
-    """Query count at which a run from uniform peaks on the marked set.
-
-    Strictly below (pi/4)*sqrt(size/marked_count) for every valid input.
-    """
+def _check_counts(size: int, marked_count: int) -> None:
     if size < 1:
         raise ParameterError(f"size must be >= 1, got {size}")
     if not 1 <= marked_count <= size:
-        raise ParameterError(
-            f"marked_count {marked_count} outside [1, {size}]"
-        )
+        raise ParameterError(f"marked_count {marked_count} outside [1, {size}]")
+
+
+def optimal_query_count(size: int, marked_count: int) -> int:
+    """Query count at which a run from uniform peaks on the marked set.
+
+    The count is ceil(pi/(4*theta) - 1/2) with sin(theta)^2 equal to the
+    marked fraction.  That un-rounded length lies strictly below
+    (pi/4)*sqrt(size/marked_count), so the count lies below the same bound
+    plus 1/2.  Rounding up can carry the count past the bound itself: one
+    marked item among 256 needs 13 queries against a bound of 12.57.
+    """
+    _check_counts(size, marked_count)
     return _rounds_from_angle(_half_angle(size, marked_count))
 
 
 def success_probability(size: int, marked_count: int, iterations: int) -> float:
     """Marked-set probability after `iterations` rounds from uniform."""
-    if size < 1:
-        raise ParameterError(f"size must be >= 1, got {size}")
-    if not 1 <= marked_count <= size:
-        raise ParameterError(
-            f"marked_count {marked_count} outside [1, {size}]"
-        )
+    _check_counts(size, marked_count)
     if iterations < 0:
         raise ParameterError("iterations must be >= 0")
     theta = _half_angle(size, marked_count)
@@ -110,10 +113,7 @@ def success_profile(size: int, marked_count: int, max_rounds: int) -> np.ndarray
     the iteration is real-valued because flips and diffusion preserve real
     amplitudes.  Analysis helper: nothing is charged.
     """
-    if size < 1:
-        raise ParameterError(f"size must be >= 1, got {size}")
-    if not 1 <= marked_count <= size:
-        raise ParameterError(f"marked_count {marked_count} outside [1, {size}]")
+    _check_counts(size, marked_count)
     if max_rounds < 0:
         raise ParameterError("max_rounds must be >= 0")
     # Marked positions do not affect the profile; use the leading block.
@@ -122,10 +122,7 @@ def success_profile(size: int, marked_count: int, max_rounds: int) -> np.ndarray
     profile[0] = float((amps[:marked_count] ** 2).sum())
     for t in range(1, max_rounds + 1):
         amps[:marked_count] = -amps[:marked_count]
-        amps = 2.0 * amps.mean() - amps
-        n2 = float(amps @ amps)
-        if abs(n2 - 1.0) > 2e-9:
-            amps /= math.sqrt(n2)
+        amps = sim._settle_norm(2.0 * amps.mean() - amps)
         profile[t] = float((amps[:marked_count] ** 2).sum())
     return np.minimum(1.0, profile)
 
@@ -230,6 +227,30 @@ def search_with_certainty(oracle: BitOracle, params: GroverParams, rng: SeededRn
     return sim.measure(state, rng)
 
 
+def restart_schedule(rng: SeededRng, cap: float, budget: int) -> Iterator[int]:
+    """Round counts of the randomized restart schedule for an unknown count.
+
+    Each attempt draws its round count uniformly below a ceiling that
+    starts at 1 and grows by SCHEDULE_GROWTH up to `cap`.  An attempt spends
+    its rounds plus one verification from `budget`; the schedule ends once
+    the budget is spent.  The next count is drawn only when the caller asks
+    for it, after the previous attempt's measurement.
+    """
+    cap = max(cap, 1.0)
+    ceiling = 1.0
+    spent = 0
+    while spent < budget:
+        rounds = int(rng.generator.integers(0, math.ceil(ceiling)))
+        spent += rounds + 1
+        yield rounds
+        ceiling = min(SCHEDULE_GROWTH * ceiling, cap)
+
+
+def unknown_count_budget(cap: float) -> int:
+    """Query budget after which a restart schedule capped at `cap` gives up."""
+    return math.ceil(UNKNOWN_BUDGET_FACTOR * cap) + 12
+
+
 def search_unknown_count(
     oracle,
     size: int,
@@ -250,20 +271,15 @@ def search_unknown_count(
     if min_marked is not None and not 1 <= min_marked <= size:
         raise ParameterError(f"min_marked {min_marked} outside [1, {size}]")
     cap = math.sqrt(size / (min_marked or 1))
-    budget = math.ceil(UNKNOWN_BUDGET_FACTOR * cap) + 12
+    budget = unknown_count_budget(cap)
     if max_queries is not None:
         budget = min(budget, max(0, max_queries))
     marked = oracle.marked_indices()
-    ceiling = 1.0
-    spent = 0
-    while spent < budget:
-        rounds = int(rng.generator.integers(0, math.ceil(ceiling)))
+    for rounds in restart_schedule(rng, cap, budget):
         state = _run_rounds(sim.uniform_state(size), marked, oracle, rounds)
-        spent += rounds + 1  # phase queries plus the verification probe below
         index = sim.measure(state, rng)
         if oracle.query(index):
             return index
-        ceiling = min(SCHEDULE_GROWTH * ceiling, max(cap, 1.0))
     return None
 
 
@@ -277,8 +293,7 @@ def find_all(oracle: BitOracle, size: int, rng: SeededRng) -> set[int]:
     if size != oracle.size:
         raise ParameterError("size must match oracle size")
     found: set[int] = set()
-    mask = np.zeros(size, dtype=bool)
-    mask[oracle.marked_indices()] = True
+    mask = sim.marked_mask(oracle.marked_indices(), size)
     while True:
         wrapped = PredicateOracle(size, marked=mask, charge_to=(oracle,))
         hit = search_unknown_count(wrapped, size, rng)

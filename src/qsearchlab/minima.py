@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import grover, sim
+from . import grover
 from .sim import ParameterError, PredicateOracle, SeededRng, SizeCapError, ValueOracle
 
 __all__ = [
@@ -64,6 +64,7 @@ def find_minimum(
         raise ParameterError("budget must be >= 1")
 
     values = oracle.peek_all()
+    full_budget = grover.unknown_count_budget(math.sqrt(size))
     start_count = oracle.query_count
     champion = int(rng.generator.integers(0, size))
     oracle.charge(1)  # learn the starting champion's value
@@ -75,7 +76,6 @@ def find_minimum(
             return MinimumResult(champion, int(values[champion]), spent, verified=False)
         mask = values < values[champion]
         threshold_oracle = PredicateOracle(size, marked=mask, charge_to=(oracle,))
-        full_budget = math.ceil(grover.UNKNOWN_BUDGET_FACTOR * math.sqrt(size)) + 12
         hit = grover.search_unknown_count(
             threshold_oracle, size, rng, max_queries=min(remaining, full_budget)
         )
@@ -87,67 +87,44 @@ def find_minimum(
         champion = int(hit)
 
 
-class HypercubeOracle(sim._CountingOracle):
-    """Integer objective on {0,1}^n assignments, addressed as bit masks."""
+def _check_bit_count(bit_count: int) -> None:
+    if bit_count < 1:
+        raise ParameterError("bit_count must be >= 1")
+    if bit_count > MAX_HYPERCUBE_BITS:
+        raise SizeCapError(
+            f"bit_count {bit_count} exceeds desk-scale cap {MAX_HYPERCUBE_BITS}"
+        )
+
+
+class HypercubeOracle(ValueOracle):
+    """Value table on {0,1}^n assignments, addressed as bit masks or bit tuples.
+
+    Tuples are little-endian: bit i weights 2^i.  Probes and peeks accept
+    either form and cost what they cost on the plain value table.
+    """
 
     def __init__(self, bit_count: int, values, charge_to: Sequence = ()):
-        super().__init__(charge_to)
-        if bit_count < 1:
-            raise ParameterError("bit_count must be >= 1")
-        if bit_count > MAX_HYPERCUBE_BITS:
-            raise SizeCapError(
-                f"bit_count {bit_count} exceeds desk-scale cap {MAX_HYPERCUBE_BITS}"
-            )
-        arr = np.array(values, dtype=np.int64, copy=True)
-        if arr.shape != (1 << bit_count,):
+        _check_bit_count(bit_count)
+        super().__init__(values, charge_to)
+        if self._values.shape != (1 << bit_count,):
             raise ParameterError(
-                f"need exactly 2^{bit_count} values, got shape {arr.shape}"
+                f"need exactly 2^{bit_count} values, got shape {self._values.shape}"
             )
-        arr.setflags(write=False)
         self.bit_count = int(bit_count)
-        self._values = arr
 
     @classmethod
     def from_function(cls, bit_count: int, fn: Callable[[Tuple[int, ...]], int]) -> "HypercubeOracle":
-        if bit_count < 1:
-            raise ParameterError("bit_count must be >= 1")
-        if bit_count > MAX_HYPERCUBE_BITS:
-            raise SizeCapError(
-                f"bit_count {bit_count} exceeds desk-scale cap {MAX_HYPERCUBE_BITS}"
-            )
+        _check_bit_count(bit_count)
         table = [fn(_bits_of(x, bit_count)) for x in range(1 << bit_count)]
         return cls(bit_count, table)
 
-    @property
-    def size(self) -> int:
-        return 1 << self.bit_count
-
-    def value(self, assignment: Union[int, Sequence[int]]) -> int:
-        """Classical probe of one assignment; charges one query."""
-        index = self._to_index(assignment)
-        self.charge(1)
-        return int(self._values[index])
-
-    def peek(self, assignment: Union[int, Sequence[int]]) -> int:
-        """Simulation-side read for operator construction; free of charge."""
-        return int(self._values[self._to_index(assignment)])
-
-    def peek_all(self) -> np.ndarray:
-        return self._values
-
     def _to_index(self, assignment: Union[int, Sequence[int]]) -> int:
-        if isinstance(assignment, (int, np.integer)):
-            index = int(assignment)
-        else:
+        if not isinstance(assignment, (int, np.integer)):
             bits = tuple(assignment)
             if len(bits) != self.bit_count or any(b not in (0, 1) for b in bits):
                 raise ParameterError("assignment must be a tuple of n bits")
-            index = 0
-            for position, bit in enumerate(bits):
-                index |= bit << position
-        if not 0 <= index < self.size:
-            raise IndexError(f"assignment index {index} out of range")
-        return index
+            assignment = sum(bit << position for position, bit in enumerate(bits))
+        return super()._to_index(assignment)
 
 
 def _bits_of(index: int, bit_count: int) -> Tuple[int, ...]:
@@ -237,7 +214,8 @@ def find_local_minimum(
 
     table = oracle.peek_all()
     steps = 0
-    for _ in range(params.descent_budget):
+    success = False
+    while not success and steps < params.descent_budget:
         steps += 1
         neighbors = np.asarray([current ^ (1 << bit) for bit in range(n)])
         mask = table[neighbors] < table[current]
@@ -248,22 +226,14 @@ def find_local_minimum(
             continue
         # Absent verdict: confirm classically; a miss hands us the better
         # neighbor found during the scan, so the descent stays strict.
-        is_min, better = _verify_and_improve(oracle, current)
-        if is_min:
-            return LocalMinResult(
-                assignment=_bits_of(current, n),
-                index=current,
-                value=int(table[current]),
-                queries=oracle.query_count - start_count,
-                descent_steps=steps,
-                success=True,
-            )
-        current = better
+        success, better = _verify_and_improve(oracle, current)
+        if not success:
+            current = better
     return LocalMinResult(
         assignment=_bits_of(current, n),
         index=current,
         value=int(table[current]),
         queries=oracle.query_count - start_count,
         descent_steps=steps,
-        success=False,
+        success=success,
     )

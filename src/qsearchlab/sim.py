@@ -29,13 +29,17 @@ __all__ = [
     "apply_phase_rotation",
     "apply_diffusion",
     "apply_diffusion_rotation",
+    "marked_mask",
+    "born_probabilities",
+    "sample_index",
     "measure",
 ]
 
 # Operators here are unitary, so norm drift is float rounding noise; past
 # this bound the state is renormalized (assert-then-renormalize policy).
 NORM_DRIFT_LIMIT = 1e-9
-# measure() refuses states further than this from unit norm.
+# Measurement, and StateVector construction from untrusted amplitudes, refuse
+# states whose squared norm is further than this from 1.
 MEASURE_NORM_TOL = 1e-6
 
 
@@ -90,9 +94,12 @@ class SeededRng:
         return f"SeededRng(master_seed={self.master_seed}, stream_id={self.stream_id}{key})"
 
 
-def _settle_norm(amps: np.ndarray) -> np.ndarray:
+def _settle_norm(amps: np.ndarray, reject_tol: Optional[float] = None) -> np.ndarray:
+    """Renormalize amplitudes that drifted past the limit; refuse past reject_tol."""
     # |sum|a|^2 - 1| ~ 2*|norm - 1| near 1, so compare against twice the limit
     n2 = np.vdot(amps, amps).real
+    if reject_tol is not None and abs(n2 - 1.0) > reject_tol:
+        raise NormalizationError(f"amplitudes have squared norm {n2:.6g}, expected 1")
     if abs(n2 - 1.0) > 2.0 * NORM_DRIFT_LIMIT:
         amps = amps / np.sqrt(n2)
     return amps
@@ -107,13 +114,7 @@ class StateVector:
         arr = np.array(amps, dtype=np.complex128, copy=copy)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("state needs a non-empty 1-D amplitude vector")
-        if not _trusted:
-            n2 = np.vdot(arr, arr).real
-            if abs(n2 - 1.0) > MEASURE_NORM_TOL:
-                raise NormalizationError(f"amplitudes have squared norm {n2:.6g}, expected 1")
-            if abs(n2 - 1.0) > 2.0 * NORM_DRIFT_LIMIT:
-                arr = arr / np.sqrt(n2)
-        self.amps = arr
+        self.amps = arr if _trusted else _settle_norm(arr, MEASURE_NORM_TOL)
 
     @property
     def dimension(self) -> int:
@@ -215,16 +216,21 @@ class ValueOracle(_CountingOracle):
     def size(self) -> int:
         return int(self._values.size)
 
-    def value(self, index: int) -> int:
-        """Classical probe of one table entry; charges one query."""
+    def _to_index(self, index) -> int:
+        # subclasses widen the accepted addresses, then defer here for the range
         if not 0 <= index < self._values.size:
             raise IndexError(f"oracle index {index} out of range for size {self._values.size}")
+        return int(index)
+
+    def value(self, index: int) -> int:
+        """Classical probe of one table entry; charges one query."""
+        index = self._to_index(index)
         self.charge(1)
         return int(self._values[index])
 
     def peek(self, index: int) -> int:
         """Simulation-side read for operator construction; free of charge."""
-        return int(self._values[index])
+        return int(self._values[self._to_index(index)])
 
     def peek_all(self) -> np.ndarray:
         """Simulation-side read-only view of the whole table; free of charge."""
@@ -253,17 +259,7 @@ class PredicateOracle(_CountingOracle):
             raise ParameterError("provide exactly one of predicate or marked")
         self._size = int(size)
         if marked is not None:
-            mask = np.zeros(self._size, dtype=bool)
-            marked_arr = np.asarray(marked)
-            if marked_arr.dtype == bool:
-                if marked_arr.size != self._size:
-                    raise ParameterError("marked mask length must equal oracle size")
-                mask[:] = marked_arr
-            else:
-                idx = marked_arr.astype(np.int64).ravel()
-                if idx.size and (idx.min() < 0 or idx.max() >= self._size):
-                    raise IndexError("marked index out of range")
-                mask[idx] = True
+            mask = marked_mask(marked, self._size)
             mask.setflags(write=False)
             self._mask = mask
             self._predicate = None
@@ -290,6 +286,22 @@ class PredicateOracle(_CountingOracle):
             return np.flatnonzero(self._mask)
         hits = [i for i in range(self._size) if self._predicate(i)]
         return np.asarray(hits, dtype=np.int64)
+
+
+def marked_mask(marked: Union[np.ndarray, Iterable[int]], size: int) -> np.ndarray:
+    """Fresh boolean mask of length `size` from a boolean mask or marked indices."""
+    arr = np.asarray(marked)
+    mask = np.zeros(size, dtype=bool)
+    if arr.dtype == bool:
+        if arr.size != size:
+            raise ParameterError(f"marked mask length {arr.size} must equal size {size}")
+        mask[:] = arr.ravel()
+    else:
+        idx = arr.astype(np.int64).ravel()
+        if idx.size and (idx.min() < 0 or idx.max() >= size):
+            raise IndexError(f"marked index out of range for size {size}")
+        mask[idx] = True
+    return mask
 
 
 def _as_index_array(marked, dimension: int) -> np.ndarray:
@@ -341,15 +353,29 @@ def apply_diffusion_rotation(state: StateVector, angle: float) -> StateVector:
     return StateVector(_settle_norm(out), copy=False, _trusted=True)
 
 
-def measure(state: StateVector, rng: SeededRng) -> int:
-    """Sample a basis index from |amps|^2; raises if the norm has drifted."""
-    p = np.abs(state.amps) ** 2
+def born_probabilities(amps: np.ndarray) -> np.ndarray:
+    """|amps|^2 scaled to sum 1; raises if the squared norm has drifted."""
+    p = np.abs(amps) ** 2
     total = p.sum()
     if abs(total - 1.0) > MEASURE_NORM_TOL:
-        raise NormalizationError(
-            f"cannot measure state with squared norm {total:.6g}"
-        )
-    edges = np.cumsum(p / total)
-    draw = rng.generator.random()
-    index = int(np.searchsorted(edges, draw, side="right"))
-    return min(index, state.dimension - 1)
+        raise NormalizationError(f"cannot measure state with squared norm {total:.6g}")
+    return p / total
+
+
+def sample_index(probabilities, rng: SeededRng) -> int:
+    """Draw an index with the given (possibly unnormalized) weights.
+
+    The uniform draw is scaled by the cumulative total, so an index of zero
+    weight is never returned, even when the total rounds below 1.
+    """
+    edges = np.cumsum(probabilities)
+    total = edges[-1]
+    index = int(np.searchsorted(edges, rng.random() * total, side="right"))
+    if index == edges.size:  # a subnormal total: the scaled draw rounded onto it
+        index = int(np.searchsorted(edges, total, side="left"))
+    return index
+
+
+def measure(state: StateVector, rng: SeededRng) -> int:
+    """Sample a basis index from |amps|^2; raises if the norm has drifted."""
+    return sample_index(born_probabilities(state.amps), rng)

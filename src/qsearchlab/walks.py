@@ -18,9 +18,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import sim
 from .sim import (
     BitOracle,
-    NormalizationError,
     ParameterError,
     SeededRng,
     SizeCapError,
@@ -190,6 +190,15 @@ def localized_coined_state(grid: TorusGrid, cell: int) -> CoinedState:
     return CoinedState(amps, copy=False)
 
 
+def _cell_indices(marked, cells: int) -> np.ndarray:
+    if isinstance(marked, (set, frozenset)):
+        marked = sorted(marked)
+    idx = np.asarray(marked, dtype=np.int64).ravel()
+    if idx.size and (idx.min() < 0 or idx.max() >= cells):
+        raise IndexError("marked cell out of range")
+    return idx
+
+
 def grid_walk_step(grid: TorusGrid, state: CoinedState, marked) -> CoinedState:
     """One bundled walk step: direction-reversing shift, then the coin.
 
@@ -202,12 +211,8 @@ def grid_walk_step(grid: TorusGrid, state: CoinedState, marked) -> CoinedState:
     shifted = shifted.reshape(grid.cells, grid.direction_count)
     means = shifted.mean(axis=1, keepdims=True)
     out = 2.0 * means - shifted
-    marked_idx = np.asarray(list(marked) if isinstance(marked, (set, frozenset)) else marked,
-                            dtype=np.int64).ravel()
-    if marked_idx.size:
-        if marked_idx.min() < 0 or marked_idx.max() >= grid.cells:
-            raise IndexError("marked cell out of range")
-        out[marked_idx] = -shifted[marked_idx]
+    marked_idx = _cell_indices(marked, grid.cells)
+    out[marked_idx] = -shifted[marked_idx]
     return CoinedState(out, copy=False)
 
 
@@ -218,8 +223,7 @@ def grid_walk_probability_profile(grid: TorusGrid, marked, max_steps: int) -> np
     """
     if max_steps < 0:
         raise ParameterError("max_steps must be >= 0")
-    marked_idx = np.asarray(sorted(marked) if isinstance(marked, (set, frozenset)) else marked,
-                            dtype=np.int64).ravel()
+    marked_idx = _cell_indices(marked, grid.cells)
     state = uniform_coined_state(grid)
     profile = np.empty(max_steps + 1)
     for step in range(max_steps + 1):
@@ -254,13 +258,8 @@ def grid_walk_search(
     for _ in range(steps):
         state = grid_walk_step(grid, state, marked_idx)
     oracle.charge(steps)
-    probabilities = state.cell_probabilities()
-    edges = np.cumsum(probabilities)
-    cell = min(int(np.searchsorted(edges, rng.generator.random(), side="right")),
-               grid.cells - 1)
-    if oracle.query(cell):
-        return GridWalkResult(cell=cell, steps=steps)
-    return GridWalkResult(cell=None, steps=steps)
+    cell = sim.sample_index(state.cell_probabilities(), rng)
+    return GridWalkResult(cell=cell if oracle.query(cell) else None, steps=steps)
 
 
 @dataclass(frozen=True)
@@ -269,12 +268,11 @@ class ScanResult:
     steps: int
 
 
-def grid_classical_search(grid: TorusGrid, oracle: BitOracle, rng: Optional[SeededRng] = None) -> ScanResult:
+def grid_classical_search(grid: TorusGrid, oracle: BitOracle) -> ScanResult:
     """Boustrophedon scan; one bundled query-and-move step per visited cell.
 
-    The scan order is fixed for reproducibility (rng accepted for interface
-    symmetry with the walk search).  An empty marked set costs exactly one
-    query per cell.
+    The scan order is fixed, and an empty marked set costs exactly one query
+    per cell.
     """
     if oracle.size != grid.cells:
         raise ParameterError("oracle size must match grid cells")
@@ -441,13 +439,6 @@ def stationary_edge_state(chain: MarkovChain) -> np.ndarray:
     return (chain.sqrt_matrix() / math.sqrt(chain.size)).astype(np.complex128)
 
 
-def _settle_pair_norm(state: np.ndarray) -> np.ndarray:
-    n2 = float((state.real**2 + state.imag**2).sum())
-    if abs(n2 - 1.0) > 2e-9:
-        state = state / math.sqrt(n2)
-    return state
-
-
 def szegedy_step(chain: MarkovChain, edge_state: np.ndarray) -> np.ndarray:
     """One quantized step on pair amplitudes psi[x, y].
 
@@ -467,7 +458,7 @@ def szegedy_step(chain: MarkovChain, edge_state: np.ndarray) -> np.ndarray:
     psi = 2.0 * row_overlap[:, None] * root - psi
     column_overlap = (root * psi).sum(axis=0)
     psi = 2.0 * root * column_overlap[None, :] - psi
-    return _settle_pair_norm(psi)
+    return sim._settle_norm(psi)
 
 
 def marked_pair_probability(chain: MarkovChain, edge_state: np.ndarray) -> float:
@@ -483,12 +474,8 @@ def marked_pair_probability(chain: MarkovChain, edge_state: np.ndarray) -> float
 
 
 def measure_edge(chain: MarkovChain, edge_state: np.ndarray, rng: SeededRng) -> Tuple[int, int]:
-    p = (np.abs(edge_state) ** 2).ravel()
-    total = p.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise NormalizationError(f"cannot measure edge state with norm {total:.6g}")
-    edges = np.cumsum(p / total)
-    flat = min(int(np.searchsorted(edges, rng.generator.random(), side="right")), p.size - 1)
+    """Sample an ordered pair (x, y) from |psi[x, y]|^2; raises if the norm has drifted."""
+    flat = sim.sample_index(sim.born_probabilities(edge_state.ravel()), rng)
     return divmod(flat, chain.size)
 
 
@@ -542,23 +529,19 @@ def szegedy_find_marked(
         step_budget = recommended_step_budget(chain)
     if step_budget < 1:
         raise ParameterError("step_budget must be >= 1")
+    hit = None
+    steps_used = 0
+    preparations = 0
     if not chain.marked:
         # The stationary state is a fixed point when nothing is marked, so
         # no measurement can succeed; report the exhausted budget directly.
-        return WalkSearchResult(
-            state=None,
-            walk_steps=step_budget,
-            preparations=1,
-            cost=costs.setup + step_budget * (costs.transition + costs.check),
-        )
-    if shot_cap is None:
+        steps_used, preparations = step_budget, 1
+    elif shot_cap is None:
         shot_cap = default_shot_cap(chain)
     elif shot_cap < 1:
         raise ParameterError("shot_cap must be >= 1")
-    steps_used = 0
-    preparations = 0
     marked = chain.marked
-    while steps_used < step_budget:
+    while hit is None and steps_used < step_budget:
         shot = int(rng.generator.integers(1, shot_cap + 1))
         shot = min(shot, step_budget - steps_used)
         state = stationary_edge_state(chain)
@@ -568,15 +551,8 @@ def szegedy_find_marked(
         steps_used += shot
         x, y = measure_edge(chain, state, rng)
         hit = x if x in marked else (y if y in marked else None)
-        if hit is not None:
-            return WalkSearchResult(
-                state=int(hit),
-                walk_steps=steps_used,
-                preparations=preparations,
-                cost=preparations * costs.setup + steps_used * (costs.transition + costs.check),
-            )
     return WalkSearchResult(
-        state=None,
+        state=None if hit is None else int(hit),
         walk_steps=steps_used,
         preparations=preparations,
         cost=preparations * costs.setup + steps_used * (costs.transition + costs.check),
@@ -590,8 +566,7 @@ def classical_hitting(chain: MarkovChain, rng: SeededRng, trials: int) -> float:
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     edges = chain.row_edges()
-    marked_mask = np.zeros(chain.size, dtype=bool)
-    marked_mask[list(chain.marked)] = True
+    marked_mask = sim.marked_mask(list(chain.marked), chain.size)
     gen = rng.generator
     states = gen.integers(0, chain.size, size=trials)
     steps = np.zeros(trials, dtype=np.int64)

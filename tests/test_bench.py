@@ -1,5 +1,6 @@
 """Benchmark harness tests: config parsing, record plumbing, fits, CLI."""
 
+import hashlib
 import json
 import math
 
@@ -110,6 +111,44 @@ def test_run_experiment_is_deterministic_modulo_timing():
     assert [r.without_ms() for r in first] == [r.without_ms() for r in second]
     assert all(r.experiment == "grover-scaling" for r in first)
     assert [(r.size, r.trial) for r in first] == [(4, 0), (4, 1), (16, 0), (16, 1)]
+
+
+def test_jobs_capped_at_cpu_count_without_starting_processes(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+    for bad in (0, 3, 10**6):
+        with pytest.raises(UsageError):
+            ExperimentConfig(experiment="grover-scaling", jobs=bad)
+    cfg = ExperimentConfig(experiment="grover-scaling", sizes=(4,), trials=1, jobs=2)
+    for bad in (0, -1, 3, 10**6):
+        with pytest.raises(UsageError):
+            run_experiment(cfg, jobs=bad)
+    assert len(run_experiment(cfg, jobs=1)) == 1
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: None)  # unknown: one worker
+    with pytest.raises(UsageError):
+        ExperimentConfig(experiment="grover-scaling", jobs=2)
+
+
+# sha256 of `qsearchlab run --experiment all --trials 3 --seed 0 --format jsonl`
+# with the ms field dropped from every line.  Any change to it is a change of
+# records and is explained in CHANGES.md.
+GOLDEN_RECORDS_SHA256 = "da6a25bd99d2e7412af2dee348774ec360a2b6dd58ce7ff34b2d9a443f8596a6"
+
+
+def test_golden_records():
+    lines = []
+    for name in experiment_names():
+        config = ExperimentConfig(experiment=name, trials=3, seed=0, format="jsonl")
+        for record in bench.iter_records(config):
+            row = json.loads(bench.record_line(record, "jsonl"))
+            del row["ms"]
+            lines.append(json.dumps(row, separators=(",", ":")))
+    assert len(lines) == 192
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == GOLDEN_RECORDS_SHA256
 
 
 def test_parallel_run_matches_serial():
@@ -237,6 +276,7 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
     assert main(["run", "--experiment", "nonsense", "--no-summary"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["run", "--no-summary"]) == 2
+    assert main(["run", "--experiment", "grover-scaling", "--jobs", "0", "--no-summary"]) == 2
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("experiment = grover-scaling\ntrials = zero\n")
     assert main(["run", str(cfg)]) == 2

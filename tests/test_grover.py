@@ -256,6 +256,37 @@ def test_unknown_count_search_respects_query_cap():
     assert hit is None or hit == 7
 
 
+def _plain_schedule(rng, cap, budget):
+    # the restart schedule written out as one loop, with the caller's
+    # measurement draw after every round count
+    drawn = []
+    ceiling, spent = 1.0, 0
+    while spent < budget:
+        rounds = int(rng.generator.integers(0, math.ceil(ceiling)))
+        spent += rounds + 1
+        drawn.append((rounds, rng.random()))
+        ceiling = min(grover.SCHEDULE_GROWTH * ceiling, max(cap, 1.0))
+    return drawn
+
+
+@pytest.mark.parametrize("cap", [1.0, 4.5, 32.0])
+def test_restart_schedule_matches_the_plain_loop(cap):
+    budget = grover.unknown_count_budget(cap)
+    for seed in range(5):
+        rng = SeededRng(77, seed)
+        drawn = [(rounds, rng.random()) for rounds in grover.restart_schedule(rng, cap, budget)]
+        assert drawn == _plain_schedule(SeededRng(77, seed), cap, budget)
+        assert max(rounds for rounds, _ in drawn) < math.ceil(cap)
+        assert sum(rounds + 1 for rounds, _ in drawn) >= budget
+
+
+def test_unknown_count_budget_values():
+    assert grover.unknown_count_budget(1.0) == 21
+    assert grover.unknown_count_budget(4.5) == 53
+    assert grover.unknown_count_budget(math.sqrt(1024)) == 300
+    assert list(grover.restart_schedule(SeededRng(0), 8.0, 0)) == []
+
+
 def test_find_all_recovers_every_mark():
     rng = SeededRng(31, 9)
     marked = {3, 17, 40, 41, 59}

@@ -64,11 +64,17 @@ def test_find_minimum_validation():
 
 def test_hypercube_oracle_bit_addressing():
     # tuples are little-endian: bit i weights 2^i
-    oracle = HypercubeOracle(3, list(range(8)))
+    base = ValueOracle(list(range(8)))
+    oracle = HypercubeOracle(3, list(range(8)), charge_to=(base,))
+    assert isinstance(oracle, ValueOracle)
+    assert oracle.size == 8
     assert oracle.value((1, 0, 0)) == 1
-    assert oracle.value((0, 1, 1)) == 6
+    assert oracle.query_count == 1
     assert oracle.value(5) == 5
+    assert oracle.query_count == 2
+    assert oracle.value((0, 1, 1)) == 6
     assert oracle.query_count == 3
+    assert base.query_count == 3  # every probe fans out to the wrapped table
     assert oracle.peek((1, 1, 1)) == 7
     assert oracle.query_count == 3
 
@@ -90,6 +96,11 @@ def test_hypercube_oracle_validation():
         oracle.value((0, 1, 1))
     with pytest.raises(ParameterError):
         oracle.value((0, 2))
+    with pytest.raises(IndexError):
+        oracle.value(4)
+    with pytest.raises(IndexError):
+        oracle.peek(-1)
+    assert oracle.query_count == 0
 
 
 def test_default_sample_count_values():

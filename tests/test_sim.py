@@ -22,6 +22,7 @@ from qsearchlab.sim import (
     apply_phase_rotation,
     basis_state,
     measure,
+    sample_index,
     uniform_state,
 )
 
@@ -257,6 +258,29 @@ def test_measure_rejects_denormalized_state():
     bad = StateVector(np.full(4, 0.6), _trusted=True)
     with pytest.raises(NormalizationError):
         measure(bad, SeededRng(0))
+
+
+class _FixedDraw:
+    """Stand-in rng whose every uniform draw is the same value."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
+def test_sample_index_never_returns_a_zero_weight_index():
+    # the weights total 0.75, so the draw is scaled into [0, 0.75)
+    assert sample_index([0.5, 0.25, 0.0], _FixedDraw(0.9)) == 1
+    assert sample_index([0.5, 0.25, 0.0], _FixedDraw(0.6)) == 0
+    top = float(np.nextafter(1.0, 0.0))
+    assert sample_index([0.5, 0.25, 0.0], _FixedDraw(top)) == 1
+    assert sample_index([0.0, 1.0, 0.0, 0.0], _FixedDraw(top)) == 1
+    assert sample_index([0.0, 1.0, 0.0, 0.0], _FixedDraw(0.0)) == 1
+    # only a subnormal total lets the scaled draw round up onto the total
+    assert top * 5e-324 == 5e-324
+    assert sample_index([0.0, 5e-324, 0.0], _FixedDraw(top)) == 1
 
 
 def test_measure_deterministic_under_fixed_stream():

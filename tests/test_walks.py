@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsearchlab import walks
-from qsearchlab.sim import BitOracle, ParameterError, SeededRng, ValueOracle
+from qsearchlab.sim import BitOracle, NormalizationError, ParameterError, SeededRng, ValueOracle
 from qsearchlab.walks import (
     CoinedState,
     JohnsonChain,
@@ -365,6 +365,8 @@ def test_measure_edge_distribution():
     for _ in range(2000):
         counts[measure_edge(chain, psi, rng)] += 1
     assert abs(counts[(2, 3)] / 2000 - 0.75) < 0.04
+    with pytest.raises(NormalizationError):
+        measure_edge(chain, 1.01 * psi, rng)
 
 
 # ------------------------------------------------------------- hitting times
