@@ -2,9 +2,16 @@
 
 The coined walk lives on (cell, direction) amplitudes over a periodic grid
 with a direction-reversing shift and a uniform-reflection coin that is
-negated on marked cells; one step bundles a query and a move.  The chain
-quantization acts on amplitudes over ordered vertex pairs through two row
-and column reflections, never materializing the squared-space operator.
+negated on marked cells; one step bundles a query and a move.
+
+The chain quantization acts on amplitudes over ordered vertex pairs (x, y),
+but a state is only ever supported on the nonzero transitions of P: the
+stationary state lives there, and the marked-row flip and both reflections
+keep it there.  States are therefore 1-D vectors with one amplitude per
+edge of the chain's cached edge structure, in row-major order.  Within one
+search every shot restarts from the same stationary state, so each shot is
+a prefix of one deterministic trajectory; the search computes that
+trajectory once, as far as its longest shot, and measures the prefix.
 """
 
 from __future__ import annotations
@@ -66,8 +73,17 @@ __all__ = [
 CHAIN_CONSTRUCTION_TOL = 1e-12
 # File ingestion accepts looser input and cleans it up to construction grade.
 CHAIN_FILE_TOL = 1e-9
-# Joint state count cap for subset chains; keeps pair-space arrays desk-scale.
+# Joint state count cap for subset chains; keeps the dense transition matrix
+# and its eigvalsh desk-scale.
 JOHNSON_STATE_CAP = 5000
+# Byte cap on one search's memoized shot trajectory: the longest possible
+# shot plus the start state, at one complex128 per edge.  Checked before
+# anything is allocated.
+TRAJECTORY_BYTE_CAP = 256 * 2**20
+# Hitting solves kept per chain structure.  Base chains are cached for the
+# life of the process and every trial may mark a new set, so the oldest
+# solve is dropped beyond this many.
+HITTING_CACHE_ENTRIES = 128
 # Walk-step budget multiplier for the quantized search; calibrated so the
 # test families find a marked state in well over a third of runs.
 SZEGEDY_BUDGET_FACTOR = 6.0
@@ -131,13 +147,16 @@ class TorusGrid:
         """Flat permutation sending (cell, dir) to (neighbor, reversed dir)."""
         if self._shift_map is None:
             k = self.direction_count
-            target = np.empty(self.cells * k, dtype=np.int64)
-            for cell in range(self.cells):
-                for direction in range(k):
-                    target[cell * k + direction] = (
-                        self.neighbor(cell, direction) * k + self.reverse(direction)
-                    )
-            self._shift_map = target
+            cells = np.arange(self.cells, dtype=np.int64)
+            target = np.empty((self.cells, k), dtype=np.int64)
+            for axis in range(self.dimensions):
+                stride = self.side**axis
+                coord = (cells // stride) % self.side
+                for sign, delta in ((0, 1), (1, -1)):
+                    direction = 2 * axis + sign
+                    neighbor = cells + ((coord + delta) % self.side - coord) * stride
+                    target[:, direction] = neighbor * k + self.reverse(direction)
+            self._shift_map = target.reshape(-1)
         return self._shift_map
 
     def scan_order(self) -> np.ndarray:
@@ -282,6 +301,26 @@ def grid_classical_search(grid: TorusGrid, oracle: BitOracle) -> ScanResult:
     return ScanResult(cell=None, steps=grid.cells)
 
 
+@dataclass(frozen=True)
+class ChainEdges:
+    """Nonzero transitions of a chain in row-major order.
+
+    `root` holds sqrt(P) on each edge, row x owns edges starts[x] up to
+    starts[x + 1], and `transpose[e]` is the edge (y, x) of edge e = (x, y),
+    which exists because P is symmetric.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    root: np.ndarray
+    starts: np.ndarray
+    transpose: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return int(self.rows.size)
+
+
 class MarkovChain:
     """Symmetric row-stochastic chain with a marked subset.
 
@@ -290,7 +329,7 @@ class MarkovChain:
     simple.
     """
 
-    def __init__(self, matrix, marked=(), _gap: Optional[float] = None):
+    def __init__(self, matrix, marked=()):
         arr = np.array(matrix, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
             raise ParameterError("chain needs a square matrix of size >= 2")
@@ -305,15 +344,22 @@ class MarkovChain:
         arr.setflags(write=False)
         self.matrix = arr
         self.size = arr.shape[0]
-        self.marked = frozenset(int(i) for i in marked)
-        for i in self.marked:
-            if not 0 <= i < self.size:
-                raise IndexError(f"marked state {i} out of range")
-        self._gap = _gap
-        self._sqrt: Optional[np.ndarray] = None
-        self._row_edges: Optional[np.ndarray] = None
-        # keyed by marked frozenset so with_marked clones share solves
+        self._mark(marked)
+        # gap, edges and row cumsum depend on the matrix alone; with_marked
+        # clones share this dict, and share hitting solves keyed by marked set
+        self._structure: dict = {}
         self._hitting_cache: dict = {}
+
+    def _mark(self, marked) -> None:
+        self.marked = frozenset(int(i) for i in marked)
+        self.marked_mask = sim.marked_mask(sorted(self.marked), self.size)
+        self.marked_mask.setflags(write=False)
+
+    def _cached(self, key: str, build):
+        value = self._structure.get(key)
+        if value is None:
+            value = self._structure[key] = build()
+        return value
 
     @property
     def marked_fraction(self) -> float:
@@ -322,56 +368,73 @@ class MarkovChain:
     @property
     def spectral_gap(self) -> float:
         """Gap between the top two eigenvalues (top is 1 by stochasticity)."""
-        if self._gap is None:
+
+        def build():
             eigenvalues = np.linalg.eigvalsh(self.matrix)
-            self._gap = float(eigenvalues[-1] - eigenvalues[-2])
-        return self._gap
+            return float(eigenvalues[-1] - eigenvalues[-2])
+
+        return self._cached("gap", build)
 
     def with_marked(self, marked) -> "MarkovChain":
         """Same transition structure, different marked set; caches carry over."""
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
-        clone.marked = frozenset(int(i) for i in marked)
-        for i in clone.marked:
-            if not 0 <= i < self.size:
-                raise IndexError(f"marked state {i} out of range")
+        clone._mark(marked)
         return clone
 
-    def sqrt_matrix(self) -> np.ndarray:
-        if self._sqrt is None:
-            root = np.sqrt(self.matrix)
-            root.setflags(write=False)
-            self._sqrt = root
-        return self._sqrt
+    def edges(self) -> ChainEdges:
+        """Nonzero transitions, built once per transition structure."""
+
+        def build():
+            # P is symmetric only to a tolerance, so take the pattern of P + P^T
+            # to keep the transpose a permutation of the edges
+            rows, cols = np.nonzero(self.matrix + self.matrix.T)
+            root = np.sqrt(self.matrix[rows, cols])
+            starts = np.searchsorted(rows, np.arange(self.size))
+            transpose = np.lexsort((rows, cols))
+            for arr in (rows, cols, root, starts, transpose):
+                arr.setflags(write=False)
+            return ChainEdges(rows, cols, root, starts, transpose)
+
+        return self._cached("edges", build)
 
     def row_edges(self) -> np.ndarray:
-        if self._row_edges is None:
-            edges = np.cumsum(self.matrix, axis=1)
-            edges.setflags(write=False)
-            self._row_edges = edges
-        return self._row_edges
+        def build():
+            cumsum = np.cumsum(self.matrix, axis=1)
+            cumsum.setflags(write=False)
+            return cumsum
+
+        return self._cached("row_cumsum", build)
+
+
+@functools.lru_cache(maxsize=32)
+def _cycle_base(size: int) -> MarkovChain:
+    matrix = np.zeros((size, size))
+    for i in range(size):
+        matrix[i, (i + 1) % size] += 0.5
+        matrix[i, (i - 1) % size] += 0.5
+    return MarkovChain(matrix)
 
 
 def cycle_chain(size: int, marked=()) -> MarkovChain:
     """Nearest-neighbor walk on a cycle."""
     if size < 3:
         raise ParameterError("cycle chain needs size >= 3")
-    matrix = np.zeros((size, size))
-    for i in range(size):
-        matrix[i, (i + 1) % size] += 0.5
-        matrix[i, (i - 1) % size] += 0.5
-    return MarkovChain(matrix, marked)
+    return _cycle_base(size).with_marked(marked)
+
+
+@functools.lru_cache(maxsize=32)
+def _torus_base(side: int, dimensions: int) -> MarkovChain:
+    grid = TorusGrid(side, dimensions)
+    k = grid.direction_count
+    matrix = np.zeros((grid.cells, grid.cells))
+    np.add.at(matrix, (np.arange(grid.cells).repeat(k), grid.shift_map() // k), 1.0 / k)
+    return MarkovChain(matrix)
 
 
 def torus_chain(side: int, dimensions: int = 2, marked=()) -> MarkovChain:
     """Nearest-neighbor walk on a periodic grid."""
-    grid = TorusGrid(side, dimensions)
-    matrix = np.zeros((grid.cells, grid.cells))
-    step = 1.0 / grid.direction_count
-    for cell in range(grid.cells):
-        for direction in range(grid.direction_count):
-            matrix[cell, grid.neighbor(cell, direction)] += step
-    return MarkovChain(matrix, marked)
+    return _torus_base(side, dimensions).with_marked(marked)
 
 
 def complete_graph_chain(size: int, marked=()) -> MarkovChain:
@@ -435,48 +498,57 @@ def load_chain(text: str) -> MarkovChain:
 
 
 def stationary_edge_state(chain: MarkovChain) -> np.ndarray:
-    """Pair-space start state: sqrt(P[x, y] / size) over ordered pairs."""
-    return (chain.sqrt_matrix() / math.sqrt(chain.size)).astype(np.complex128)
+    """Start state sqrt(P[x, y] / size), one amplitude per edge of the chain."""
+    return (chain.edges().root / math.sqrt(chain.size)).astype(np.complex128)
+
+
+def _edge_amplitudes(chain: MarkovChain, edge_state) -> np.ndarray:
+    psi = np.asarray(edge_state)
+    count = chain.edges().count
+    if psi.shape != (count,):
+        raise ParameterError(
+            f"edge state must have shape ({count},), one amplitude per edge; got {psi.shape}")
+    return psi
 
 
 def szegedy_step(chain: MarkovChain, edge_state: np.ndarray) -> np.ndarray:
-    """One quantized step on pair amplitudes psi[x, y].
+    """One quantized step on the edge amplitudes psi[(x, y)].
 
     Marked rows are phase-flipped, then the state is reflected about the
-    span of row states |x>|p_x> and about its swapped counterpart.  Both
-    reflections act through the sqrt-transition matrix, so the cost is one
-    pass over the pair array rather than a squared-space matrix product.
+    span of row states |x>|p_x> and about its swapped counterpart.  A row
+    overlap is a segmented sum of sqrt(P) * psi over the row's edges; a
+    column overlap is the same sum over the transposed edges.  The state is
+    never widened to the (size, size) pair array, so a step costs a few
+    passes over the edges.
     """
-    root = chain.sqrt_matrix()
-    psi = np.array(edge_state, dtype=np.complex128, copy=True)
-    if psi.shape != (chain.size, chain.size):
-        raise ParameterError("edge state shape must be (size, size)")
+    edges = chain.edges()
+    psi = np.array(_edge_amplitudes(chain, edge_state), dtype=np.complex128)
     if chain.marked:
-        rows = np.fromiter(chain.marked, dtype=np.int64)
-        psi[rows] = -psi[rows]
-    row_overlap = (root * psi).sum(axis=1)
-    psi = 2.0 * row_overlap[:, None] * root - psi
-    column_overlap = (root * psi).sum(axis=0)
-    psi = 2.0 * root * column_overlap[None, :] - psi
+        np.negative(psi, out=psi, where=chain.marked_mask[edges.rows])
+    row_overlap = np.add.reduceat(edges.root * psi, edges.starts)
+    psi = 2.0 * row_overlap[edges.rows] * edges.root - psi
+    column_overlap = np.add.reduceat((edges.root * psi)[edges.transpose], edges.starts)
+    psi = 2.0 * edges.root * column_overlap[edges.cols] - psi
     return sim._settle_norm(psi)
 
 
 def marked_pair_probability(chain: MarkovChain, edge_state: np.ndarray) -> float:
     """Probability that measuring the pair yields a marked state in either slot."""
+    psi = _edge_amplitudes(chain, edge_state)
     if not chain.marked:
         return 0.0
-    p = np.abs(edge_state) ** 2
-    rows = np.fromiter(chain.marked, dtype=np.int64)
-    keep = np.zeros((chain.size, chain.size), dtype=bool)
-    keep[rows, :] = True
-    keep[:, rows] = True
+    edges = chain.edges()
+    p = np.abs(psi) ** 2
+    keep = chain.marked_mask[edges.rows] | chain.marked_mask[edges.cols]
     return float(p[keep].sum() / p.sum())
 
 
 def measure_edge(chain: MarkovChain, edge_state: np.ndarray, rng: SeededRng) -> Tuple[int, int]:
-    """Sample an ordered pair (x, y) from |psi[x, y]|^2; raises if the norm has drifted."""
-    flat = sim.sample_index(sim.born_probabilities(edge_state.ravel()), rng)
-    return divmod(flat, chain.size)
+    """Sample an ordered pair (x, y) from |psi[(x, y)]|^2; raises if the norm has drifted."""
+    psi = _edge_amplitudes(chain, edge_state)
+    edge = sim.sample_index(sim.born_probabilities(psi), rng)
+    edges = chain.edges()
+    return int(edges.rows[edge]), int(edges.cols[edge])
 
 
 @dataclass(frozen=True)
@@ -522,6 +594,12 @@ def szegedy_find_marked(
     The cap defaults to default_shot_cap, the square root of the chain's
     classical mean hitting time. The reported cost is
     preparations*setup + steps*(transition + check).
+
+    Every attempt starts from the same state, so a shot of length s measures
+    the s-th state of one deterministic trajectory.  That trajectory is
+    stepped only as far as the longest shot drawn so far; charges count the
+    steps each shot would take on its own.  Raises SizeCapError before
+    stepping if the trajectory could outgrow TRAJECTORY_BYTE_CAP.
     """
     if step_budget is None:
         if not chain.marked:
@@ -536,20 +614,26 @@ def szegedy_find_marked(
         # The stationary state is a fixed point when nothing is marked, so
         # no measurement can succeed; report the exhausted budget directly.
         steps_used, preparations = step_budget, 1
-    elif shot_cap is None:
-        shot_cap = default_shot_cap(chain)
-    elif shot_cap < 1:
-        raise ParameterError("shot_cap must be >= 1")
+    else:
+        if shot_cap is None:
+            shot_cap = default_shot_cap(chain)
+        elif shot_cap < 1:
+            raise ParameterError("shot_cap must be >= 1")
+        trajectory_bytes = (min(shot_cap, step_budget) + 1) * chain.edges().count * 16
+        if trajectory_bytes > TRAJECTORY_BYTE_CAP:
+            raise SizeCapError(
+                f"shot trajectory needs {trajectory_bytes} bytes, over the cap of "
+                f"{TRAJECTORY_BYTE_CAP}")
+        trajectory = [stationary_edge_state(chain)]
     marked = chain.marked
     while hit is None and steps_used < step_budget:
         shot = int(rng.generator.integers(1, shot_cap + 1))
         shot = min(shot, step_budget - steps_used)
-        state = stationary_edge_state(chain)
         preparations += 1
-        for _ in range(shot):
-            state = szegedy_step(chain, state)
+        while len(trajectory) <= shot:
+            trajectory.append(szegedy_step(chain, trajectory[-1]))
         steps_used += shot
-        x, y = measure_edge(chain, state, rng)
+        x, y = measure_edge(chain, trajectory[shot], rng)
         hit = x if x in marked else (y if y in marked else None)
     return WalkSearchResult(
         state=None if hit is None else int(hit),
@@ -566,7 +650,7 @@ def classical_hitting(chain: MarkovChain, rng: SeededRng, trials: int) -> float:
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     edges = chain.row_edges()
-    marked_mask = sim.marked_mask(list(chain.marked), chain.size)
+    marked_mask = chain.marked_mask
     gen = rng.generator
     states = gen.integers(0, chain.size, size=trials)
     steps = np.zeros(trials, dtype=np.int64)
@@ -591,7 +675,8 @@ def exact_hitting_mean(chain: MarkovChain) -> float:
     """Mean hitting time from stationarity via the fundamental linear system."""
     if not chain.marked:
         raise ParameterError("hitting time needs a non-empty marked set")
-    cached = chain._hitting_cache.get(chain.marked)
+    cache = chain._hitting_cache
+    cached = cache.get(chain.marked)
     if cached is not None:
         return cached
     unmarked = np.asarray(sorted(set(range(chain.size)) - chain.marked), dtype=np.int64)
@@ -601,7 +686,9 @@ def exact_hitting_mean(chain: MarkovChain) -> float:
         Q = chain.matrix[np.ix_(unmarked, unmarked)]
         h = np.linalg.solve(np.eye(unmarked.size) - Q, np.ones(unmarked.size))
         mean = float(h.sum() / chain.size)
-    chain._hitting_cache[chain.marked] = mean
+    if len(cache) >= HITTING_CACHE_ENTRIES:
+        del cache[next(iter(cache))]
+    cache[chain.marked] = mean
     return mean
 
 
@@ -651,7 +738,6 @@ def default_shot_cap(chain: MarkovChain) -> int:
     return max(1, math.ceil(math.sqrt(max(1.0, exact_hitting_mean(chain)))))
 
 
-@functools.lru_cache(maxsize=8)
 def _johnson_structure(element_count: int, subset_size: int):
     lower = list(combinations(range(element_count), subset_size))
     upper = list(combinations(range(element_count), subset_size + 1))
@@ -676,7 +762,6 @@ def _johnson_structure(element_count: int, subset_size: int):
     member = np.zeros((count, element_count), dtype=bool)
     for i, subset in enumerate(states):
         member[i, list(subset)] = True
-    matrix.setflags(write=False)
     member.setflags(write=False)
     return tuple(states), matrix, member
 
@@ -705,11 +790,16 @@ class JohnsonChain(MarkovChain):
         return self.states[state]
 
 
+@functools.lru_cache(maxsize=8)
+def _johnson_base(element_count: int, subset_size: int) -> JohnsonChain:
+    return JohnsonChain(element_count, subset_size)
+
+
 def johnson_chain(element_count: int, subset_size: int, oracle: ValueOracle) -> JohnsonChain:
     """Subset chain with states marked when they contain a value collision."""
     if oracle.size != element_count:
         raise ParameterError("oracle size must match element count")
-    chain = JohnsonChain(element_count, subset_size)
+    chain = _johnson_base(element_count, subset_size)
     values = oracle.peek_all()
     marked = [
         i

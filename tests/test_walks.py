@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsearchlab import walks
-from qsearchlab.sim import BitOracle, NormalizationError, ParameterError, SeededRng, ValueOracle
+from qsearchlab.sim import (
+    BitOracle,
+    NormalizationError,
+    ParameterError,
+    SeededRng,
+    SizeCapError,
+    ValueOracle,
+)
 from qsearchlab.walks import (
     CoinedState,
     JohnsonChain,
@@ -83,11 +90,15 @@ def test_grid_distance_is_a_wraparound_metric():
 
 
 def test_shift_map_is_an_involutive_permutation():
-    for side, dims in ((4, 2), (3, 3)):
+    for side, dims in ((4, 2), (3, 3), (2, 2), (2, 3), (5, 2)):
         grid = TorusGrid(side, dims)
         shift = grid.shift_map()
         assert sorted(shift) == list(range(grid.cells * grid.direction_count))
         assert np.array_equal(shift[shift], np.arange(shift.size))
+        k = grid.direction_count
+        by_neighbor = [grid.neighbor(cell, d) * k + grid.reverse(d)
+                       for cell in range(grid.cells) for d in range(k)]
+        assert shift.tolist() == by_neighbor
 
 
 def test_scan_order_visits_adjacent_cells():
@@ -234,12 +245,48 @@ def test_spectral_gap_closed_forms():
         (1 - math.cos(math.pi / 3)) / 2, abs=1e-12)
 
 
+def _loop_matrix(cells: int, neighbors) -> np.ndarray:
+    matrix = np.zeros((cells, cells))
+    for cell in range(cells):
+        for other, weight in neighbors(cell):
+            matrix[cell, other] += weight
+    return matrix
+
+
+def test_cached_chain_gaps_are_bit_equal_to_fresh_eigvalsh():
+    def gap(matrix):
+        eigenvalues = np.linalg.eigvalsh(matrix)
+        return float(eigenvalues[-1] - eigenvalues[-2])
+
+    for size in (4, 5, 16, 128):
+        fresh = _loop_matrix(size, lambda i: (((i + 1) % size, 0.5), ((i - 1) % size, 0.5)))
+        assert np.array_equal(cycle_chain(size, marked={0}).matrix, fresh)
+        assert cycle_chain(size, marked={1}).spectral_gap == gap(fresh)
+        assert cycle_chain(size).spectral_gap == gap(fresh)
+    for side, dims in ((2, 2), (6, 2), (10, 2), (3, 3)):
+        grid = TorusGrid(side, dims)
+        step = 1.0 / grid.direction_count
+        fresh = _loop_matrix(grid.cells, lambda c: [
+            (grid.neighbor(c, d), step) for d in range(grid.direction_count)])
+        assert np.array_equal(torus_chain(side, dims).matrix, fresh)
+        assert torus_chain(side, dims, marked={0}).spectral_gap == gap(fresh)
+    # eigvalsh, not the closed form 1 - cos(2*pi/4), which rounds below 1
+    assert cycle_chain(4).spectral_gap == 1.0
+
+
 def test_with_marked_shares_structure_and_cache():
     chain = cycle_chain(12, marked={0})
     exact_hitting_mean(chain)
     clone = chain.with_marked({3})
     assert clone.matrix is chain.matrix
     assert frozenset({0}) in clone._hitting_cache
+    assert clone.edges() is chain.edges()
+    assert cycle_chain(12, marked={5}).matrix is chain.matrix
+    assert clone.marked_mask.tolist() == [i == 3 for i in range(12)]
+    # a cached base chain outlives every trial, so its solves stay bounded
+    for bits in range(1, walks.HITTING_CACHE_ENTRIES + 20):
+        exact_hitting_mean(cycle_chain(12, marked=[i for i in range(12) if bits >> i & 1]))
+    assert len(chain._hitting_cache) == walks.HITTING_CACHE_ENTRIES
     # relabeling a vertex-transitive chain cannot change the hitting time
     assert exact_hitting_mean(clone) == pytest.approx(exact_hitting_mean(chain), abs=1e-12)
 
@@ -295,6 +342,26 @@ def _dense_szegedy_step(chain: MarkovChain) -> np.ndarray:
     return (2.0 * proj_cols - np.eye(dim)) @ (2.0 * proj_rows - np.eye(dim)) @ flip
 
 
+def _widen(chain: MarkovChain, edge_state: np.ndarray) -> np.ndarray:
+    """Scatter edge amplitudes into the dense (size, size) pair array."""
+    edges = chain.edges()
+    dense = np.zeros((chain.size, chain.size), dtype=np.complex128)
+    dense[edges.rows, edges.cols] = edge_state
+    return dense
+
+
+def _assert_step_matches_dense(chain: MarkovChain, rng: SeededRng, tol: float = 1e-12):
+    dense = _dense_szegedy_step(chain)
+    assert np.abs(dense @ dense.T - np.eye(dense.shape[0])).max() < tol
+    count = chain.edges().count
+    raw = rng.generator.normal(size=count) + 1j * rng.generator.normal(size=count)
+    raw = raw / np.linalg.norm(raw)
+    stepped = szegedy_step(chain, raw)
+    expected = (dense @ _widen(chain, raw).reshape(-1)).reshape(chain.size, chain.size)
+    # the dense operator keeps the state on the edges, where it matches
+    assert np.abs(_widen(chain, stepped) - expected).max() < tol
+
+
 def test_szegedy_step_matches_dense_reflections():
     rng = SeededRng(31)
     cases = (
@@ -302,17 +369,35 @@ def test_szegedy_step_matches_dense_reflections():
         complete_graph_chain(4, marked={0, 2}),
         torus_chain(2, 2, marked={3}),
         cycle_chain(4),
+        JohnsonChain(4, 1).with_marked({0, 5}),
     )
     for chain in cases:
-        dense = _dense_szegedy_step(chain)
-        assert np.abs(dense @ dense.T - np.eye(dense.shape[0])).max() < 1e-12
         for _ in range(4):
-            raw = rng.generator.normal(size=(chain.size, chain.size)) \
-                + 1j * rng.generator.normal(size=(chain.size, chain.size))
-            raw = raw / np.linalg.norm(raw)
-            stepped = szegedy_step(chain, raw)
-            expected = (dense @ raw.reshape(-1)).reshape(chain.size, chain.size)
-            assert np.abs(stepped - expected).max() < 1e-12
+            _assert_step_matches_dense(chain, rng)
+        with pytest.raises(ParameterError):
+            szegedy_step(chain, np.eye(chain.size, dtype=complex) / math.sqrt(chain.size))
+
+
+@st.composite
+def _small_chains(draw):
+    """Random symmetric stochastic chains: symmetric weights, lazy diagonal."""
+    size = draw(st.integers(min_value=2, max_value=6))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    density = draw(st.floats(min_value=0.2, max_value=1.0))
+    upper = np.triu(gen.uniform(0.0, 1.0, size=(size, size)), k=1)
+    upper[gen.uniform(size=upper.shape) > density] = 0.0
+    weights = upper + upper.T
+    matrix = weights / max(1.0, weights.sum(axis=1).max())
+    np.fill_diagonal(matrix, np.maximum(0.0, 1.0 - matrix.sum(axis=1)))
+    marked = draw(st.sets(st.integers(min_value=0, max_value=size - 1)))
+    return MarkovChain(matrix, marked), draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@given(_small_chains())
+@settings(max_examples=60, deadline=None)
+def test_edge_step_matches_dense_on_random_chains(case):
+    chain, seed = case
+    _assert_step_matches_dense(chain, SeededRng(seed))
 
 
 def test_stationary_state_is_fixed_without_marks():
@@ -325,14 +410,18 @@ def test_stationary_state_is_fixed_without_marks():
 def test_marked_pair_probability_brute_force():
     rng = SeededRng(32)
     chain = cycle_chain(6, marked={0, 4})
-    raw = rng.generator.normal(size=(6, 6))
+    edges = chain.edges()
+    raw = rng.generator.normal(size=(6, 6)) * (chain.matrix > 0)
     raw = raw / np.linalg.norm(raw)
     p = np.abs(raw) ** 2
     # independent route: complement of the fully unmarked pairs
     unmarked = [1, 2, 3, 5]
     want = p.sum() - p[np.ix_(unmarked, unmarked)].sum()
-    assert marked_pair_probability(chain, raw) == pytest.approx(want, abs=1e-12)
-    assert marked_pair_probability(cycle_chain(6), raw) == 0.0
+    psi = raw[edges.rows, edges.cols]
+    assert marked_pair_probability(chain, psi) == pytest.approx(want, abs=1e-12)
+    assert marked_pair_probability(cycle_chain(6), psi) == 0.0
+    with pytest.raises(ParameterError):
+        marked_pair_probability(chain, raw)
 
 
 def test_cycle_profile_is_exactly_flat():
@@ -357,9 +446,11 @@ def test_torus_profile_amplifies():
 
 def test_measure_edge_distribution():
     chain = cycle_chain(4, marked={0})
-    psi = np.zeros((4, 4), dtype=complex)
-    psi[0, 1] = math.sqrt(0.25)
-    psi[2, 3] = math.sqrt(0.75)
+    edges = chain.edges()
+    dense = np.zeros((4, 4), dtype=complex)
+    dense[0, 1] = math.sqrt(0.25)
+    dense[2, 3] = math.sqrt(0.75)
+    psi = dense[edges.rows, edges.cols]
     rng = SeededRng(909)
     counts = {(0, 1): 0, (2, 3): 0}
     for _ in range(2000):
@@ -367,6 +458,8 @@ def test_measure_edge_distribution():
     assert abs(counts[(2, 3)] / 2000 - 0.75) < 0.04
     with pytest.raises(NormalizationError):
         measure_edge(chain, 1.01 * psi, rng)
+    with pytest.raises(ParameterError):
+        measure_edge(chain, dense, rng)
 
 
 # ------------------------------------------------------------- hitting times
@@ -424,6 +517,58 @@ def test_szegedy_search_finds_marked_and_accounts_cost():
             assert result.state == 9
             found += 1
     assert found >= 20
+
+
+def _fresh_shot_search(chain, rng, step_budget, shot_cap):
+    """Reference search: every shot steps a freshly prepared stationary state."""
+    hit, steps, preparations = None, 0, 0
+    while hit is None and steps < step_budget:
+        shot = min(int(rng.generator.integers(1, shot_cap + 1)), step_budget - steps)
+        state = stationary_edge_state(chain)
+        preparations += 1
+        for _ in range(shot):
+            state = szegedy_step(chain, state)
+        steps += shot
+        x, y = measure_edge(chain, state, rng)
+        hit = x if x in chain.marked else (y if y in chain.marked else None)
+    return walks.WalkSearchResult(state=hit, walk_steps=steps, preparations=preparations,
+                                  cost=preparations * 2.0 + steps * (1.0 + 0.5))
+
+
+def test_memoized_search_equals_fresh_shots():
+    costs = WalkCosts(setup=2.0, transition=1.0, check=0.5)
+    chains = (
+        torus_chain(4, 2, marked={9}),
+        cycle_chain(16, marked={3}),
+        complete_graph_chain(6, marked={2}),
+        johnson_chain(6, 4, ValueOracle([0, 1, 2, 3, 1, 5])),
+    )
+    for chain in chains:
+        budget, cap = recommended_step_budget(chain), default_shot_cap(chain)
+        for seed in range(8):
+            got = szegedy_find_marked(chain, costs, SeededRng(606, seed),
+                                      step_budget=budget, shot_cap=cap)
+            want = _fresh_shot_search(chain, SeededRng(606, seed), budget, cap)
+            assert got == want
+        # a budget shorter than the cap truncates the last shot the same way
+        got = szegedy_find_marked(chain, costs, SeededRng(607), step_budget=3, shot_cap=cap)
+        assert got == _fresh_shot_search(chain, SeededRng(607), 3, cap)
+
+
+def test_trajectory_memory_cap_raises_before_stepping():
+    chain = cycle_chain(8, marked={0})
+    edge_bytes = chain.edges().count * 16
+    shot_cap = walks.TRAJECTORY_BYTE_CAP // edge_bytes
+    with pytest.raises(SizeCapError):
+        szegedy_find_marked(chain, WalkCosts(), SeededRng(0), step_budget=10**12,
+                            shot_cap=shot_cap)
+    with pytest.raises(SizeCapError):
+        szegedy_find_marked(chain, WalkCosts(), SeededRng(0), shot_cap=10**12,
+                            step_budget=10**12)
+    # the trajectory holds at most the budget's worth of states
+    result = szegedy_find_marked(chain, WalkCosts(), SeededRng(0), step_budget=5,
+                                 shot_cap=10**12)
+    assert result.walk_steps <= 5
 
 
 def test_szegedy_search_shot_cap_one_prepares_every_step():
