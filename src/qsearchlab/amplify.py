@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 
 from . import sim
-from .grover import _rounds_from_angle, restart_schedule, unknown_count_budget
+from .grover import _rounds_from_angle, _sweep_restarts, unknown_count_budget
 from .sim import ParameterError, PredicateOracle, SeededRng, StateVector
 
 __all__ = [
@@ -167,15 +167,6 @@ def amplification_round(
     return prep.forward(state)
 
 
-def _amplified_state(
-    prep: StatePreparation, rounds: int, good_indices: np.ndarray, counter: PredicateOracle
-) -> StateVector:
-    state = prep.forward(sim.basis_state(prep.dimension))
-    for _ in range(rounds):
-        state = amplification_round(state, prep, good_indices, counter)
-    return state
-
-
 def amplitude_amplify(
     prep: StatePreparation, params: AmplifyParams, rng: SeededRng
 ) -> AmplifyResult:
@@ -183,16 +174,23 @@ def amplitude_amplify(
 
     Query cost is (2*rounds + 1) preparation applications plus one
     good-predicate query per round; the returned good flag is a classical
-    re-check of the measured index and is not charged.
+    re-check of the measured index and is not charged.  In lower-bound
+    mode the restart schedule runs as one sweep along a single round
+    trajectory, and each attempt is charged its own rounds, preparations
+    and verification, as if it had restarted from the start state.
     """
     dimension = prep.dimension
     mask = _good_mask(params.good, dimension)
     good_idx = np.flatnonzero(mask)
     counter = PredicateOracle(dimension, marked=mask)
+    start = prep.forward(sim.basis_state(dimension))
 
     if not params.floor_is_lower_bound:
         rounds = predicted_repetitions(params.success_floor)
-        index = sim.measure(_amplified_state(prep, rounds, good_idx, counter), rng)
+        state = start
+        for _ in range(rounds):
+            state = amplification_round(state, prep, good_idx, counter)
+        index = sim.measure(state, rng)
         queries = (2 * rounds + 1) * prep.cost + counter.query_count
         return AmplifyResult(
             index=index, good=bool(mask[index]), queries=queries, rounds=rounds
@@ -202,17 +200,13 @@ def amplitude_amplify(
     # count can overshoot.  Reuse the unknown-count schedule over rounds,
     # verifying each measurement (one charged predicate query per attempt).
     cap = float(predicted_repetitions(params.success_floor) + 1)
-    rounds_used = 0
-    prep_applications = 0
-    index = 0
-    for rounds in restart_schedule(rng, cap, unknown_count_budget(cap)):
-        state = _amplified_state(prep, rounds, good_idx, counter)
-        prep_applications += 2 * rounds + 1
-        rounds_used += rounds
-        index = sim.measure(state, rng)
-        if counter.query(index):
-            break
-    queries = prep_applications * prep.cost + counter.query_count
+    attempts, _ = _sweep_restarts(
+        counter, mask, rng, cap, unknown_count_budget(cap), start,
+        lambda state, sink: amplification_round(state, prep, good_idx, sink),
+    )
+    rounds_used = sum(rounds for rounds, _ in attempts)
+    index = attempts[-1][1]
+    queries = (2 * rounds_used + len(attempts)) * prep.cost + counter.query_count
     return AmplifyResult(
         index=index, good=bool(mask[index]), queries=queries, rounds=rounds_used
     )

@@ -9,9 +9,10 @@ top of the unknown-count search.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -251,6 +252,63 @@ def unknown_count_budget(cap: float) -> int:
     return math.ceil(UNKNOWN_BUDGET_FACTOR * cap) + 12
 
 
+def _sweep_restarts(
+    oracle,
+    mask: np.ndarray,
+    rng: SeededRng,
+    cap: float,
+    budget: int,
+    start: StateVector,
+    advance: Callable[[StateVector, object], StateVector],
+) -> tuple[list[tuple[int, int]], bool]:
+    """Run a restart schedule on one trajectory; charge and verify its attempts.
+
+    Each attempt restarts from `start`, applies its rounds with `advance`,
+    measures, and verifies the outcome with one query.  Neither the round
+    counts nor the measurement draws depend on outcomes, so the plan is
+    drawn up front, and every attempt is a prefix of one trajectory.  A
+    single state is stepped through the attempts in order of round count
+    (its oracle applications go to a sink) and measured against `mask`;
+    attempts after the earliest hit are skipped.  Then each attempt up to
+    the first hit charges its own rounds plus its verification.  When the
+    hit comes before the end of the plan, the generator is rewound and
+    those attempts' draws replayed, so counters and generator end where
+    independent restarts leave them.  Returns the charged (rounds, index)
+    attempts and whether the last one verified.
+    """
+    saved = rng.generator.bit_generator.state
+    plan = [(rounds, rng.random()) for rounds in restart_schedule(rng, cap, budget)]
+
+    sink = sim._CountingOracle()
+    indices = [0] * len(plan)
+    first_hit = len(plan)
+    state, depth, edges = start, 0, None
+    for attempt in sorted(range(len(plan)), key=lambda a: plan[a][0]):
+        if attempt > first_hit:
+            continue
+        rounds, draw = plan[attempt]
+        while depth < rounds:
+            state = advance(state, sink)
+            depth += 1
+            edges = None
+        if edges is None:  # attempts of equal round count share one running sum
+            edges = sim.born_cumulative(state.amps)
+        indices[attempt] = sim.sample_cumulative(edges, draw)
+        if mask[indices[attempt]]:
+            first_hit = attempt
+
+    attempts = [(rounds, index) for (rounds, _), index in zip(plan[: first_hit + 1], indices)]
+    if len(attempts) < len(plan):  # leave the generator just past the last charged attempt
+        rng.generator.bit_generator.state = saved
+        for _ in itertools.islice(restart_schedule(rng, cap, budget), len(attempts)):
+            rng.random()
+    verified = False
+    for rounds, index in attempts:
+        oracle.charge(rounds)
+        verified = bool(oracle.query(index))
+    return attempts, verified
+
+
 def search_unknown_count(
     oracle,
     size: int,
@@ -265,6 +323,10 @@ def search_unknown_count(
     once the query budget (phase applications plus verifications) runs out.
     `min_marked` caps the schedule when a lower bound on the marked count
     is known, so the absent case costs O(sqrt(size/min_marked)).
+
+    The whole schedule is simulated as one sweep along a single round
+    trajectory (see `_sweep_restarts`); each attempt still charges its own
+    rounds and its verification, as if it had restarted from uniform.
     """
     if size != oracle.size:
         raise ParameterError("size must match oracle size")
@@ -275,12 +337,11 @@ def search_unknown_count(
     if max_queries is not None:
         budget = min(budget, max(0, max_queries))
     marked = oracle.marked_indices()
-    for rounds in restart_schedule(rng, cap, budget):
-        state = _run_rounds(sim.uniform_state(size), marked, oracle, rounds)
-        index = sim.measure(state, rng)
-        if oracle.query(index):
-            return index
-    return None
+    attempts, found = _sweep_restarts(
+        oracle, sim.marked_mask(marked, size), rng, cap, budget, sim.uniform_state(size),
+        lambda state, sink: _run_rounds(state, marked, sink, 1),
+    )
+    return attempts[-1][1] if found else None
 
 
 def find_all(oracle: BitOracle, size: int, rng: SeededRng) -> set[int]:

@@ -1,10 +1,12 @@
 """Dense statevector simulation with deterministic randomness and query-counted oracles.
 
-States are complex amplitude vectors over an N-dimensional search space;
-there is deliberately no qubit tensor structure.  Black boxes are immutable
-bit/value tables with a monotone query counter.  The simulator may read a
-black box wholesale while *building* an operator, but cost is charged per
-operator application, never per basis state inspected.
+States are amplitude vectors over an N-dimensional search space; there is
+deliberately no qubit tensor structure.  Amplitudes stay real (float64)
+until a complex phase enters: phase flips and the diffusion keep them
+real, and the two rotations promote them to complex128.  Black boxes are
+immutable bit/value tables with a monotone query counter.  The simulator
+may read a black box wholesale while *building* an operator, but cost is
+charged per operator application, never per basis state inspected.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ __all__ = [
     "apply_diffusion",
     "apply_diffusion_rotation",
     "marked_mask",
-    "born_probabilities",
+    "born_cumulative",
+    "sample_cumulative",
     "sample_index",
     "measure",
 ]
@@ -106,12 +109,16 @@ def _settle_norm(amps: np.ndarray, reject_tol: Optional[float] = None) -> np.nda
 
 
 class StateVector:
-    """Normalized complex amplitudes over a finite basis (0-based indices)."""
+    """Normalized amplitudes over a finite basis (0-based indices).
+
+    Real input is held as float64 and complex input as complex128.
+    """
 
     __slots__ = ("amps",)
 
     def __init__(self, amps, copy: bool = True, _trusted: bool = False):
-        arr = np.array(amps, dtype=np.complex128, copy=copy)
+        dtype = np.complex128 if np.iscomplexobj(amps) else np.float64
+        arr = np.array(amps, dtype=dtype, copy=copy)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("state needs a non-empty 1-D amplitude vector")
         self.amps = arr if _trusted else _settle_norm(arr, MEASURE_NORM_TOL)
@@ -138,7 +145,7 @@ def uniform_state(dimension: int) -> StateVector:
     """Equal superposition over `dimension` basis states."""
     if dimension < 1:
         raise ParameterError(f"dimension must be >= 1, got {dimension}")
-    amps = np.full(dimension, 1.0 / np.sqrt(dimension), dtype=np.complex128)
+    amps = np.full(dimension, 1.0 / np.sqrt(dimension))
     return StateVector(amps, copy=False, _trusted=True)
 
 
@@ -148,7 +155,7 @@ def basis_state(dimension: int, index: int = 0) -> StateVector:
         raise ParameterError(f"dimension must be >= 1, got {dimension}")
     if not 0 <= index < dimension:
         raise IndexError(f"basis index {index} out of range for dimension {dimension}")
-    amps = np.zeros(dimension, dtype=np.complex128)
+    amps = np.zeros(dimension)
     amps[index] = 1.0
     return StateVector(amps, copy=False, _trusted=True)
 
@@ -309,7 +316,8 @@ def _as_index_array(marked, dimension: int) -> np.ndarray:
         marked = sorted(marked)
     idx = np.asarray(marked, dtype=np.int64).ravel()
     if idx.size:
-        idx = np.unique(idx)  # duplicate entries must not double-flip
+        if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
+            idx = np.unique(idx)  # duplicate entries must not double-flip
         if idx[0] < 0 or idx[-1] >= dimension:
             raise IndexError(f"marked index out of range for dimension {dimension}")
     return idx
@@ -329,7 +337,7 @@ def apply_phase_rotation(
 ) -> StateVector:
     """Multiply marked amplitudes by exp(i*angle); charges one oracle query."""
     idx = _as_index_array(marked, state.dimension)
-    out = state.amps.copy()
+    out = state.amps.astype(np.complex128)
     out[idx] = out[idx] * np.exp(1j * angle)
     oracle.charge(1)
     return StateVector(_settle_norm(out), copy=False, _trusted=True)
@@ -337,7 +345,7 @@ def apply_phase_rotation(
 
 def apply_diffusion(state: StateVector) -> StateVector:
     """Reflect about the uniform superposition: a_i -> 2*mean(a) - a_i."""
-    mean = state.amps.mean()
+    mean = np.add.reduce(state.amps) / state.amps.size  # ndarray.mean without its wrapper
     out = 2.0 * mean - state.amps
     return StateVector(_settle_norm(out), copy=False, _trusted=True)
 
@@ -353,29 +361,33 @@ def apply_diffusion_rotation(state: StateVector, angle: float) -> StateVector:
     return StateVector(_settle_norm(out), copy=False, _trusted=True)
 
 
-def born_probabilities(amps: np.ndarray) -> np.ndarray:
-    """|amps|^2 scaled to sum 1; raises if the squared norm has drifted."""
-    p = np.abs(amps) ** 2
-    total = p.sum()
-    if abs(total - 1.0) > MEASURE_NORM_TOL:
-        raise NormalizationError(f"cannot measure state with squared norm {total:.6g}")
-    return p / total
+def born_cumulative(amps: np.ndarray) -> np.ndarray:
+    """Running sum of |amps|^2; raises if its total, the squared norm, has drifted."""
+    edges = np.square(np.abs(amps) if np.iscomplexobj(amps) else amps)
+    np.cumsum(edges, out=edges)
+    if abs(edges[-1] - 1.0) > MEASURE_NORM_TOL:
+        raise NormalizationError(f"cannot measure state with squared norm {edges[-1]:.6g}")
+    return edges
 
 
-def sample_index(probabilities, rng: SeededRng) -> int:
-    """Draw an index with the given (possibly unnormalized) weights.
+def sample_cumulative(edges: np.ndarray, draw: float) -> int:
+    """Index whose slice of the running weight sum `edges` holds a draw in [0, 1).
 
-    The uniform draw is scaled by the cumulative total, so an index of zero
-    weight is never returned, even when the total rounds below 1.
+    The draw is scaled by the total, edges[-1], so the weights need not sum
+    to 1 and an index of zero weight is never returned.
     """
-    edges = np.cumsum(probabilities)
     total = edges[-1]
-    index = int(np.searchsorted(edges, rng.random() * total, side="right"))
+    index = int(np.searchsorted(edges, draw * total, side="right"))
     if index == edges.size:  # a subnormal total: the scaled draw rounded onto it
         index = int(np.searchsorted(edges, total, side="left"))
     return index
 
 
+def sample_index(probabilities, rng: SeededRng) -> int:
+    """Draw an index with the given (possibly unnormalized) weights."""
+    return sample_cumulative(np.cumsum(probabilities), rng.random())
+
+
 def measure(state: StateVector, rng: SeededRng) -> int:
     """Sample a basis index from |amps|^2; raises if the norm has drifted."""
-    return sample_index(born_probabilities(state.amps), rng)
+    return sample_cumulative(born_cumulative(state.amps), rng.random())

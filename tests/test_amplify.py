@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsearchlab import sim
+from qsearchlab import grover, sim
 from qsearchlab.amplify import (
     AmplifyParams,
+    AmplifyResult,
     amplification_round,
     amplification_schedule_scale,
     amplitude_amplify,
@@ -16,7 +19,7 @@ from qsearchlab.amplify import (
     preparation_from_target,
     uniform_preparation,
 )
-from qsearchlab.sim import ParameterError, SeededRng
+from qsearchlab.sim import ParameterError, PredicateOracle, SeededRng, StateVector
 
 
 # mpmath: ceil(pi / (4*asin(sqrt(eps))) - 1/2) at 50 digits
@@ -149,6 +152,76 @@ def test_amplification_round_matches_manual_reflections():
     reflect = 2.0 * np.outer(u, u.conj()) - np.eye(dimension)
     assert np.allclose(stepped.amps, reflect @ manual.amps, atol=1e-12)
     assert counter.query_count == 1
+
+
+def _plain_lower_bound_amplify(prep, mask, success_floor, rng):
+    # Reference for the sweep: every attempt prepares a complex128 start state,
+    # runs its rounds, measures and verifies, drawing lazily as it goes.
+    good_idx = np.flatnonzero(mask)
+    counter = PredicateOracle(prep.dimension, marked=mask)
+    cap = float(predicted_repetitions(success_floor) + 1)
+    budget = grover.unknown_count_budget(cap)
+    start = np.zeros(prep.dimension, dtype=np.complex128)
+    start[0] = 1.0
+    ceiling, spent = 1.0, 0
+    rounds_used = applications = 0
+    while spent < budget:
+        rounds = int(rng.generator.integers(0, math.ceil(ceiling)))
+        spent += rounds + 1
+        state = prep.forward(StateVector(start))
+        for _ in range(rounds):
+            state = amplification_round(state, prep, good_idx, counter)
+        applications += 2 * rounds + 1
+        rounds_used += rounds
+        index = sim.measure(state, rng)
+        if counter.query(index):
+            break
+        ceiling = min(grover.SCHEDULE_GROWTH * ceiling, cap)
+    return AmplifyResult(index=index, good=bool(mask[index]),
+                         queries=applications * prep.cost + counter.query_count,
+                         rounds=rounds_used)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dimension=st.integers(1, 40),
+    data=st.data(),
+    seed=st.integers(0, 2**20),
+    success_floor=st.floats(0.005, 1.0),
+    cost=st.integers(0, 3),
+    uniform=st.booleans(),
+)
+def test_lower_bound_sweep_matches_plain_restart_loop(
+    dimension, data, seed, success_floor, cost, uniform
+):
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=dimension, max_size=dimension)))
+    if uniform:
+        prep = uniform_preparation(dimension, cost=cost)
+    else:
+        raw = SeededRng(seed, 1).generator.normal(size=dimension)
+        prep = preparation_from_target(raw / np.linalg.norm(raw), cost=cost)
+    params = AmplifyParams(good=mask, success_floor=success_floor, floor_is_lower_bound=True)
+    rng, ref_rng = SeededRng(seed, 6), SeededRng(seed, 6)
+    swept = amplitude_amplify(prep, params, rng)
+    assert swept == _plain_lower_bound_amplify(prep, mask, success_floor, ref_rng)
+    assert rng.random() == ref_rng.random()
+
+
+def test_amplification_round_preserves_inner_products():
+    gen = SeededRng(93).generator
+    dimension = 12
+    raw = gen.normal(size=dimension)
+    counter = PredicateOracle(dimension, marked=[1, 5, 6])
+    for prep in (uniform_preparation(dimension), preparation_from_target(raw / np.linalg.norm(raw))):
+        for _ in range(10):
+            pair = []
+            for _ in range(2):
+                amps = gen.normal(size=dimension) + 1j * gen.normal(size=dimension)
+                pair.append(StateVector(amps / np.linalg.norm(amps)))
+            a, b = pair
+            before = np.vdot(a.amps, b.amps)
+            for op in (prep.forward, lambda s: amplification_round(s, prep, np.array([1, 5, 6]), counter)):
+                assert abs(np.vdot(op(a).amps, op(b).amps) - before) < 1e-12
 
 
 def test_amplify_with_empty_good_set_never_claims_success():

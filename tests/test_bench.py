@@ -3,11 +3,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsearchlab
 from qsearchlab import bench
 from qsearchlab.bench import (
     CSV_HEADER,
@@ -280,6 +285,23 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("experiment = grover-scaling\ntrials = zero\n")
     assert main(["run", str(cfg)]) == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(qsearchlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-m", "qsearchlab", "run", "--experiment", "grover-scaling",
+         "--trials", "1", "--seed", "0", "--format", "jsonl"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    expected = run_experiment(ExperimentConfig(experiment="grover-scaling", trials=1, seed=0))
+    assert len(rows) == len(expected) > 0
+    assert [(row["size"], row["queries"], row["steps"], row["success"]) for row in rows] == [
+        (r.size, r.queries, r.steps, r.success) for r in expected]
 
 
 def test_cli_selftest_passes(capsys):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsearchlab import grover
+from qsearchlab import grover, sim
 from qsearchlab.amplify import predicted_repetitions
 from qsearchlab.grover import (
     GroverParams,
@@ -26,7 +26,14 @@ from qsearchlab.grover import (
     success_probability,
     success_profile,
 )
-from qsearchlab.sim import BitOracle, ParameterError, SeededRng, UnsupportedModeError
+from qsearchlab.sim import (
+    BitOracle,
+    ParameterError,
+    PredicateOracle,
+    SeededRng,
+    StateVector,
+    UnsupportedModeError,
+)
 
 
 def _planted_oracle(size: int, marked) -> BitOracle:
@@ -285,6 +292,83 @@ def test_unknown_count_budget_values():
     assert grover.unknown_count_budget(4.5) == 53
     assert grover.unknown_count_budget(math.sqrt(1024)) == 300
     assert list(grover.restart_schedule(SeededRng(0), 8.0, 0)) == []
+
+
+def _plain_unknown_count(oracle, size, rng, min_marked=None, max_queries=None):
+    # Reference for the sweep: every attempt restarts from a complex128 uniform
+    # state, runs its rounds, measures and verifies, drawing lazily as it goes.
+    cap = math.sqrt(size / (min_marked or 1))
+    budget = grover.unknown_count_budget(cap)
+    if max_queries is not None:
+        budget = min(budget, max(0, max_queries))
+    marked = oracle.marked_indices()
+    ceiling, spent = 1.0, 0
+    while spent < budget:
+        rounds = int(rng.generator.integers(0, math.ceil(ceiling)))
+        spent += rounds + 1
+        state = StateVector(np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128))
+        for _ in range(rounds):
+            state = sim.apply_diffusion(sim.apply_phase_flip(state, marked, oracle))
+        index = sim.measure(state, rng)
+        if oracle.query(index):
+            return index
+        ceiling = min(grover.SCHEDULE_GROWTH * ceiling, max(cap, 1.0))
+    return None
+
+
+def _plain_find_all(oracle, size, rng):
+    found = set()
+    mask = sim.marked_mask(oracle.marked_indices(), size)
+    while True:
+        wrapped = PredicateOracle(size, marked=mask, charge_to=(oracle,))
+        hit = _plain_unknown_count(wrapped, size, rng)
+        if hit is None:
+            return found
+        found.add(int(hit))
+        mask = mask.copy()
+        mask[hit] = False
+
+
+@st.composite
+def _marked_sets(draw, max_size=48):
+    size = draw(st.integers(1, max_size))
+    everything = set(range(size))
+    marked = draw(st.one_of(st.just(set()), st.just(everything),
+                            st.sets(st.integers(0, size - 1), max_size=size)))
+    return size, marked
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=_marked_sets(),
+    seed=st.integers(0, 2**20),
+    min_marked=st.one_of(st.none(), st.integers(1, 48)),
+    max_queries=st.one_of(st.none(), st.integers(0, 80)),
+)
+def test_sweep_matches_plain_restart_loop(case, seed, min_marked, max_queries):
+    size, marked = case
+    if min_marked is not None:
+        min_marked = min(min_marked, size)
+    outcomes = []
+    for run in (search_unknown_count, _plain_unknown_count):
+        base = _planted_oracle(size, marked)
+        oracle = PredicateOracle(size, marked=sorted(marked), charge_to=(base,))
+        rng = SeededRng(seed, 4)
+        hit = run(oracle, size, rng, min_marked=min_marked, max_queries=max_queries)
+        outcomes.append((hit, oracle.query_count, base.query_count, rng.random()))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_marked_sets(max_size=40), seed=st.integers(0, 2**20))
+def test_find_all_matches_plain_restart_loop(case, seed):
+    size, marked = case
+    outcomes = []
+    for run in (find_all, _plain_find_all):
+        oracle = _planted_oracle(size, marked)
+        rng = SeededRng(seed, 5)
+        outcomes.append((run(oracle, size, rng), oracle.query_count, rng.random()))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_find_all_recovers_every_mark():

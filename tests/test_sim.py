@@ -21,7 +21,9 @@ from qsearchlab.sim import (
     apply_phase_flip,
     apply_phase_rotation,
     basis_state,
+    born_cumulative,
     measure,
+    sample_cumulative,
     sample_index,
     uniform_state,
 )
@@ -184,6 +186,19 @@ def test_phase_flip_ignores_duplicate_marks():
     assert np.allclose(once.amps, twice.amps)
 
 
+def test_phase_flip_sorts_and_dedupes_unsorted_marks():
+    rng = SeededRng(16)
+    state = _random_state(rng, 6)
+    oracle = BitOracle([0, 1, 0, 1, 0, 1])
+    sorted_once = apply_phase_flip(state, [1, 3, 5], oracle)
+    for marks in ([5, 1, 3, 1, 5], [3, 3, 1, 5], {5, 3, 1}, np.array([5, 3, 1])):
+        assert np.array_equal(apply_phase_flip(state, marks, oracle).amps, sorted_once.amps)
+    with pytest.raises(IndexError):
+        apply_phase_flip(state, [3, 6, 1], oracle)
+    with pytest.raises(IndexError):
+        apply_phase_flip(state, [-1, 2], oracle)
+
+
 def test_phase_rotation_at_pi_is_the_flip():
     rng = SeededRng(12)
     oracle = BitOracle([1, 0, 0, 1, 0])
@@ -231,6 +246,71 @@ def test_operator_chain_preserves_norm():
         else:
             state = apply_diffusion_rotation(state, 1.1)
         assert abs(state.norm() - 1.0) < 1e-12
+
+
+def _random_real_state(rng: SeededRng, dimension: int) -> StateVector:
+    raw = rng.generator.normal(size=dimension)
+    return StateVector(raw / np.linalg.norm(raw))
+
+
+def test_state_kinds_stay_real_until_a_complex_phase_enters():
+    oracle = BitOracle([0, 1, 0, 0, 1])
+    real = np.dtype(np.float64)
+    assert uniform_state(5).amps.dtype == real
+    assert basis_state(5, 3).amps.dtype == real
+    assert StateVector([0.6, 0.8]).amps.dtype == real
+    assert StateVector([0, 1]).amps.dtype == real
+    assert StateVector(np.array([0.6, 0.8j])).amps.dtype == np.complex128
+    assert StateVector([0.6 + 0j, 0.8]).amps.dtype == np.complex128
+    state = _random_real_state(SeededRng(17), 5)
+    assert state.copy().amps.dtype == real
+    assert apply_phase_flip(state, [1, 4], oracle).amps.dtype == real
+    assert apply_diffusion(state).amps.dtype == real
+    rotated = apply_phase_rotation(state, [1, 4], 0.3, oracle)
+    assert rotated.amps.dtype == np.complex128
+    assert apply_diffusion_rotation(state, 0.3).amps.dtype == np.complex128
+    # once complex, flips and diffusion keep the state complex
+    assert apply_phase_flip(rotated, [1], oracle).amps.dtype == np.complex128
+    assert apply_diffusion(rotated).amps.dtype == np.complex128
+
+
+@pytest.mark.parametrize("size, marked_count", [(3, 1), (7, 2), (64, 1), (1000, 1), (1000, 150), (4096, 1)])
+def test_real_rounds_match_a_complex128_chain(size, marked_count):
+    rng = SeededRng(18, size)
+    marked = np.sort(rng.generator.choice(size, marked_count, replace=False))
+    oracle = BitOracle(np.isin(np.arange(size), marked).astype(int))
+    real = uniform_state(size)
+    reference = StateVector(np.full(size, 1.0 / np.sqrt(size), dtype=np.complex128))
+    for rounds in range(1, 3 * int(np.sqrt(size / marked_count)) + 3):
+        # one round of each kind from the same input agrees to within 1e-15
+        widened = StateVector(real.amps.astype(np.complex128), _trusted=True)
+        real = apply_diffusion(apply_phase_flip(real, marked, oracle))
+        same_input = apply_diffusion(apply_phase_flip(widened, marked, oracle))
+        assert real.amps.dtype == np.float64
+        assert np.max(np.abs(real.amps - same_input.amps)) <= 1e-15
+        # along whole chains the rounding differences add up, round by round
+        reference = apply_diffusion(apply_phase_flip(reference, marked, oracle))
+        assert not reference.amps.imag.any()
+        assert np.max(np.abs(real.amps - reference.amps)) <= 1e-15 * rounds
+
+
+def test_every_operator_preserves_inner_products():
+    rng = SeededRng(19)
+    dimension = 9
+    oracle = BitOracle([0, 1, 1, 0, 0, 0, 1, 0, 0])
+    marked = oracle.marked_indices()
+    operators = (
+        lambda s: apply_phase_flip(s, marked, oracle),
+        lambda s: apply_phase_rotation(s, marked, 0.73, oracle),
+        apply_diffusion,
+        lambda s: apply_diffusion_rotation(s, 2.1),
+    )
+    for make in (_random_state, _random_real_state):
+        for _ in range(10):
+            a, b = make(rng, dimension), make(rng, dimension)
+            before = np.vdot(a.amps, b.amps)
+            for op in operators:
+                assert abs(np.vdot(op(a).amps, op(b).amps) - before) < 1e-12
 
 
 def test_single_grover_round_on_four_items_is_exact():
@@ -281,6 +361,20 @@ def test_sample_index_never_returns_a_zero_weight_index():
     # only a subnormal total lets the scaled draw round up onto the total
     assert top * 5e-324 == 5e-324
     assert sample_index([0.0, 5e-324, 0.0], _FixedDraw(top)) == 1
+
+
+def test_born_cumulative_is_kind_blind_and_checks_the_norm():
+    rng = SeededRng(20)
+    real = _random_real_state(rng, 7).amps
+    edges = born_cumulative(real)
+    assert np.array_equal(edges, born_cumulative(real.astype(np.complex128)))
+    assert np.array_equal(edges, np.cumsum(real * real))
+    # a real and a complex state with equal moduli measure alike
+    for draw in (0.0, 0.3, 0.999):
+        assert sample_cumulative(edges, draw) == sample_cumulative(
+            born_cumulative(real * np.exp(0.4j)), draw)
+    with pytest.raises(NormalizationError):
+        born_cumulative(np.full(4, 0.6))
 
 
 def test_measure_deterministic_under_fixed_stream():
