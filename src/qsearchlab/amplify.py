@@ -35,11 +35,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StatePreparation:
-    """Unitary start-state factory with a per-application query cost."""
+    """Unitary start-state factory with a per-application query cost.
+
+    `forward` and `inverse` map a state to a new state, or, given `out=`,
+    write the result into that array (which may be the input's own).
+    """
 
     dimension: int
-    forward: Callable[[StateVector], StateVector]
-    inverse: Callable[[StateVector], StateVector]
+    forward: Callable[..., StateVector]
+    inverse: Callable[..., StateVector]
     cost: int = 1
 
     def __post_init__(self):
@@ -51,21 +55,18 @@ class StatePreparation:
 
 def _householder_preparation(target: np.ndarray, cost: int) -> StatePreparation:
     # Reflection through (target - e0) maps e0 to target and is an involution,
-    # so forward and inverse coincide and apply in O(dimension).
+    # so forward and inverse coincide and apply in O(dimension).  At target =
+    # e0 the reflection vector vanishes and the preparation is the identity.
     v = target.astype(np.float64).copy()
     v[0] -= 1.0
     vv = float(v @ v)
-    dimension = target.size
+    scale = 2.0 / vv if vv >= 1e-28 else 0.0
 
-    if vv < 1e-28:
-        def apply(state: StateVector) -> StateVector:
-            return state.copy()
-    else:
-        def apply(state: StateVector) -> StateVector:
-            amps = state.amps - (2.0 / vv) * (v @ state.amps) * v
-            return StateVector(amps, copy=False, _trusted=True)
+    def apply(state: StateVector, out: Optional[np.ndarray] = None) -> StateVector:
+        a = state.amps
+        return StateVector(np.subtract(a, scale * (v @ a) * v, out=out), copy=False, _trusted=True)
 
-    return StatePreparation(dimension=dimension, forward=apply, inverse=apply, cost=cost)
+    return StatePreparation(dimension=target.size, forward=apply, inverse=apply, cost=cost)
 
 
 def uniform_preparation(dimension: int, cost: int = 1) -> StatePreparation:
@@ -141,9 +142,9 @@ def classical_repetitions(success_floor: float) -> int:
     return math.ceil(1.0 / success_floor)
 
 
-def _reflect_about_zero(state: StateVector) -> StateVector:
+def _reflect_about_zero(state: StateVector, out: Optional[np.ndarray] = None) -> StateVector:
     # 2|0><0| - I: keep the zero amplitude, negate the rest
-    out = -state.amps
+    out = np.negative(state.amps, out=out)
     out[0] = -out[0]
     return StateVector(out, copy=False, _trusted=True)
 
@@ -159,12 +160,18 @@ def amplification_round(
     prep: StatePreparation,
     good_indices: np.ndarray,
     counter: PredicateOracle,
+    out: Optional[np.ndarray] = None,
 ) -> StateVector:
-    """One round: good-set phase flip, then reflection about the start state."""
-    state = sim.apply_phase_flip(state, good_indices, counter)
-    state = prep.inverse(state)
-    state = _reflect_about_zero(state)
-    return prep.forward(state)
+    """One round: good-set phase flip, then reflection about the start state.
+
+    Without `out` every step returns a new state.  Given `out` (which may
+    be `state.amps` itself) the flip writes there and the later steps work
+    on it in place.
+    """
+    state = sim.apply_phase_flip(state, good_indices, counter, out=out)
+    state = prep.inverse(state, out=out)
+    state = _reflect_about_zero(state, out=out)
+    return prep.forward(state, out=out)
 
 
 def amplitude_amplify(
@@ -189,7 +196,7 @@ def amplitude_amplify(
         rounds = predicted_repetitions(params.success_floor)
         state = start
         for _ in range(rounds):
-            state = amplification_round(state, prep, good_idx, counter)
+            state = amplification_round(state, prep, good_idx, counter, out=start.amps)
         index = sim.measure(state, rng)
         queries = (2 * rounds + 1) * prep.cost + counter.query_count
         return AmplifyResult(
@@ -202,7 +209,7 @@ def amplitude_amplify(
     cap = float(predicted_repetitions(params.success_floor) + 1)
     attempts, _ = _sweep_restarts(
         counter, mask, rng, cap, unknown_count_budget(cap), start,
-        lambda state, sink: amplification_round(state, prep, good_idx, sink),
+        lambda state, sink: amplification_round(state, prep, good_idx, sink, out=state.amps),
     )
     rounds_used = sum(rounds for rounds, _ in attempts)
     index = attempts[-1][1]

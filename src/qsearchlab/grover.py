@@ -129,9 +129,11 @@ def success_profile(size: int, marked_count: int, max_rounds: int) -> np.ndarray
 
 
 def _run_rounds(state: StateVector, marked: np.ndarray, oracle, rounds: int) -> StateVector:
+    """Step `state` through `rounds` Grover rounds in place, in its own buffer."""
+    amps = state.amps
     for _ in range(rounds):
-        state = sim.apply_phase_flip(state, marked, oracle)
-        state = sim.apply_diffusion(state)
+        state = sim.apply_phase_flip(state, marked, oracle, out=amps)
+        state = sim.apply_diffusion(state, out=amps)
     return state
 
 
@@ -269,7 +271,8 @@ def _sweep_restarts(
     drawn up front, and every attempt is a prefix of one trajectory.  A
     single state is stepped through the attempts in order of round count
     (its oracle applications go to a sink) and measured against `mask`;
-    attempts after the earliest hit are skipped.  Then each attempt up to
+    attempts after the earliest hit are skipped.  `start` is copied once,
+    and `advance` steps that copy in place.  Then each attempt up to
     the first hit charges its own rounds plus its verification.  When the
     hit comes before the end of the plan, the generator is rewound and
     those attempts' draws replayed, so counters and generator end where
@@ -282,7 +285,7 @@ def _sweep_restarts(
     sink = sim._CountingOracle()
     indices = [0] * len(plan)
     first_hit = len(plan)
-    state, depth, edges = start, 0, None
+    state, depth, edges = start.copy(), 0, None
     for attempt in sorted(range(len(plan)), key=lambda a: plan[a][0]):
         if attempt > first_hit:
             continue

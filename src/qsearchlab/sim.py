@@ -7,6 +7,13 @@ real, and the two rotations promote them to complex128.  Black boxes are
 immutable bit/value tables with a monotone query counter.  The simulator
 may read a black box wholesale while *building* an operator, but cost is
 charged per operator application, never per basis state inspected.
+
+Operators are pure by default: they return a new state, and the ones that
+can round (diffusion and the rotations) settle its norm on every call.
+The phase flip and the diffusion also take an `out=` array, which may be
+the input's own amplitudes.  They then write the result there, without a
+fresh allocation and without the per-call settle; a loop that owns its
+buffer this way relies on the norm check that measurement makes.
 """
 
 from __future__ import annotations
@@ -38,8 +45,9 @@ __all__ = [
     "measure",
 ]
 
-# Operators here are unitary, so norm drift is float rounding noise; past
-# this bound the state is renormalized (assert-then-renormalize policy).
+# Operators here are unitary, so norm drift is float rounding noise.  Pure
+# operator calls renormalize a result that drifted past this bound; a buffer
+# stepped in place with `out=` is checked, to MEASURE_NORM_TOL, when measured.
 NORM_DRIFT_LIMIT = 1e-9
 # Measurement, and StateVector construction from untrusted amplitudes, refuse
 # states whose squared norm is further than this from 1.
@@ -117,6 +125,9 @@ class StateVector:
     __slots__ = ("amps",)
 
     def __init__(self, amps, copy: bool = True, _trusted: bool = False):
+        if _trusted and not copy:  # an operator's own 1-D float64 or complex128 result
+            self.amps = amps
+            return
         dtype = np.complex128 if np.iscomplexobj(amps) else np.float64
         arr = np.array(amps, dtype=dtype, copy=copy)
         if arr.ndim != 1 or arr.size < 1:
@@ -323,10 +334,20 @@ def _as_index_array(marked, dimension: int) -> np.ndarray:
     return idx
 
 
-def apply_phase_flip(state: StateVector, marked, oracle: _CountingOracle) -> StateVector:
-    """Negate amplitudes on the marked set; charges one oracle query."""
+def apply_phase_flip(
+    state: StateVector, marked, oracle: _CountingOracle, out: Optional[np.ndarray] = None
+) -> StateVector:
+    """Negate amplitudes on the marked set; charges one oracle query.
+
+    Without `out` the result is a new state.  Given `out` (which may be
+    `state.amps` itself) the result is written there and wrapped; with
+    `out is state.amps` only the marked entries are touched.
+    """
     idx = _as_index_array(marked, state.dimension)
-    out = state.amps.copy()
+    if out is None:
+        out = state.amps.copy()
+    elif out is not state.amps:
+        np.copyto(out, state.amps)
     out[idx] = -out[idx]
     oracle.charge(1)
     return StateVector(out, copy=False, _trusted=True)
@@ -343,11 +364,18 @@ def apply_phase_rotation(
     return StateVector(_settle_norm(out), copy=False, _trusted=True)
 
 
-def apply_diffusion(state: StateVector) -> StateVector:
-    """Reflect about the uniform superposition: a_i -> 2*mean(a) - a_i."""
+def apply_diffusion(state: StateVector, out: Optional[np.ndarray] = None) -> StateVector:
+    """Reflect about the uniform superposition: a_i -> 2*mean(a) - a_i.
+
+    Without `out` the result is a new state with its norm settled.  Given
+    `out` (which may be `state.amps` itself) the same arithmetic writes the
+    result there, and the norm is left to the check at measurement.
+    """
     mean = np.add.reduce(state.amps) / state.amps.size  # ndarray.mean without its wrapper
-    out = 2.0 * mean - state.amps
-    return StateVector(_settle_norm(out), copy=False, _trusted=True)
+    if out is None:
+        return StateVector(_settle_norm(2.0 * mean - state.amps), copy=False, _trusted=True)
+    np.subtract(2.0 * mean, state.amps, out=out)
+    return StateVector(out, copy=False, _trusted=True)
 
 
 def apply_diffusion_rotation(state: StateVector, angle: float) -> StateVector:

@@ -209,15 +209,6 @@ def localized_coined_state(grid: TorusGrid, cell: int) -> CoinedState:
     return CoinedState(amps, copy=False)
 
 
-def _cell_indices(marked, cells: int) -> np.ndarray:
-    if isinstance(marked, (set, frozenset)):
-        marked = sorted(marked)
-    idx = np.asarray(marked, dtype=np.int64).ravel()
-    if idx.size and (idx.min() < 0 or idx.max() >= cells):
-        raise IndexError("marked cell out of range")
-    return idx
-
-
 def grid_walk_step(grid: TorusGrid, state: CoinedState, marked) -> CoinedState:
     """One bundled walk step: direction-reversing shift, then the coin.
 
@@ -230,7 +221,7 @@ def grid_walk_step(grid: TorusGrid, state: CoinedState, marked) -> CoinedState:
     shifted = shifted.reshape(grid.cells, grid.direction_count)
     means = shifted.mean(axis=1, keepdims=True)
     out = 2.0 * means - shifted
-    marked_idx = _cell_indices(marked, grid.cells)
+    marked_idx = sim._as_index_array(marked, grid.cells)
     out[marked_idx] = -shifted[marked_idx]
     return CoinedState(out, copy=False)
 
@@ -242,7 +233,7 @@ def grid_walk_probability_profile(grid: TorusGrid, marked, max_steps: int) -> np
     """
     if max_steps < 0:
         raise ParameterError("max_steps must be >= 0")
-    marked_idx = _cell_indices(marked, grid.cells)
+    marked_idx = sim._as_index_array(marked, grid.cells)
     state = uniform_coined_state(grid)
     profile = np.empty(max_steps + 1)
     for step in range(max_steps + 1):

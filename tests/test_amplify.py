@@ -11,6 +11,7 @@ from qsearchlab import grover, sim
 from qsearchlab.amplify import (
     AmplifyParams,
     AmplifyResult,
+    _reflect_about_zero,
     amplification_round,
     amplification_schedule_scale,
     amplitude_amplify,
@@ -222,6 +223,50 @@ def test_amplification_round_preserves_inner_products():
             before = np.vdot(a.amps, b.amps)
             for op in (prep.forward, lambda s: amplification_round(s, prep, np.array([1, 5, 6]), counter)):
                 assert abs(np.vdot(op(a).amps, op(b).amps) - before) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dimension=st.integers(1, 40),
+    data=st.data(),
+    seed=st.integers(0, 2**20),
+    target=st.sampled_from(["uniform", "random", "zero"]),
+    complex_state=st.booleans(),
+    in_place=st.booleans(),
+)
+def test_out_and_pure_amplification_steps_agree_bit_for_bit(
+    dimension, data, seed, target, complex_state, in_place
+):
+    gen = SeededRng(seed, 2).generator
+    if target == "uniform":
+        prep = uniform_preparation(dimension)
+    elif target == "random":
+        raw = gen.normal(size=dimension)
+        prep = preparation_from_target(raw / np.linalg.norm(raw))
+    else:  # target e0: the Householder vector vanishes and the preparation is the identity
+        prep = preparation_from_target(np.eye(dimension)[0])
+    good = np.array(sorted(data.draw(st.sets(st.integers(0, dimension - 1)))), dtype=np.int64)
+    raw = gen.normal(size=dimension) + (1j * gen.normal(size=dimension) if complex_state else 0)
+    state = StateVector(raw / np.linalg.norm(raw))
+    steps = (
+        prep.forward,
+        prep.inverse,
+        _reflect_about_zero,
+        lambda s, **out: amplification_round(
+            s, prep, good, PredicateOracle(dimension, marked=good), **out),
+    )
+    for step in steps:
+        before = state.amps.copy()
+        pure = step(state)
+        assert np.array_equal(state.amps, before)  # a pure call leaves its input alone
+        owned = StateVector(before.copy())
+        buffer = owned.amps if in_place else np.full_like(before, np.nan)
+        written = step(owned, out=buffer)
+        assert written.amps is buffer
+        assert written.amps.dtype == pure.amps.dtype == before.dtype
+        assert np.array_equal(written.amps, pure.amps)
+        if not in_place:
+            assert np.array_equal(owned.amps, before)
 
 
 def test_amplify_with_empty_good_set_never_claims_success():

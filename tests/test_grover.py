@@ -371,6 +371,41 @@ def test_find_all_matches_plain_restart_loop(case, seed):
     assert outcomes[0] == outcomes[1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=_marked_sets(), rounds=st.integers(0, 40), complex_state=st.booleans())
+def test_owned_rounds_equal_a_pure_operator_chain(case, rounds, complex_state):
+    size, marked = case
+    marked = np.array(sorted(marked), dtype=np.int64)
+    dtype = np.complex128 if complex_state else np.float64
+    start = np.full(size, 1.0 / math.sqrt(size), dtype=dtype)
+    owned_oracle, pure_oracle = PredicateOracle(size, marked=marked), PredicateOracle(size, marked=marked)
+    owned = StateVector(start.copy())
+    buffer = owned.amps
+    stepped = grover._run_rounds(owned, marked, owned_oracle, rounds)
+    pure = StateVector(start.copy())
+    for _ in range(rounds):
+        pure = sim.apply_diffusion(sim.apply_phase_flip(pure, marked, pure_oracle))
+    assert stepped.amps is buffer
+    assert np.array_equal(stepped.amps, pure.amps)
+    assert owned_oracle.query_count == pure_oracle.query_count == rounds
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_marked_sets(), seed=st.integers(0, 2**20))
+def test_sweep_leaves_the_start_state_unmodified(case, seed):
+    size, marked = case
+    marked = np.array(sorted(marked), dtype=np.int64)
+    start = sim.uniform_state(size)
+    before = start.amps.copy()
+    cap = math.sqrt(size)
+    grover._sweep_restarts(
+        PredicateOracle(size, marked=marked), sim.marked_mask(marked, size), SeededRng(seed, 7),
+        cap, grover.unknown_count_budget(cap), start,
+        lambda state, sink: grover._run_rounds(state, marked, sink, 1),
+    )
+    assert np.array_equal(start.amps, before)
+
+
 def test_find_all_recovers_every_mark():
     rng = SeededRng(31, 9)
     marked = {3, 17, 40, 41, 59}

@@ -7,7 +7,10 @@ witness to their own correctness.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qsearchlab import sim
 from qsearchlab.sim import (
     BitOracle,
     NormalizationError,
@@ -89,6 +92,11 @@ def test_state_vector_copy_is_independent():
     clone = state.copy()
     clone.amps[0] = 0.0
     assert state.amps[0] != 0.0
+    # a trusted operator result wraps its array; its copy still copies
+    amps = np.full(4, 0.5)
+    wrapped = StateVector(amps, copy=False, _trusted=True)
+    assert wrapped.amps is amps
+    assert wrapped.copy().amps is not amps
 
 
 def test_basis_state_validation():
@@ -319,6 +327,81 @@ def test_single_grover_round_on_four_items_is_exact():
     state = apply_diffusion(apply_phase_flip(uniform_state(4), [2], oracle))
     assert abs(state.amps[2]) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(np.delete(state.amps, 2), 0.0, atol=1e-12)
+
+
+# ------------------------------------------------------- in-place operators
+
+@settings(max_examples=120, deadline=None)
+@given(
+    dimension=st.integers(1, 40),
+    data=st.data(),
+    seed=st.integers(0, 2**20),
+    complex_state=st.booleans(),
+    in_place=st.booleans(),
+)
+def test_out_and_pure_operators_agree_bit_for_bit(dimension, data, seed, complex_state, in_place):
+    # unsorted marks with duplicates go through the same index helper on both paths
+    marked = data.draw(st.lists(st.integers(0, dimension - 1), max_size=2 * dimension))
+    make = _random_state if complex_state else _random_real_state
+    state = make(SeededRng(seed, 1), dimension)
+    operators = (
+        lambda s, **out: apply_phase_flip(s, marked, BitOracle(np.ones(dimension, dtype=int)), **out),
+        apply_diffusion,
+    )
+    for op in operators:
+        before = state.amps.copy()
+        pure = op(state)
+        assert np.array_equal(state.amps, before)  # a pure call leaves its input alone
+        owned = StateVector(before.copy())
+        buffer = owned.amps if in_place else np.full_like(before, np.nan)
+        written = op(owned, out=buffer)
+        assert written.amps is buffer
+        assert written.amps.dtype == pure.amps.dtype == before.dtype
+        assert np.array_equal(written.amps, pure.amps)
+        if not in_place:
+            assert np.array_equal(owned.amps, before)
+
+
+def test_out_flip_charges_like_the_pure_flip():
+    oracle = BitOracle([0, 1, 1, 0])
+    state = uniform_state(4)
+    apply_phase_flip(state, [1, 2], oracle, out=state.amps)
+    apply_phase_flip(state, [1, 2], oracle, out=np.empty(4))
+    assert oracle.query_count == 2
+
+
+@pytest.mark.parametrize("dimension", [8, 1024])
+def test_owned_rounds_stay_normalized_without_settling(dimension, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an owned round settled its norm")
+
+    monkeypatch.setattr(sim, "_settle_norm", refuse)
+    state = uniform_state(dimension)
+    amps = state.amps
+    oracle = BitOracle(np.isin(np.arange(dimension), [1, dimension - 2]).astype(int))
+    marked = oracle.marked_indices()
+    worst = 0.0
+    for _ in range(10_000):
+        state = apply_phase_flip(state, marked, oracle, out=amps)
+        state = apply_diffusion(state, out=amps)
+        worst = max(worst, abs(float(np.sqrt(amps @ amps)) - 1.0))
+    assert state.amps is amps
+    assert worst <= 1e-12
+
+
+def test_measure_checks_the_norm_of_an_owned_buffer():
+    state = uniform_state(16)
+    amps = state.amps
+    oracle = BitOracle(np.eye(16, dtype=int)[3])
+    state = apply_phase_flip(state, [3], oracle, out=amps)
+    amps *= 1.0 + 1e-5
+    state = apply_diffusion(state, out=amps)  # in place: no settle repairs the drift
+    with pytest.raises(NormalizationError):
+        measure(state, SeededRng(0))
+    # the pure diffusion still renormalizes such a state on every call
+    settled = apply_diffusion(StateVector(amps, copy=False, _trusted=True))
+    assert abs(settled.norm() - 1.0) < 1e-12
+    assert 0 <= measure(settled, SeededRng(0)) < 16
 
 
 # -------------------------------------------------------------- measurement

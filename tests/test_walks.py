@@ -177,6 +177,22 @@ def test_uniform_profile_starts_at_marked_fraction():
     assert profile.max() > 2.5 * profile[0]  # the walk concentrates on marks
 
 
+def test_marked_cells_are_range_checked_and_deduplicated():
+    grid = TorusGrid(4, 2)
+    state = uniform_coined_state(grid)
+    for bad in ([3, grid.cells], [-1, 5]):
+        with pytest.raises(IndexError):
+            grid_walk_step(grid, state, bad)
+        with pytest.raises(IndexError):
+            grid_walk_probability_profile(grid, bad, 4)
+    # an unsorted list with duplicates marks the same cells as its sorted set
+    messy, tidy = [7, 3, 7, 12, 3], {3, 7, 12}
+    assert np.array_equal(grid_walk_probability_profile(grid, messy, 12),
+                          grid_walk_probability_profile(grid, tidy, 12))
+    assert np.array_equal(grid_walk_step(grid, state, messy).amps,
+                          grid_walk_step(grid, state, tidy).amps)
+
+
 def test_grid_walk_search_accounting():
     grid = TorusGrid(4, 2)
     bits = np.zeros(16, dtype=int)
