@@ -1,16 +1,20 @@
 """Amplitude amplification around an arbitrary state preparation.
 
-The preparation is any unitary taking the all-zero basis state to the
-start state; one amplification round conjugates a reflection about zero by
-that unitary and composes it with a phase flip on the good set.  With the
-uniform preparation this reproduces the plain search rounds exactly,
-amplitude for amplitude.
+The preparation is any unitary A taking the all-zero basis state to the
+start state s = A|0>.  One amplification round is a phase flip on the good
+set followed by one reflection about s, a -> 2<s|a>s - a, which equals
+A(2|0><0| - I)A^-1 for any unitary A.  The round reads s, which the
+preparation computes once, much as operators read a black box while they
+are built; the charges still count every application of A and A^-1 that
+the round stands for.  With the uniform preparation this reproduces the
+plain search rounds, amplitude for amplitude up to rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -35,15 +39,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StatePreparation:
-    """Unitary start-state factory with a per-application query cost.
+    """Unitary start-state factory A with a per-application query cost.
 
-    `forward` and `inverse` map a state to a new state, or, given `out=`,
-    write the result into that array (which may be the input's own).
+    `forward` and `inverse` map a state to a new state.  `start` is the
+    start state s = A|0>, computed once and read-only.  An amplification
+    round reflects about s directly; it is still charged as the two
+    applications of A it stands for.
     """
 
     dimension: int
-    forward: Callable[..., StateVector]
-    inverse: Callable[..., StateVector]
+    forward: Callable[[StateVector], StateVector]
+    inverse: Callable[[StateVector], StateVector]
     cost: int = 1
 
     def __post_init__(self):
@@ -51,6 +57,13 @@ class StatePreparation:
             raise ParameterError("preparation dimension must be >= 1")
         if self.cost < 0:
             raise ParameterError("preparation cost must be >= 0")
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        """Read-only amplitudes of A|0>."""
+        amps = np.array(self.forward(sim.basis_state(self.dimension)).amps)
+        amps.setflags(write=False)
+        return amps
 
 
 def _householder_preparation(target: np.ndarray, cost: int) -> StatePreparation:
@@ -62,17 +75,16 @@ def _householder_preparation(target: np.ndarray, cost: int) -> StatePreparation:
     vv = float(v @ v)
     scale = 2.0 / vv if vv >= 1e-28 else 0.0
 
-    def apply(state: StateVector, out: Optional[np.ndarray] = None) -> StateVector:
+    def apply(state: StateVector) -> StateVector:
         a = state.amps
-        return StateVector(np.subtract(a, scale * (v @ a) * v, out=out), copy=False, _trusted=True)
+        return StateVector(a - scale * (v @ a) * v, copy=False, _trusted=True)
 
     return StatePreparation(dimension=target.size, forward=apply, inverse=apply, cost=cost)
 
 
 def uniform_preparation(dimension: int, cost: int = 1) -> StatePreparation:
     """Preparation of the equal superposition over `dimension` outcomes."""
-    if dimension < 1:
-        raise ParameterError("dimension must be >= 1")
+    sim.check_state_size(dimension)
     target = np.full(dimension, 1.0 / math.sqrt(dimension))
     return _householder_preparation(target, cost)
 
@@ -142,13 +154,6 @@ def classical_repetitions(success_floor: float) -> int:
     return math.ceil(1.0 / success_floor)
 
 
-def _reflect_about_zero(state: StateVector, out: Optional[np.ndarray] = None) -> StateVector:
-    # 2|0><0| - I: keep the zero amplitude, negate the rest
-    out = np.negative(state.amps, out=out)
-    out[0] = -out[0]
-    return StateVector(out, copy=False, _trusted=True)
-
-
 def _good_mask(good, dimension: int) -> np.ndarray:
     if callable(good):
         return np.fromiter((bool(good(i)) for i in range(dimension)), dtype=bool, count=dimension)
@@ -162,16 +167,19 @@ def amplification_round(
     counter: PredicateOracle,
     out: Optional[np.ndarray] = None,
 ) -> StateVector:
-    """One round: good-set phase flip, then reflection about the start state.
+    """One round: good-set phase flip, then a -> 2<s|a>s - a about s = prep.start.
 
-    Without `out` every step returns a new state.  Given `out` (which may
-    be `state.amps` itself) the flip writes there and the later steps work
-    on it in place.
+    Without `out` the result is a new state.  Given `out` (which may be
+    `state.amps` itself) the flip writes there and the reflection works on
+    it in place.
     """
     state = sim.apply_phase_flip(state, good_indices, counter, out=out)
-    state = prep.inverse(state, out=out)
-    state = _reflect_about_zero(state, out=out)
-    return prep.forward(state, out=out)
+    a, s = state.amps, prep.start
+    # the flip's result is this call's own array, so reflect it in place;
+    # only a complex start reflecting a real state needs a new array
+    twice_overlap = 2.0 * np.vdot(s, a) * s
+    reflected = np.subtract(twice_overlap, a, out=a if twice_overlap.dtype == a.dtype else None)
+    return StateVector(reflected, copy=False, _trusted=True)
 
 
 def amplitude_amplify(
@@ -190,13 +198,13 @@ def amplitude_amplify(
     mask = _good_mask(params.good, dimension)
     good_idx = np.flatnonzero(mask)
     counter = PredicateOracle(dimension, marked=mask)
-    start = prep.forward(sim.basis_state(dimension))
+    start = StateVector(prep.start, copy=False, _trusted=True)  # read-only: stepped on a copy
 
     if not params.floor_is_lower_bound:
         rounds = predicted_repetitions(params.success_floor)
-        state = start
+        state = start.copy()
         for _ in range(rounds):
-            state = amplification_round(state, prep, good_idx, counter, out=start.amps)
+            state = amplification_round(state, prep, good_idx, counter, out=state.amps)
         index = sim.measure(state, rng)
         queries = (2 * rounds + 1) * prep.cost + counter.query_count
         return AmplifyResult(

@@ -99,6 +99,7 @@ class ScalingFit:
 
 
 def _single_marked_oracle(size: int, rng: SeededRng, marked_count: int = 1):
+    sim.check_state_size(size)  # before the bit table, the first size-long array
     targets = rng.generator.choice(size, size=marked_count, replace=False)
     bits = np.zeros(size, dtype=np.uint8)
     bits[targets] = 1

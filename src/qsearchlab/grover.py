@@ -285,7 +285,7 @@ def _sweep_restarts(
     sink = sim._CountingOracle()
     indices = [0] * len(plan)
     first_hit = len(plan)
-    state, depth, edges = start.copy(), 0, None
+    state, depth, table = start.copy(), 0, None
     for attempt in sorted(range(len(plan)), key=lambda a: plan[a][0]):
         if attempt > first_hit:
             continue
@@ -293,10 +293,10 @@ def _sweep_restarts(
         while depth < rounds:
             state = advance(state, sink)
             depth += 1
-            edges = None
-        if edges is None:  # attempts of equal round count share one running sum
-            edges = sim.born_cumulative(state.amps)
-        indices[attempt] = sim.sample_cumulative(edges, draw)
+            table = None
+        if table is None:  # attempts of equal round count share one weight table
+            table = sim.born_table(state.amps)
+        indices[attempt] = table.sample(draw)
         if mask[indices[attempt]]:
             first_hit = attempt
 

@@ -14,6 +14,13 @@ The phase flip and the diffusion also take an `out=` array, which may be
 the input's own amplitudes.  They then write the result there, without a
 fresh allocation and without the per-call settle; a loop that owns its
 buffer this way relies on the norm check that measurement makes.
+
+Measurement draws from a `WeightTable` of |amps|^2: one sequential running
+sum up to ONE_LEVEL_MAX amplitudes; above that, a running sum over
+vectorized BLOCK totals plus a sequential sum over the one block a draw
+lands in.  Either way the squared norm is checked, the draw is scaled by
+it, and no index of zero weight is returned.  `uniform_state` and
+`basis_state` refuse a state over STATE_BYTE_CAP before allocating it.
 """
 
 from __future__ import annotations
@@ -39,8 +46,9 @@ __all__ = [
     "apply_diffusion",
     "apply_diffusion_rotation",
     "marked_mask",
-    "born_cumulative",
-    "sample_cumulative",
+    "check_state_size",
+    "WeightTable",
+    "born_table",
     "sample_index",
     "measure",
 ]
@@ -52,6 +60,18 @@ NORM_DRIFT_LIMIT = 1e-9
 # Measurement, and StateVector construction from untrusted amplitudes, refuse
 # states whose squared norm is further than this from 1.
 MEASURE_NORM_TOL = 1e-6
+# Byte budget of one dense state, counted at complex128 (16 B per amplitude,
+# so 2^24 amplitudes); the same budget as walks.TRAJECTORY_BYTE_CAP.
+STATE_BYTE_CAP = 256 * 2**20
+# Weight tables of at most ONE_LEVEL_MAX entries are one sequential running
+# sum, which is latency-bound at about 3 ns an entry; larger ones use blocks
+# of BLOCK entries.  One BLAS thread, numpy 2.4: measuring a random state
+# took 84-88 -> 30-34 us at 16,384 amplitudes and 311-326 -> 41-55 us at
+# 65,536.  Lower cuts lost (median of 60 trials, 3 alternations): cut at
+# 2,048, a min-scaling@4096 trial took 3.6 ms against 3.2 ms; cut at 1,024,
+# local-min@16384 (sampled states of 1,555 amplitudes) took 3.4 ms against 2.5.
+ONE_LEVEL_MAX = 8192
+BLOCK = 1024
 
 
 class ParameterError(ValueError):
@@ -152,18 +172,26 @@ class StateVector:
         return f"StateVector(dimension={self.dimension})"
 
 
-def uniform_state(dimension: int) -> StateVector:
-    """Equal superposition over `dimension` basis states."""
+def check_state_size(dimension: int) -> None:
+    """Raise SizeCapError if a complex128 state of `dimension` would pass STATE_BYTE_CAP."""
     if dimension < 1:
         raise ParameterError(f"dimension must be >= 1, got {dimension}")
+    if dimension * 16 > STATE_BYTE_CAP:
+        raise SizeCapError(
+            f"a state of dimension {dimension} needs {dimension * 16} bytes, over the cap "
+            f"of {STATE_BYTE_CAP}")
+
+
+def uniform_state(dimension: int) -> StateVector:
+    """Equal superposition over `dimension` basis states."""
+    check_state_size(dimension)
     amps = np.full(dimension, 1.0 / np.sqrt(dimension))
     return StateVector(amps, copy=False, _trusted=True)
 
 
 def basis_state(dimension: int, index: int = 0) -> StateVector:
     """Deterministic state concentrated on one basis index."""
-    if dimension < 1:
-        raise ParameterError(f"dimension must be >= 1, got {dimension}")
+    check_state_size(dimension)
     if not 0 <= index < dimension:
         raise IndexError(f"basis index {index} out of range for dimension {dimension}")
     amps = np.zeros(dimension)
@@ -389,33 +417,78 @@ def apply_diffusion_rotation(state: StateVector, angle: float) -> StateVector:
     return StateVector(_settle_norm(out), copy=False, _trusted=True)
 
 
-def born_cumulative(amps: np.ndarray) -> np.ndarray:
-    """Running sum of |amps|^2; raises if its total, the squared norm, has drifted."""
-    edges = np.square(np.abs(amps) if np.iscomplexobj(amps) else amps)
-    np.cumsum(edges, out=edges)
-    if abs(edges[-1] - 1.0) > MEASURE_NORM_TOL:
-        raise NormalizationError(f"cannot measure state with squared norm {edges[-1]:.6g}")
-    return edges
+class WeightTable:
+    """Index sampler over non-negative weights, or over |values|^2 when `squared`.
 
-
-def sample_cumulative(edges: np.ndarray, draw: float) -> int:
-    """Index whose slice of the running weight sum `edges` holds a draw in [0, 1).
-
-    The draw is scaled by the total, edges[-1], so the weights need not sum
-    to 1 and an index of zero weight is never returned.
+    `edges` is the running sum of the weights, except for more than
+    ONE_LEVEL_MAX squared amplitudes: then it is the running sum of the
+    totals of BLOCK-long blocks (the last may be shorter), and a draw reads
+    the amplitudes again for the block it lands in, so the table is valid
+    only until they change.  Plain weights always stay one level.
     """
-    total = edges[-1]
-    index = int(np.searchsorted(edges, draw * total, side="right"))
-    if index == edges.size:  # a subnormal total: the scaled draw rounded onto it
-        index = int(np.searchsorted(edges, total, side="left"))
-    return index
+
+    __slots__ = ("edges", "total", "_amps")
+
+    def __init__(self, values: np.ndarray, squared: bool = False):
+        self._amps = None
+        if not squared:
+            weights = np.array(values, dtype=np.float64)
+        elif values.size <= ONE_LEVEL_MAX:
+            weights = _born_weights(values)
+        else:
+            kind = np.complex128 if np.iscomplexobj(values) else np.float64
+            self._amps = amps = np.ascontiguousarray(values, dtype=kind)
+            # block totals: complex amplitudes are summed as (real, imaginary)
+            # float pairs, by row-wise dot products batched through matmul
+            flat = amps.view(np.float64)
+            width = BLOCK * (flat.size // amps.size)
+            whole = flat.size - flat.size % width
+            rows = flat[:whole].reshape(-1, width)
+            weights = (rows[:, None, :] @ rows[:, :, None]).ravel()
+            if whole < flat.size:
+                tail = flat[whole:]
+                weights = np.append(weights, tail @ tail)
+        self.edges = np.cumsum(weights, out=weights)
+        self.total = self.edges[-1]
+
+    def sample(self, draw: float) -> int:
+        """Index whose slice of the running weight sum holds a draw in [0, 1).
+
+        The draw is scaled by the total, so the weights need not sum to 1
+        and an index of zero weight is never returned.
+        """
+        target = draw * self.total
+        index = int(np.searchsorted(self.edges, target, side="right"))
+        if index == self.edges.size:  # a subnormal total: the scaled draw rounded onto it
+            index = int(np.searchsorted(self.edges, self.total, side="left"))
+        if self._amps is None:
+            return index
+        start = index * BLOCK
+        local = np.cumsum(_born_weights(self._amps[start:start + BLOCK]))
+        offset = int(np.searchsorted(local, target - self.edges[index - 1] if index else target,
+                                     side="right"))
+        if offset == local.size:  # rounding put the remainder past the block's own sum
+            offset = int(np.searchsorted(local, local[-1], side="left"))
+        return start + offset
+
+
+def _born_weights(amps: np.ndarray) -> np.ndarray:
+    return np.square(np.abs(amps) if np.iscomplexobj(amps) else amps)
+
+
+def born_table(amps: np.ndarray) -> WeightTable:
+    """Weight table of |amps|^2; raises if its total, the squared norm, has drifted."""
+    table = WeightTable(amps, squared=True)
+    if abs(table.total - 1.0) > MEASURE_NORM_TOL:
+        raise NormalizationError(f"cannot measure state with squared norm {table.total:.6g}")
+    return table
 
 
 def sample_index(probabilities, rng: SeededRng) -> int:
     """Draw an index with the given (possibly unnormalized) weights."""
-    return sample_cumulative(np.cumsum(probabilities), rng.random())
+    return WeightTable(np.asarray(probabilities, dtype=np.float64)).sample(rng.random())
 
 
 def measure(state: StateVector, rng: SeededRng) -> int:
     """Sample a basis index from |amps|^2; raises if the norm has drifted."""
-    return sample_cumulative(born_cumulative(state.amps), rng.random())
+    return born_table(state.amps).sample(rng.random())

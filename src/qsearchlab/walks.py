@@ -537,7 +537,7 @@ def marked_pair_probability(chain: MarkovChain, edge_state: np.ndarray) -> float
 def measure_edge(chain: MarkovChain, edge_state: np.ndarray, rng: SeededRng) -> Tuple[int, int]:
     """Sample an ordered pair (x, y) from |psi[(x, y)]|^2; raises if the norm has drifted."""
     psi = _edge_amplitudes(chain, edge_state)
-    edge = sim.sample_cumulative(sim.born_cumulative(psi), rng.random())
+    edge = sim.born_table(psi).sample(rng.random())
     edges = chain.edges()
     return int(edges.rows[edge]), int(edges.cols[edge])
 

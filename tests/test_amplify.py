@@ -11,7 +11,6 @@ from qsearchlab import grover, sim
 from qsearchlab.amplify import (
     AmplifyParams,
     AmplifyResult,
-    _reflect_about_zero,
     amplification_round,
     amplification_schedule_scale,
     amplitude_amplify,
@@ -20,7 +19,7 @@ from qsearchlab.amplify import (
     preparation_from_target,
     uniform_preparation,
 )
-from qsearchlab.sim import ParameterError, PredicateOracle, SeededRng, StateVector
+from qsearchlab.sim import ParameterError, PredicateOracle, SeededRng, SizeCapError, StateVector
 
 
 # mpmath: ceil(pi / (4*asin(sqrt(eps))) - 1/2) at 50 digits
@@ -100,6 +99,34 @@ def test_preparation_from_target_rejects_zero_vector():
         preparation_from_target(np.zeros(4))
 
 
+def test_uniform_preparation_refuses_oversized_dimensions():
+    with pytest.raises(SizeCapError):
+        uniform_preparation(2**40)
+
+
+@pytest.mark.parametrize("target", ["uniform", "random", "zero"])
+def test_start_is_the_forward_image_of_zero_and_read_only(target):
+    dimension = 11
+    prep = _preparation(target, dimension, SeededRng(42).generator)
+    made = prep.forward(sim.basis_state(dimension)).amps
+    assert np.array_equal(prep.start, made)
+    assert prep.start.dtype == made.dtype
+    assert prep.start is prep.start  # computed once
+    assert not prep.start.flags.writeable
+    with pytest.raises(ValueError):
+        prep.start[0] = 0.0
+
+
+def _preparation(target, dimension, gen):
+    if target == "uniform":
+        return uniform_preparation(dimension)
+    if target == "random":
+        raw = gen.normal(size=dimension)
+        return preparation_from_target(raw / np.linalg.norm(raw))
+    # target e0: the Householder vector vanishes and the preparation is the identity
+    return preparation_from_target(np.eye(dimension)[0])
+
+
 # ---------------------------------------------------------------- amplifier
 
 def test_amplify_exact_floor_boosts_success():
@@ -140,19 +167,28 @@ def test_amplify_lower_bound_mode_is_one_sided():
     assert wins >= 100
 
 
-def test_amplification_round_matches_manual_reflections():
+@pytest.mark.parametrize("target", ["uniform", "random", "zero"])
+def test_amplification_round_matches_manual_reflections(target):
     rng = SeededRng(91)
     dimension = 10
-    prep = uniform_preparation(dimension)
+    prep = _preparation(target, dimension, rng.generator)
     counter = sim.PredicateOracle(dimension, marked=[2, 7])
-    state = prep.forward(sim.basis_state(dimension))
-    stepped = amplification_round(state, prep, np.array([2, 7]), counter)
-    # manual route: flip good, then reflect about the prepared state
-    manual = sim.apply_phase_flip(state, [2, 7], sim.PredicateOracle(dimension, marked=[2, 7]))
-    u = prep.forward(sim.basis_state(dimension)).amps
-    reflect = 2.0 * np.outer(u, u.conj()) - np.eye(dimension)
-    assert np.allclose(stepped.amps, reflect @ manual.amps, atol=1e-12)
-    assert counter.query_count == 1
+    raw = rng.generator.normal(size=dimension)
+    for state in (prep.forward(sim.basis_state(dimension)), StateVector(raw / np.linalg.norm(raw))):
+        stepped = amplification_round(state, prep, np.array([2, 7]), counter)
+        # manual route: flip good, then reflect about the prepared state
+        manual = sim.apply_phase_flip(state, [2, 7], sim.PredicateOracle(dimension, marked=[2, 7]))
+        u = prep.forward(sim.basis_state(dimension)).amps
+        reflect = 2.0 * np.outer(u, u.conj()) - np.eye(dimension)
+        assert np.allclose(stepped.amps, reflect @ manual.amps, atol=1e-12)
+        # and it is the conjugated reflection A (2|0><0| - I) A^-1 it stands for
+        forward, inverse = (
+            np.column_stack([apply(sim.basis_state(dimension, j)).amps for j in range(dimension)])
+            for apply in (prep.forward, prep.inverse))
+        about_zero = -np.eye(dimension)
+        about_zero[0, 0] = 1.0
+        assert np.allclose(stepped.amps, forward @ about_zero @ inverse @ manual.amps, atol=1e-12)
+    assert counter.query_count == 2
 
 
 def _plain_lower_bound_amplify(prep, mask, success_floor, rng):
@@ -238,35 +274,25 @@ def test_out_and_pure_amplification_steps_agree_bit_for_bit(
     dimension, data, seed, target, complex_state, in_place
 ):
     gen = SeededRng(seed, 2).generator
-    if target == "uniform":
-        prep = uniform_preparation(dimension)
-    elif target == "random":
-        raw = gen.normal(size=dimension)
-        prep = preparation_from_target(raw / np.linalg.norm(raw))
-    else:  # target e0: the Householder vector vanishes and the preparation is the identity
-        prep = preparation_from_target(np.eye(dimension)[0])
+    prep = _preparation(target, dimension, gen)
     good = np.array(sorted(data.draw(st.sets(st.integers(0, dimension - 1)))), dtype=np.int64)
     raw = gen.normal(size=dimension) + (1j * gen.normal(size=dimension) if complex_state else 0)
     state = StateVector(raw / np.linalg.norm(raw))
-    steps = (
-        prep.forward,
-        prep.inverse,
-        _reflect_about_zero,
-        lambda s, **out: amplification_round(
-            s, prep, good, PredicateOracle(dimension, marked=good), **out),
-    )
-    for step in steps:
-        before = state.amps.copy()
-        pure = step(state)
-        assert np.array_equal(state.amps, before)  # a pure call leaves its input alone
-        owned = StateVector(before.copy())
-        buffer = owned.amps if in_place else np.full_like(before, np.nan)
-        written = step(owned, out=buffer)
-        assert written.amps is buffer
-        assert written.amps.dtype == pure.amps.dtype == before.dtype
-        assert np.array_equal(written.amps, pure.amps)
-        if not in_place:
-            assert np.array_equal(owned.amps, before)
+
+    def step(s, **out):
+        return amplification_round(s, prep, good, PredicateOracle(dimension, marked=good), **out)
+
+    before = state.amps.copy()
+    pure = step(state)
+    assert np.array_equal(state.amps, before)  # a pure call leaves its input alone
+    owned = StateVector(before.copy())
+    buffer = owned.amps if in_place else np.full_like(before, np.nan)
+    written = step(owned, out=buffer)
+    assert written.amps is buffer
+    assert written.amps.dtype == pure.amps.dtype == before.dtype
+    assert np.array_equal(written.amps, pure.amps)
+    if not in_place:
+        assert np.array_equal(owned.amps, before)
 
 
 def test_amplify_with_empty_good_set_never_claims_success():

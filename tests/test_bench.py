@@ -287,21 +287,32 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 2
 
 
-def test_python_dash_m_runs_the_cli():
+def _python_dash_m(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(qsearchlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run(
-        [sys.executable, "-m", "qsearchlab", "run", "--experiment", "grover-scaling",
-         "--trials", "1", "--seed", "0", "--format", "jsonl"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, "-m", "qsearchlab", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _python_dash_m("run", "--experiment", "grover-scaling",
+                          "--trials", "1", "--seed", "0", "--format", "jsonl")
     assert done.returncode == 0, done.stderr
     rows = [json.loads(line) for line in done.stdout.splitlines()]
     expected = run_experiment(ExperimentConfig(experiment="grover-scaling", trials=1, seed=0))
     assert len(rows) == len(expected) > 0
     assert [(row["size"], row["queries"], row["steps"], row["success"]) for row in rows] == [
         (r.size, r.queries, r.steps, r.success) for r in expected]
+
+
+def test_oversized_state_fails_before_allocating_with_exit_code_2():
+    # 2^40 amplitudes: without the cap the first size-long array raises MemoryError at once
+    done = _python_dash_m("run", "--experiment", "grover-scaling",
+                          "--sizes", str(2**40), "--trials", "1", "--no-summary")
+    assert done.returncode == 2, done.stderr
+    assert "over the cap" in done.stderr
+    assert "MemoryError" not in done.stderr
 
 
 def test_cli_selftest_passes(capsys):

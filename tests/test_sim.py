@@ -7,7 +7,7 @@ witness to their own correctness.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsearchlab import sim
@@ -17,16 +17,18 @@ from qsearchlab.sim import (
     ParameterError,
     PredicateOracle,
     SeededRng,
+    SizeCapError,
     StateVector,
     ValueOracle,
+    WeightTable,
     apply_diffusion,
     apply_diffusion_rotation,
     apply_phase_flip,
     apply_phase_rotation,
     basis_state,
-    born_cumulative,
+    born_table,
+    check_state_size,
     measure,
-    sample_cumulative,
     sample_index,
     uniform_state,
 )
@@ -104,6 +106,17 @@ def test_basis_state_validation():
         basis_state(3, 3)
     with pytest.raises(ParameterError):
         uniform_state(0)
+
+
+def test_state_constructors_refuse_oversized_dimensions_before_allocating():
+    # 2^40 amplitudes would ask for 8-16 TiB, so a missing check fails at once
+    for make in (uniform_state, basis_state):
+        with pytest.raises(SizeCapError):
+            make(2**40)
+    largest = sim.STATE_BYTE_CAP // 16
+    check_state_size(largest)
+    with pytest.raises(SizeCapError):
+        check_state_size(largest + 1)
 
 
 # ------------------------------------------------------------------ oracles
@@ -449,15 +462,73 @@ def test_sample_index_never_returns_a_zero_weight_index():
 def test_born_cumulative_is_kind_blind_and_checks_the_norm():
     rng = SeededRng(20)
     real = _random_real_state(rng, 7).amps
-    edges = born_cumulative(real)
-    assert np.array_equal(edges, born_cumulative(real.astype(np.complex128)))
+    table = born_table(real)
+    edges = table.edges
+    assert np.array_equal(edges, born_table(real.astype(np.complex128)).edges)
     assert np.array_equal(edges, np.cumsum(real * real))
     # a real and a complex state with equal moduli measure alike
     for draw in (0.0, 0.3, 0.999):
-        assert sample_cumulative(edges, draw) == sample_cumulative(
-            born_cumulative(real * np.exp(0.4j)), draw)
+        assert table.sample(draw) == born_table(real * np.exp(0.4j)).sample(draw)
     with pytest.raises(NormalizationError):
-        born_cumulative(np.full(4, 0.6))
+        born_table(np.full(4, 0.6))
+
+
+def _reference_sample(weights: np.ndarray, draw: float) -> tuple[int, np.ndarray]:
+    # the one-level sampler: one sequential running sum over every weight
+    edges = np.cumsum(weights)
+    index = int(np.searchsorted(edges, draw * edges[-1], side="right"))
+    if index == edges.size:
+        index = int(np.searchsorted(edges, edges[-1], side="left"))
+    return index, edges
+
+
+_TABLE_SIZES = st.one_of(
+    st.integers(sim.ONE_LEVEL_MAX - 2, sim.ONE_LEVEL_MAX + 2),
+    st.builds(lambda blocks, step: blocks * sim.BLOCK + step,
+              st.integers(sim.ONE_LEVEL_MAX // sim.BLOCK + 1, 40), st.integers(-1, 1)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    size=_TABLE_SIZES,
+    shape=st.sampled_from(["random", "zero blocks", "one amplitude", "subnormal"]),
+    seed=st.integers(0, 2**20),
+    complex_state=st.booleans(),
+    squared=st.booleans(),
+)
+def test_weight_table_matches_one_sequential_running_sum(size, shape, seed, complex_state, squared):
+    gen = SeededRng(seed, 3).generator
+    amps = gen.normal(size=size)
+    if shape == "zero blocks":  # whole blocks, and so whole block totals, of zero weight
+        blocks = amps[: size - size % sim.BLOCK].reshape(-1, sim.BLOCK)
+        blocks[gen.random(len(blocks)) < 0.6] = 0.0
+    elif shape in ("one amplitude", "subnormal"):
+        amps = np.zeros(size)
+        spots = gen.choice(size, size=1 if shape == "one amplitude" else 3, replace=False)
+        amps[spots] = 1.0 if shape == "one amplitude" else gen.uniform(1e-162, 1e-160, size=3)
+    if complex_state:
+        amps = amps * np.exp(1j * gen.uniform(0, 2 * np.pi, size=size))
+    assume(amps.any())
+    if shape != "subnormal":
+        amps = amps / np.linalg.norm(amps)
+    weights = np.square(np.abs(amps))
+    assume(weights.sum() > 0)  # subnormal amplitudes can square to zero
+    table = born_table(amps) if shape != "subnormal" and squared else (
+        WeightTable(amps, squared=True) if squared else WeightTable(weights))
+    draws = np.concatenate([gen.random(40), [0.0, float(np.nextafter(1.0, 0.0))]])
+    for draw in draws:
+        index = table.sample(float(draw))
+        assert weights[index] > 0
+        expected, edges = _reference_sample(weights, float(draw))
+        if size <= sim.ONE_LEVEL_MAX or not squared:
+            assert np.array_equal(table.edges, edges)
+        target = float(draw) * edges[-1]
+        if np.abs(edges - target).min() > 1e-12 * edges[-1]:
+            assert index == expected
+    if shape != "subnormal":
+        with pytest.raises(NormalizationError):
+            born_table(amps * (1.0 + 1e-5))
 
 
 def test_measure_deterministic_under_fixed_stream():
