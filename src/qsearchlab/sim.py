@@ -486,7 +486,7 @@ def born_table(amps: np.ndarray) -> WeightTable:
 
 def sample_index(probabilities, rng: SeededRng) -> int:
     """Draw an index with the given (possibly unnormalized) weights."""
-    return WeightTable(np.asarray(probabilities, dtype=np.float64)).sample(rng.random())
+    return WeightTable(probabilities).sample(rng.random())
 
 
 def measure(state: StateVector, rng: SeededRng) -> int:
