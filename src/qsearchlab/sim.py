@@ -449,6 +449,12 @@ class WeightTable:
                 tail = flat[whole:]
                 weights = np.append(weights, tail @ tail)
         self.edges = np.cumsum(weights, out=weights)
+        if self._amps is not None and self.edges[-1] < self._amps.size * _TINY:
+            # a square rounded into the subnormal range is off by up to an ulp
+            # of 2^-1074, which is no longer small against such a total: sum
+            # the very weights a draw reads back inside its block
+            blocks = np.add.reduceat(_born_weights(self._amps), np.arange(0, self._amps.size, BLOCK))
+            self.edges = np.cumsum(blocks, out=blocks)
         self.total = self.edges[-1]
 
     def sample(self, draw: float) -> int:
@@ -470,6 +476,9 @@ class WeightTable:
         if offset == local.size:  # rounding put the remainder past the block's own sum
             offset = int(np.searchsorted(local, local[-1], side="left"))
         return start + offset
+
+
+_TINY = np.finfo(np.float64).tiny
 
 
 def _born_weights(amps: np.ndarray) -> np.ndarray:

@@ -167,28 +167,28 @@ def test_amplify_lower_bound_mode_is_one_sided():
     assert wins >= 100
 
 
-@pytest.mark.parametrize("target", ["uniform", "random", "zero"])
-def test_amplification_round_matches_manual_reflections(target):
+def test_amplification_round_matches_manual_reflections():
     rng = SeededRng(91)
     dimension = 10
-    prep = _preparation(target, dimension, rng.generator)
-    counter = sim.PredicateOracle(dimension, marked=[2, 7])
-    raw = rng.generator.normal(size=dimension)
-    for state in (prep.forward(sim.basis_state(dimension)), StateVector(raw / np.linalg.norm(raw))):
-        stepped = amplification_round(state, prep, np.array([2, 7]), counter)
-        # manual route: flip good, then reflect about the prepared state
-        manual = sim.apply_phase_flip(state, [2, 7], sim.PredicateOracle(dimension, marked=[2, 7]))
-        u = prep.forward(sim.basis_state(dimension)).amps
-        reflect = 2.0 * np.outer(u, u.conj()) - np.eye(dimension)
-        assert np.allclose(stepped.amps, reflect @ manual.amps, atol=1e-12)
-        # and it is the conjugated reflection A (2|0><0| - I) A^-1 it stands for
-        forward, inverse = (
-            np.column_stack([apply(sim.basis_state(dimension, j)).amps for j in range(dimension)])
-            for apply in (prep.forward, prep.inverse))
-        about_zero = -np.eye(dimension)
-        about_zero[0, 0] = 1.0
-        assert np.allclose(stepped.amps, forward @ about_zero @ inverse @ manual.amps, atol=1e-12)
-    assert counter.query_count == 2
+    for target in ("uniform", "random", "zero"):
+        prep = _preparation(target, dimension, rng.generator)
+        counter = sim.PredicateOracle(dimension, marked=[2, 7])
+        raw = rng.generator.normal(size=dimension)
+        for state in (prep.forward(sim.basis_state(dimension)), StateVector(raw / np.linalg.norm(raw))):
+            stepped = amplification_round(state, prep, np.array([2, 7]), counter)
+            # manual route: flip good, then reflect about the prepared state
+            manual = sim.apply_phase_flip(state, [2, 7], sim.PredicateOracle(dimension, marked=[2, 7]))
+            u = prep.forward(sim.basis_state(dimension)).amps
+            reflect = 2.0 * np.outer(u, u.conj()) - np.eye(dimension)
+            assert np.allclose(stepped.amps, reflect @ manual.amps, atol=1e-12)
+            # and it is the conjugated reflection A (2|0><0| - I) A^-1 it stands for
+            forward, inverse = (
+                np.column_stack([apply(sim.basis_state(dimension, j)).amps for j in range(dimension)])
+                for apply in (prep.forward, prep.inverse))
+            about_zero = -np.eye(dimension)
+            about_zero[0, 0] = 1.0
+            assert np.allclose(stepped.amps, forward @ about_zero @ inverse @ manual.amps, atol=1e-12)
+        assert counter.query_count == 2
 
 
 def _plain_lower_bound_amplify(prep, mask, success_floor, rng):
