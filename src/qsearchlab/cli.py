@@ -63,19 +63,14 @@ def _cmd_selftest() -> int:
 
 
 def _cmd_run(args) -> int:
-    overrides = {
-        "experiment": args.experiment,
-        "sizes": args.sizes,
-        "trials": args.trials,
-        "seed": args.seed,
-        "out": args.out,
-        "format": args.format,
-        "jobs": args.jobs,
-    }
+    # only the flags given are passed on, so ExperimentConfig owns the defaults
+    flags = {key: getattr(args, key)
+             for key in ("sizes", "trials", "seed", "out", "format", "jobs")
+             if getattr(args, key) is not None}
     if args.config is not None:
         if args.experiment == "all":
             raise UsageError("'all' cannot be combined with a config file")
-        configs = [bench.load_config(args.config, overrides)]
+        configs = [bench.load_config(args.config, dict(flags, experiment=args.experiment))]
     else:
         if not args.experiment:
             raise UsageError(
@@ -87,18 +82,9 @@ def _cmd_run(args) -> int:
             if args.experiment == "all"
             else (args.experiment,)
         )
-        configs = [
-            bench.ExperimentConfig(
-                experiment=name,
-                sizes=bench.parse_sizes(args.sizes) if args.sizes else (),
-                trials=args.trials if args.trials is not None else 5,
-                seed=args.seed if args.seed is not None else 0,
-                out=args.out,
-                format=args.format or "csv",
-                jobs=args.jobs if args.jobs is not None else 1,
-            )
-            for name in names
-        ]
+        if "sizes" in flags:
+            flags["sizes"] = bench.parse_sizes(flags["sizes"])
+        configs = [bench.ExperimentConfig(experiment=name, **flags) for name in names]
 
     fmt = configs[0].format
     out_path = configs[0].out

@@ -19,8 +19,10 @@ Measurement draws from a `WeightTable` of |amps|^2: one sequential running
 sum up to ONE_LEVEL_MAX amplitudes; above that, a running sum over
 vectorized BLOCK totals plus a sequential sum over the one block a draw
 lands in.  Either way the squared norm is checked, the draw is scaled by
-it, and no index of zero weight is returned.  `uniform_state` and
-`basis_state` refuse a state over STATE_BYTE_CAP before allocating it.
+it, and no index of zero weight is returned.  This is the package's one
+sampler: the walks measure their flat amplitude vectors through it too.
+`uniform_state` and `basis_state` refuse a state over STATE_BYTE_CAP
+before allocating it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "check_state_size",
     "WeightTable",
     "born_table",
-    "sample_index",
     "measure",
 ]
 
@@ -418,26 +419,24 @@ def apply_diffusion_rotation(state: StateVector, angle: float) -> StateVector:
 
 
 class WeightTable:
-    """Index sampler over non-negative weights, or over |values|^2 when `squared`.
+    """Index sampler over the weights |amps|^2.
 
     `edges` is the running sum of the weights, except for more than
-    ONE_LEVEL_MAX squared amplitudes: then it is the running sum of the
-    totals of BLOCK-long blocks (the last may be shorter), and a draw reads
-    the amplitudes again for the block it lands in, so the table is valid
-    only until they change.  Plain weights always stay one level.
+    ONE_LEVEL_MAX amplitudes: then it is the running sum of the totals of
+    BLOCK-long blocks (the last may be shorter), and a draw reads the
+    amplitudes again for the block it lands in, so the table is valid only
+    until they change.
     """
 
     __slots__ = ("edges", "total", "_amps")
 
-    def __init__(self, values: np.ndarray, squared: bool = False):
+    def __init__(self, amps: np.ndarray):
         self._amps = None
-        if not squared:
-            weights = np.array(values, dtype=np.float64)
-        elif values.size <= ONE_LEVEL_MAX:
-            weights = _born_weights(values)
+        if amps.size <= ONE_LEVEL_MAX:
+            weights = _born_weights(amps)
         else:
-            kind = np.complex128 if np.iscomplexobj(values) else np.float64
-            self._amps = amps = np.ascontiguousarray(values, dtype=kind)
+            kind = np.complex128 if np.iscomplexobj(amps) else np.float64
+            self._amps = amps = np.ascontiguousarray(amps, dtype=kind)
             # block totals: complex amplitudes are summed as (real, imaginary)
             # float pairs, by row-wise dot products batched through matmul
             flat = amps.view(np.float64)
@@ -487,15 +486,10 @@ def _born_weights(amps: np.ndarray) -> np.ndarray:
 
 def born_table(amps: np.ndarray) -> WeightTable:
     """Weight table of |amps|^2; raises if its total, the squared norm, has drifted."""
-    table = WeightTable(amps, squared=True)
+    table = WeightTable(amps)
     if abs(table.total - 1.0) > MEASURE_NORM_TOL:
         raise NormalizationError(f"cannot measure state with squared norm {table.total:.6g}")
     return table
-
-
-def sample_index(probabilities, rng: SeededRng) -> int:
-    """Draw an index with the given (possibly unnormalized) weights."""
-    return WeightTable(probabilities).sample(rng.random())
 
 
 def measure(state: StateVector, rng: SeededRng) -> int:

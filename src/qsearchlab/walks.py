@@ -1,13 +1,18 @@
 """Quantum walk search: coined torus walks and Szegedy-quantized chains.
 
-The coined walk lives on (cell, direction) amplitudes over a periodic grid
-with a direction-reversing shift and a uniform-reflection coin that is
-negated on marked cells; one step bundles a query and a move.
+Both walks use the `sim` state model: flat amplitude vectors that stay
+float64 until a complex phase enters, measured by `sim`'s one Born sampler.
+
+The coined walk lives on (cell, direction) amplitudes over a periodic grid,
+held as a `sim.StateVector` of length cells * directions in (cell,
+direction) row-major order.  A step is a direction-reversing shift and a
+uniform-reflection coin that is negated on marked cells; it bundles a query
+and a move.
 
 The chain quantization acts on amplitudes over ordered vertex pairs (x, y),
 but a state is only ever supported on the nonzero transitions of P: the
 stationary state lives there, and the marked-row flip and both reflections
-keep it there.  States are therefore 1-D vectors with one amplitude per
+keep it there.  States are therefore 1-D arrays with one amplitude per
 edge of the chain's cached edge structure, in row-major order.  Within one
 search every shot restarts from the same stationary state, so each shot is
 a prefix of one deterministic trajectory; the search computes that
@@ -31,12 +36,12 @@ from .sim import (
     ParameterError,
     SeededRng,
     SizeCapError,
+    StateVector,
     ValueOracle,
 )
 
 __all__ = [
     "TorusGrid",
-    "CoinedState",
     "GridWalkResult",
     "ScanResult",
     "uniform_coined_state",
@@ -77,8 +82,9 @@ CHAIN_FILE_TOL = 1e-9
 # and its eigvalsh desk-scale.
 JOHNSON_STATE_CAP = 5000
 # Byte cap on one search's memoized shot trajectory: the longest possible
-# shot plus the start state, at one complex128 per edge.  Checked before
-# anything is allocated.
+# shot plus the start state.  Counted at one complex128 (16 B) per edge, the
+# way sim.STATE_BYTE_CAP is, although the stationary trajectory stays
+# float64.  Checked before anything is allocated.
 TRAJECTORY_BYTE_CAP = 256 * 2**20
 # Hitting solves kept per chain structure.  Base chains are cached for the
 # life of the process and every trial may mark a new set, so the oldest
@@ -173,57 +179,49 @@ class TorusGrid:
         return self._scan_order
 
 
-class CoinedState:
-    """Amplitudes over (cell, direction) pairs of a torus grid."""
-
-    __slots__ = ("amps",)
-
-    def __init__(self, amps: np.ndarray, copy: bool = True):
-        arr = np.array(amps, dtype=np.complex128, copy=copy)
-        if arr.ndim != 2:
-            raise ParameterError("coined state must be a (cells, directions) array")
-        self.amps = arr
-
-    def cell_probabilities(self) -> np.ndarray:
-        p = (np.abs(self.amps) ** 2).sum(axis=1)
-        return p / p.sum()
-
-    def norm(self) -> float:
-        return float(np.sqrt((np.abs(self.amps) ** 2).sum()))
+def uniform_coined_state(grid: TorusGrid) -> StateVector:
+    """Equal float64 amplitudes on every (cell, direction) pair."""
+    return sim.uniform_state(grid.cells * grid.direction_count)
 
 
-def uniform_coined_state(grid: TorusGrid) -> CoinedState:
-    amps = np.full(
-        (grid.cells, grid.direction_count),
-        1.0 / math.sqrt(grid.cells * grid.direction_count),
-        dtype=np.complex128,
-    )
-    return CoinedState(amps, copy=False)
-
-
-def localized_coined_state(grid: TorusGrid, cell: int) -> CoinedState:
+def localized_coined_state(grid: TorusGrid, cell: int) -> StateVector:
+    """Equal float64 amplitudes on the directions of one cell."""
     if not 0 <= cell < grid.cells:
         raise IndexError(f"cell {cell} out of range")
-    amps = np.zeros((grid.cells, grid.direction_count), dtype=np.complex128)
-    amps[cell, :] = 1.0 / math.sqrt(grid.direction_count)
-    return CoinedState(amps, copy=False)
+    k = grid.direction_count
+    sim.check_state_size(grid.cells * k)
+    amps = np.zeros(grid.cells * k)
+    amps[cell * k:(cell + 1) * k] = 1.0 / math.sqrt(k)
+    return StateVector(amps, copy=False, _trusted=True)
 
 
-def grid_walk_step(grid: TorusGrid, state: CoinedState, marked) -> CoinedState:
+def grid_walk_step(grid: TorusGrid, state: StateVector, marked) -> StateVector:
     """One bundled walk step: direction-reversing shift, then the coin.
 
     Unmarked cells get the uniform-reflection coin (2*mean - amp across the
-    cell's directions); marked cells get the negated identity coin.
+    cell's directions); marked cells get the negated identity coin.  The
+    result is a new state of the input's kind.
     """
-    flat = state.amps.reshape(-1)
-    shifted = np.empty_like(flat)
-    shifted[grid.shift_map()] = flat
-    shifted = shifted.reshape(grid.cells, grid.direction_count)
-    means = shifted.mean(axis=1, keepdims=True)
-    out = 2.0 * means - shifted
+    k = grid.direction_count
+    if state.dimension != grid.cells * k:
+        raise ParameterError(
+            f"coined state must have {grid.cells * k} amplitudes, got {state.dimension}")
     marked_idx = sim._as_index_array(marked, grid.cells)
-    out[marked_idx] = -shifted[marked_idx]
-    return CoinedState(out, copy=False)
+    # the shift is an involution, so gathering through it equals scattering
+    out = state.amps[grid.shift_map()]
+    cells = out.reshape(grid.cells, k)
+    # 2 * mean with the arithmetic of numpy's complex mean, which sums a row
+    # two pairs first and divides by k as a product with 1/k: real and
+    # complex states then step alike, bit for bit
+    twice_means = cells[:, 0] + cells[:, 1]
+    twice_means += cells[:, 2] + cells[:, 3]
+    for direction in range(4, k):
+        twice_means += cells[:, direction]
+    twice_means *= 1.0 / k
+    twice_means *= 2.0
+    twice_means[marked_idx] = 0.0  # 0 - amp is the negated identity coin
+    np.subtract(twice_means[:, None], cells, out=cells)
+    return StateVector(out, copy=False, _trusted=True)
 
 
 def grid_walk_probability_profile(grid: TorusGrid, marked, max_steps: int) -> np.ndarray:
@@ -239,8 +237,8 @@ def grid_walk_probability_profile(grid: TorusGrid, marked, max_steps: int) -> np
     for step in range(max_steps + 1):
         if step:
             state = grid_walk_step(grid, state, marked_idx)
-        p = (np.abs(state.amps[marked_idx]) ** 2).sum() if marked_idx.size else 0.0
-        profile[step] = p
+        cells = state.amps.reshape(grid.cells, -1)
+        profile[step] = (np.abs(cells[marked_idx]) ** 2).sum() if marked_idx.size else 0.0
     return profile
 
 
@@ -268,7 +266,7 @@ def grid_walk_search(
     for _ in range(steps):
         state = grid_walk_step(grid, state, marked_idx)
     oracle.charge(steps)
-    cell = sim.sample_index(state.cell_probabilities(), rng)
+    cell = sim.measure(state, rng) // grid.direction_count
     return GridWalkResult(cell=cell if oracle.query(cell) else None, steps=steps)
 
 
@@ -490,7 +488,7 @@ def load_chain(text: str) -> MarkovChain:
 
 def stationary_edge_state(chain: MarkovChain) -> np.ndarray:
     """Start state sqrt(P[x, y] / size), one amplitude per edge of the chain."""
-    return (chain.edges().root / math.sqrt(chain.size)).astype(np.complex128)
+    return chain.edges().root / math.sqrt(chain.size)
 
 
 def _edge_amplitudes(chain: MarkovChain, edge_state) -> np.ndarray:
@@ -502,6 +500,21 @@ def _edge_amplitudes(chain: MarkovChain, edge_state) -> np.ndarray:
     return psi
 
 
+def _row_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sums of the runs of edge values that begin at `starts`.
+
+    numpy adds complex runs of five or more in another order than real
+    ones, so complex values are summed part by part: a complex state with
+    zero imaginary part then steps bit for bit like its real part.
+    """
+    if not np.iscomplexobj(values):
+        return np.add.reduceat(values, starts)
+    sums = np.empty(starts.size, dtype=values.dtype)
+    sums.real = np.add.reduceat(values.real, starts)
+    sums.imag = np.add.reduceat(values.imag, starts)
+    return sums
+
+
 def szegedy_step(chain: MarkovChain, edge_state: np.ndarray) -> np.ndarray:
     """One quantized step on the edge amplitudes psi[(x, y)].
 
@@ -510,15 +523,17 @@ def szegedy_step(chain: MarkovChain, edge_state: np.ndarray) -> np.ndarray:
     overlap is a segmented sum of sqrt(P) * psi over the row's edges; a
     column overlap is the same sum over the transposed edges.  The state is
     never widened to the (size, size) pair array, so a step costs a few
-    passes over the edges.
+    passes over the edges.  The result is float64 for real input and
+    complex128 for complex input.
     """
     edges = chain.edges()
-    psi = np.array(_edge_amplitudes(chain, edge_state), dtype=np.complex128)
+    psi = _edge_amplitudes(chain, edge_state)
+    psi = np.array(psi, dtype=np.complex128 if np.iscomplexobj(psi) else np.float64)
     if chain.marked:
         np.negative(psi, out=psi, where=chain.marked_mask[edges.rows])
-    row_overlap = np.add.reduceat(edges.root * psi, edges.starts)
+    row_overlap = _row_sums(edges.root * psi, edges.starts)
     psi = 2.0 * row_overlap[edges.rows] * edges.root - psi
-    column_overlap = np.add.reduceat((edges.root * psi)[edges.transpose], edges.starts)
+    column_overlap = _row_sums((edges.root * psi)[edges.transpose], edges.starts)
     psi = 2.0 * edges.root * column_overlap[edges.cols] - psi
     return sim._settle_norm(psi)
 
@@ -750,11 +765,7 @@ def _johnson_structure(element_count: int, subset_size: int):
             matrix[i, j] = matrix[j, i] = 1.0 / degree
     for i in range(count):
         matrix[i, i] = 1.0 - matrix[i].sum()
-    member = np.zeros((count, element_count), dtype=bool)
-    for i, subset in enumerate(states):
-        member[i, list(subset)] = True
-    member.setflags(write=False)
-    return tuple(states), matrix, member
+    return tuple(states), matrix
 
 
 class JohnsonChain(MarkovChain):
@@ -770,12 +781,11 @@ class JohnsonChain(MarkovChain):
             raise ParameterError(
                 f"subset size {subset_size} must be in [1, {element_count - 1}]"
             )
-        states, matrix, member = _johnson_structure(element_count, subset_size)
+        states, matrix = _johnson_structure(element_count, subset_size)
         super().__init__(matrix, marked)
         self.element_count = element_count
         self.subset_size = subset_size
         self.states = states
-        self.member = member
 
     def subset_of(self, state: int) -> Tuple[int, ...]:
         return self.states[state]

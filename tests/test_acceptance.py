@@ -376,7 +376,7 @@ def test_criterion_09_grid_walk_spreading():
     leak = 0.0
     for t in range(1, 9):
         state = grid_walk_step(grid, state, (0,))
-        probs = state.cell_probabilities()
+        probs = state.probabilities().reshape(grid.cells, -1).sum(axis=1)
         outside = [c for c in range(grid.cells) if grid.distance(0, c) > t]
         leak = max(leak, float(probs[outside].sum()))
     if leak != 0.0:

@@ -275,6 +275,15 @@ def test_cli_flag_only_run(tmp_path):
     ])
     assert code == 0
     assert len(load_records(out)) == 2
+    # without --trials and --seed the run takes ExperimentConfig's defaults
+    bare = tmp_path / "bare.csv"
+    assert main(["run", "--experiment", "grover-scaling", "--sizes", "4,16",
+                 "--out", str(bare), "--no-summary"]) == 0
+    trials = ExperimentConfig(experiment="grover-scaling").trials
+    expected = run_experiment(ExperimentConfig(
+        experiment="grover-scaling", sizes=(4, 16), trials=trials, seed=0))
+    assert len(expected) == 2 * trials
+    assert [r.without_ms() for r in load_records(bare)] == [r.without_ms() for r in expected]
 
 
 def test_cli_usage_errors_exit_two(tmp_path, capsys):

@@ -29,7 +29,6 @@ from qsearchlab.sim import (
     born_table,
     check_state_size,
     measure,
-    sample_index,
     uniform_state,
 )
 
@@ -446,17 +445,25 @@ class _FixedDraw:
         return self.value
 
 
-def test_sample_index_never_returns_a_zero_weight_index():
-    # the weights total 0.75, so the draw is scaled into [0, 0.75)
-    assert sample_index([0.5, 0.25, 0.0], _FixedDraw(0.9)) == 1
-    assert sample_index([0.5, 0.25, 0.0], _FixedDraw(0.6)) == 0
+def _sample(amps, draw: float) -> int:
+    return WeightTable(np.asarray(amps)).sample(draw)
+
+
+def test_weight_table_never_returns_a_zero_weight_index():
+    # the weights 0.25, 0.0625, 0 total 0.3125, so the draw is scaled into [0, 0.3125)
+    assert _sample([0.5, 0.25, 0.0], 0.9) == 1
+    assert _sample([0.5, 0.25, 0.0], 0.6) == 0
     top = float(np.nextafter(1.0, 0.0))
-    assert sample_index([0.5, 0.25, 0.0], _FixedDraw(top)) == 1
-    assert sample_index([0.0, 1.0, 0.0, 0.0], _FixedDraw(top)) == 1
-    assert sample_index([0.0, 1.0, 0.0, 0.0], _FixedDraw(0.0)) == 1
+    assert _sample([0.5, 0.25, 0.0], top) == 1
+    assert _sample([0.0, 1.0, 0.0, 0.0], top) == 1
+    assert _sample([0.0, 1.0, 0.0, 0.0], 0.0) == 1
+    assert measure(StateVector([0.0, 1.0, 0.0, 0.0]), _FixedDraw(top)) == 1
+    assert measure(StateVector([0.0, 1.0, 0.0, 0.0]), _FixedDraw(0.0)) == 1
     # only a subnormal total lets the scaled draw round up onto the total
-    assert top * 5e-324 == 5e-324
-    assert sample_index([0.0, 5e-324, 0.0], _FixedDraw(top)) == 1
+    tiny = float(np.sqrt(5e-324))
+    assert tiny * tiny == 5e-324 and top * 5e-324 == 5e-324
+    assert _sample([0.0, tiny, 0.0], top) == 1
+    assert _sample([0.0, tiny * 1j, 0.0], top) == 1
 
 
 def test_born_cumulative_is_kind_blind_and_checks_the_norm():
@@ -495,9 +502,8 @@ _TABLE_SIZES = st.one_of(
     shape=st.sampled_from(["random", "zero blocks", "one amplitude", "subnormal"]),
     seed=st.integers(0, 2**20),
     complex_state=st.booleans(),
-    squared=st.booleans(),
 )
-def test_weight_table_matches_one_sequential_running_sum(size, shape, seed, complex_state, squared):
+def test_weight_table_matches_one_sequential_running_sum(size, shape, seed, complex_state):
     gen = SeededRng(seed, 3).generator
     amps = gen.normal(size=size)
     if shape == "zero blocks":  # whole blocks, and so whole block totals, of zero weight
@@ -514,14 +520,13 @@ def test_weight_table_matches_one_sequential_running_sum(size, shape, seed, comp
         amps = amps / np.linalg.norm(amps)
     weights = np.square(np.abs(amps))
     assume(weights.sum() > 0)  # subnormal amplitudes can square to zero
-    table = born_table(amps) if shape != "subnormal" and squared else (
-        WeightTable(amps, squared=True) if squared else WeightTable(weights))
+    table = born_table(amps) if shape != "subnormal" else WeightTable(amps)
     draws = np.concatenate([gen.random(40), [0.0, float(np.nextafter(1.0, 0.0))]])
     for draw in draws:
         index = table.sample(float(draw))
         assert weights[index] > 0
         expected, edges = _reference_sample(weights, float(draw))
-        if size <= sim.ONE_LEVEL_MAX or not squared:
+        if size <= sim.ONE_LEVEL_MAX:
             assert np.array_equal(table.edges, edges)
         target = float(draw) * edges[-1]
         if np.abs(edges - target).min() > 1e-12 * edges[-1]:

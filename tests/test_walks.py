@@ -22,10 +22,10 @@ from qsearchlab.sim import (
     ParameterError,
     SeededRng,
     SizeCapError,
+    StateVector,
     ValueOracle,
 )
 from qsearchlab.walks import (
-    CoinedState,
     JohnsonChain,
     MarkovChain,
     TorusGrid,
@@ -90,7 +90,8 @@ def test_grid_distance_is_a_wraparound_metric():
 
 
 def test_shift_map_is_an_involutive_permutation():
-    for side, dims in ((4, 2), (3, 3), (2, 2), (2, 3), (5, 2)):
+    # an involution is its own inverse, so a step may gather through it
+    for side, dims in ((4, 2), (3, 3), (2, 2), (2, 3), (5, 2), (3, 2), (4, 3), (5, 3)):
         grid = TorusGrid(side, dims)
         shift = grid.shift_map()
         assert sorted(shift) == list(range(grid.cells * grid.direction_count))
@@ -149,12 +150,14 @@ def test_grid_walk_step_matches_dense_operator():
         dense = _dense_coined_step(grid, marked)
         assert np.abs(dense @ dense.T - np.eye(dense.shape[0])).max() < 1e-12
         for _ in range(5):
-            raw = rng.generator.normal(size=(grid.cells, grid.direction_count))
+            raw = rng.generator.normal(size=grid.cells * grid.direction_count)
             raw = raw / np.linalg.norm(raw)
-            state = CoinedState(raw.astype(complex))
-            stepped = grid_walk_step(grid, state, marked)
-            expected = dense @ raw.reshape(-1)
-            assert np.abs(stepped.amps.reshape(-1) - expected).max() < 1e-12
+            for amps in (raw, raw * np.exp(0.7j)):
+                stepped = grid_walk_step(grid, StateVector(amps), marked)
+                assert stepped.amps.dtype == amps.dtype
+                assert np.abs(stepped.amps - dense @ amps).max() < 1e-12
+        with pytest.raises(ParameterError):
+            grid_walk_step(grid, StateVector(raw[:-1] / np.linalg.norm(raw[:-1])), marked)
 
 
 def test_walk_locality_is_exact():
@@ -164,9 +167,51 @@ def test_walk_locality_is_exact():
     state = localized_coined_state(grid, 0)
     for t in range(1, 5):
         state = grid_walk_step(grid, state, {0})
-        probs = state.cell_probabilities()
+        probs = state.probabilities().reshape(grid.cells, -1).sum(axis=1)
         outside = [c for c in range(grid.cells) if grid.distance(0, c) > t]
         assert float(probs[outside].sum()) == 0.0
+
+
+def _scatter_coined_step(grid: TorusGrid, amps: np.ndarray, marked) -> np.ndarray:
+    """Reference step on complex amplitudes: scatter through the shift, then the coin."""
+    flat = np.asarray(amps, dtype=np.complex128)
+    shifted = np.empty_like(flat)
+    shifted[grid.shift_map()] = flat
+    shifted = shifted.reshape(grid.cells, grid.direction_count)
+    out = 2.0 * shifted.mean(axis=1, keepdims=True) - shifted
+    cells = sorted(set(marked))
+    out[cells] = -shifted[cells]
+    return out.reshape(-1)
+
+
+@st.composite
+def _grid_cases(draw):
+    grid = TorusGrid(draw(st.integers(2, 6)), draw(st.sampled_from((2, 3))))
+    marked = draw(st.lists(st.integers(0, grid.cells - 1), max_size=6))
+    start = draw(st.sampled_from(("uniform", "localized", "random")))
+    if start == "uniform":
+        state = uniform_coined_state(grid)
+    elif start == "localized":
+        state = localized_coined_state(grid, draw(st.integers(0, grid.cells - 1)))
+    else:
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        raw = gen.normal(size=grid.cells * grid.direction_count)
+        state = StateVector(raw / np.linalg.norm(raw))
+    return grid, marked, state
+
+
+@given(_grid_cases())
+@settings(max_examples=80, deadline=None)
+def test_real_grid_step_equals_complex_scatter_step(case):
+    grid, marked, state = case
+    assert state.amps.dtype == np.float64
+    reference = state.amps.astype(np.complex128)
+    for _ in range(3):
+        state = grid_walk_step(grid, state, marked)
+        reference = _scatter_coined_step(grid, reference, marked)
+        assert state.amps.dtype == np.float64
+        assert np.array_equal(state.amps, reference.real)
+        assert np.all(reference.imag == 0.0)
 
 
 def test_uniform_profile_starts_at_marked_fraction():
@@ -414,6 +459,40 @@ def _small_chains(draw):
 def test_edge_step_matches_dense_on_random_chains(case):
     chain, seed = case
     _assert_step_matches_dense(chain, SeededRng(seed))
+
+
+@st.composite
+def _family_chains(draw):
+    """Cycle, torus, complete and Johnson chains with a random marked set."""
+    family = draw(st.sampled_from(("cycle", "torus", "complete", "johnson")))
+    if family == "cycle":
+        chain = cycle_chain(draw(st.integers(3, 12)))
+    elif family == "torus":
+        chain = torus_chain(draw(st.integers(2, 4)), draw(st.sampled_from((2, 3))))
+    elif family == "complete":
+        chain = complete_graph_chain(draw(st.integers(2, 8)))
+    else:
+        elements = draw(st.integers(3, 6))
+        chain = JohnsonChain(elements, draw(st.integers(1, elements - 1)))
+    marked = draw(st.sets(st.integers(0, chain.size - 1), max_size=3))
+    return chain.with_marked(marked), draw(st.integers(0, 2**32 - 1))
+
+
+@given(_family_chains())
+@settings(max_examples=60, deadline=None)
+def test_real_szegedy_step_equals_complex_step(case):
+    chain, seed = case
+    start = stationary_edge_state(chain)
+    assert start.dtype == np.float64
+    raw = np.random.default_rng(seed).normal(size=chain.edges().count)
+    for psi in (start, raw / np.linalg.norm(raw)):
+        reference = psi.astype(np.complex128)
+        for _ in range(3):
+            psi = szegedy_step(chain, psi)
+            reference = szegedy_step(chain, reference)
+            assert psi.dtype == np.float64 and reference.dtype == np.complex128
+            assert np.array_equal(psi, reference.real)
+            assert np.all(reference.imag == 0.0)
 
 
 def test_stationary_state_is_fixed_without_marks():
