@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "experiment,size,trial,seed,queries,steps,success,ms"
-_FIELD_NAMES = ("experiment", "size", "trial", "seed", "queries", "steps", "success", "ms")
 _FORMATS = {"csv": "csv", "jsonl": "jsonl", "json-lines": "jsonl"}
 
 
@@ -98,6 +97,11 @@ class ScalingFit:
 # Trial runners.  Each maps (size, rng, params) -> (queries, steps, success).
 
 
+def _random_values(size: int, rng: SeededRng) -> np.ndarray:
+    sim.check_state_size(size)  # before the permutation, the first size-long array
+    return rng.generator.permutation(size)
+
+
 def _single_marked_oracle(size: int, rng: SeededRng, marked_count: int = 1):
     sim.check_state_size(size)  # before the bit table, the first size-long array
     targets = rng.generator.choice(size, size=marked_count, replace=False)
@@ -140,7 +144,7 @@ def _trial_amplify_uniform(size, rng, params):
 
 
 def _trial_min_scaling(size, rng, params):
-    values = rng.generator.permutation(size)
+    values = _random_values(size, rng)
     oracle = sim.ValueOracle(values)
     result = minima.find_minimum(oracle, size, rng)
     return float(result.queries), int(result.verified), result.index == int(np.argmin(values))
@@ -150,7 +154,7 @@ def _trial_local_min(size, rng, params):
     bit_count = size.bit_length() - 1
     if 1 << bit_count != size:
         raise ParameterError(f"local-min sizes must be powers of two, got {size}")
-    values = rng.generator.permutation(size)
+    values = _random_values(size, rng)
     oracle = minima.HypercubeOracle(bit_count, values)
     result = minima.find_local_minimum(oracle, rng)
     return float(result.queries), result.descent_steps, result.success
@@ -158,7 +162,7 @@ def _trial_local_min(size, rng, params):
 
 def _planted_collision_values(size: int, rng: SeededRng) -> np.ndarray:
     # Distinct values except one planted duplicated pair.
-    values = rng.generator.permutation(size).astype(np.int64)
+    values = _random_values(size, rng).astype(np.int64)
     a, b = rng.generator.choice(size, size=2, replace=False)
     values[int(b)] = values[int(a)]
     return values

@@ -163,34 +163,19 @@ def _tuned_final_phases(theta: float, rounds: int) -> tuple[float, float]:
 
     After rounds-1 standard rounds the state sits at angle (2*rounds-1)*theta
     in the plane spanned by the marked and unmarked uniform components.  The
-    oracle phase is found by bisection, then the reflection phase follows in
-    closed form from the requirement that the unmarked component vanish.
+    oracle phase phi zeroes bad (s^4 - c^4) - 2 c s good cos(phi), which
+    makes the post-reflection unmarked amplitude killable; the reflection
+    phase then follows from the requirement that it vanish.  Since alpha lies
+    in (0, pi/2), bad and 2 c s good are positive; clipping the cosine to [-1, 1]
+    gives the ends phi = 0 and phi = pi when no interior root exists.
     """
     alpha = (2 * rounds - 1) * theta
     good, bad = math.sin(alpha), math.cos(alpha)
     s, c = math.sin(theta), math.cos(theta)
     if abs(bad) < 1e-15:
         return 0.0, 0.0  # already at certainty; final round degenerates to identity
-
-    def imbalance(phi: float) -> float:
-        # sign of |u - bad| - |u| for u = c*s*good*e^{i phi} + c^2*bad;
-        # a root makes the post-reflection unmarked amplitude killable
-        return bad * bad * (s**4 - c**4) - 2.0 * c * s * good * bad * math.cos(phi)
-
-    lo, hi = 0.0, math.pi
-    if imbalance(lo) >= 0.0:
-        phi = lo
-    elif imbalance(hi) <= 0.0:
-        phi = hi
-    else:
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if imbalance(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        phi = 0.5 * (lo + hi)
-
+    cos_phi = bad * (s**4 - c**4) / (2.0 * c * s * good)
+    phi = math.acos(min(1.0, max(-1.0, cos_phi)))
     u = c * s * good * cmath.exp(1j * phi) + c * c * bad
     psi = cmath.phase((u - bad) / u)
     return phi, psi

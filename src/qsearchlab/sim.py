@@ -21,8 +21,10 @@ vectorized BLOCK totals plus a sequential sum over the one block a draw
 lands in.  Either way the squared norm is checked, the draw is scaled by
 it, and no index of zero weight is returned.  This is the package's one
 sampler: the walks measure their flat amplitude vectors through it too.
-`uniform_state` and `basis_state` refuse a state over STATE_BYTE_CAP
-before allocating it.
+
+STATE_BYTE_CAP is the package's one memory budget, and `check_state_size`
+its one check: states, Szegedy trajectories, dense chain matrices and bench
+value tables all pass it before their first size-driven array exists.
 """
 
 from __future__ import annotations
@@ -61,8 +63,9 @@ NORM_DRIFT_LIMIT = 1e-9
 # Measurement, and StateVector construction from untrusted amplitudes, refuse
 # states whose squared norm is further than this from 1.
 MEASURE_NORM_TOL = 1e-6
-# Byte budget of one dense state, counted at complex128 (16 B per amplitude,
-# so 2^24 amplitudes); the same budget as walks.TRAJECTORY_BYTE_CAP.
+# The one byte budget for states, trajectories and chain matrices, counted
+# at 16 B per entry (one complex128 amplitude, or a float64 matrix entry and
+# its copy): 2^24 entries.
 STATE_BYTE_CAP = 256 * 2**20
 # Weight tables of at most ONE_LEVEL_MAX entries are one sequential running
 # sum, which is latency-bound at about 3 ns an entry; larger ones use blocks
@@ -114,10 +117,7 @@ class SeededRng:
         """Independent child stream, deterministic in (self, index)."""
         return SeededRng(self.master_seed, self.stream_id, self._subkey + (int(index),))
 
-    # Thin passthroughs for the draws used throughout the package.
-    def integers(self, low, high=None, size=None):
-        return self.generator.integers(low, high, size=size)
-
+    # Thin passthrough for the draws used throughout the package.
     def random(self, size=None):
         return self.generator.random(size)
 
@@ -174,12 +174,16 @@ class StateVector:
 
 
 def check_state_size(dimension: int) -> None:
-    """Raise SizeCapError if a complex128 state of `dimension` would pass STATE_BYTE_CAP."""
+    """Raise SizeCapError if `dimension` entries at 16 B would pass STATE_BYTE_CAP.
+
+    The entries are a state's amplitudes, a trajectory's edge amplitudes, a
+    chain matrix's size * size entries or a bench value table.
+    """
     if dimension < 1:
         raise ParameterError(f"dimension must be >= 1, got {dimension}")
     if dimension * 16 > STATE_BYTE_CAP:
         raise SizeCapError(
-            f"a state of dimension {dimension} needs {dimension * 16} bytes, over the cap "
+            f"{dimension} entries need {dimension * 16} bytes, over the cap "
             f"of {STATE_BYTE_CAP}")
 
 

@@ -17,6 +17,11 @@ edge of the chain's cached edge structure, in row-major order.  Within one
 search every shot restarts from the same stationary state, so each shot is
 a prefix of one deterministic trajectory; the search computes that
 trajectory once, as far as its longest shot, and measures the prefix.
+
+Chains are dense size x size matrices.  The cycle, torus and complete-graph
+chains are built from one neighbour table by `_regular_chain`; every chain
+matrix, like every trajectory, passes sim.check_state_size before it is
+allocated, and subset chains count their states before listing them.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .sim import (
     BitOracle,
     ParameterError,
     SeededRng,
-    SizeCapError,
     StateVector,
     ValueOracle,
 )
@@ -78,14 +82,6 @@ __all__ = [
 CHAIN_CONSTRUCTION_TOL = 1e-12
 # File ingestion accepts looser input and cleans it up to construction grade.
 CHAIN_FILE_TOL = 1e-9
-# Joint state count cap for subset chains; keeps the dense transition matrix
-# and its eigvalsh desk-scale.
-JOHNSON_STATE_CAP = 5000
-# Byte cap on one search's memoized shot trajectory: the longest possible
-# shot plus the start state.  Counted at one complex128 (16 B) per edge, the
-# way sim.STATE_BYTE_CAP is, although the stationary trajectory stays
-# float64.  Checked before anything is allocated.
-TRAJECTORY_BYTE_CAP = 256 * 2**20
 # Hitting solves kept per chain structure.  Base chains are cached for the
 # life of the process and every trial may mark a new set, so the oldest
 # solve is dropped beyond this many.
@@ -396,13 +392,25 @@ class MarkovChain:
         return self._cached("row_cumsum", build)
 
 
+def _regular_chain(size: int, neighbours) -> MarkovChain:
+    """Chain stepping to each of a state's k listed neighbours with probability 1/k.
+
+    `neighbours()` builds the (size, k) neighbour table; it runs only after
+    the size * size matrix has passed sim.check_state_size, whose 16 B per
+    entry covers the matrix and the copy MarkovChain makes of it.  A
+    neighbour listed twice gets 2/k.
+    """
+    sim.check_state_size(size * size)
+    table = neighbours()
+    matrix = np.zeros((size, size))
+    np.add.at(matrix, (np.arange(size)[:, None], table), 1.0 / table.shape[1])
+    return MarkovChain(matrix)
+
+
 @functools.lru_cache(maxsize=32)
 def _cycle_base(size: int) -> MarkovChain:
-    matrix = np.zeros((size, size))
-    for i in range(size):
-        matrix[i, (i + 1) % size] += 0.5
-        matrix[i, (i - 1) % size] += 0.5
-    return MarkovChain(matrix)
+    return _regular_chain(
+        size, lambda: (np.arange(size)[:, None] + np.array([1, -1])) % size)
 
 
 def cycle_chain(size: int, marked=()) -> MarkovChain:
@@ -416,9 +424,7 @@ def cycle_chain(size: int, marked=()) -> MarkovChain:
 def _torus_base(side: int, dimensions: int) -> MarkovChain:
     grid = TorusGrid(side, dimensions)
     k = grid.direction_count
-    matrix = np.zeros((grid.cells, grid.cells))
-    np.add.at(matrix, (np.arange(grid.cells).repeat(k), grid.shift_map() // k), 1.0 / k)
-    return MarkovChain(matrix)
+    return _regular_chain(grid.cells, lambda: grid.shift_map().reshape(grid.cells, k) // k)
 
 
 def torus_chain(side: int, dimensions: int = 2, marked=()) -> MarkovChain:
@@ -430,9 +436,9 @@ def complete_graph_chain(size: int, marked=()) -> MarkovChain:
     """Uniform walk on the complete graph (no self-loops)."""
     if size < 2:
         raise ParameterError("complete-graph chain needs size >= 2")
-    matrix = np.full((size, size), 1.0 / (size - 1))
-    np.fill_diagonal(matrix, 0.0)
-    return MarkovChain(matrix, marked)
+    return _regular_chain(
+        size, lambda: (np.arange(size)[:, None] + np.arange(1, size)) % size
+    ).with_marked(marked)
 
 
 def load_chain(text: str) -> MarkovChain:
@@ -450,6 +456,7 @@ def load_chain(text: str) -> MarkovChain:
         raise ParameterError(f"first line must be the state count: {lines[0]!r}") from exc
     if size < 2:
         raise ParameterError("chain needs at least 2 states")
+    sim.check_state_size(size * size)
     if len(lines) < 1 + size:
         raise ParameterError(f"expected {size} matrix rows, found {len(lines) - 1}")
     rows = []
@@ -605,7 +612,8 @@ def szegedy_find_marked(
     the s-th state of one deterministic trajectory.  That trajectory is
     stepped only as far as the longest shot drawn so far; charges count the
     steps each shot would take on its own.  Raises SizeCapError before
-    stepping if the trajectory could outgrow TRAJECTORY_BYTE_CAP.
+    stepping if the longest possible trajectory, start state included, could
+    outgrow sim.STATE_BYTE_CAP.
     """
     if step_budget is None:
         if not chain.marked:
@@ -625,11 +633,7 @@ def szegedy_find_marked(
             shot_cap = default_shot_cap(chain)
         elif shot_cap < 1:
             raise ParameterError("shot_cap must be >= 1")
-        trajectory_bytes = (min(shot_cap, step_budget) + 1) * chain.edges().count * 16
-        if trajectory_bytes > TRAJECTORY_BYTE_CAP:
-            raise SizeCapError(
-                f"shot trajectory needs {trajectory_bytes} bytes, over the cap of "
-                f"{TRAJECTORY_BYTE_CAP}")
+        sim.check_state_size((min(shot_cap, step_budget) + 1) * chain.edges().count)
         trajectory = [stationary_edge_state(chain)]
     marked = chain.marked
     while hit is None and steps_used < step_budget:
@@ -745,14 +749,11 @@ def default_shot_cap(chain: MarkovChain) -> int:
 
 
 def _johnson_structure(element_count: int, subset_size: int):
+    count = math.comb(element_count, subset_size) + math.comb(element_count, subset_size + 1)
+    sim.check_state_size(count * count)  # before any subset is listed
     lower = list(combinations(range(element_count), subset_size))
     upper = list(combinations(range(element_count), subset_size + 1))
     states = lower + upper
-    count = len(states)
-    if count > JOHNSON_STATE_CAP:
-        raise SizeCapError(
-            f"{count} subset states exceed the cap of {JOHNSON_STATE_CAP}"
-        )
     index = {s: i for i, s in enumerate(states)}
     degree = max(element_count - subset_size, subset_size + 1)
     matrix = np.zeros((count, count))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsearchlab
-from qsearchlab import bench
+from qsearchlab import bench, walks
 from qsearchlab.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -30,6 +31,7 @@ from qsearchlab.bench import (
     summarize,
 )
 from qsearchlab.cli import main
+from qsearchlab.sim import SeededRng, SizeCapError
 
 
 # ----------------------------------------------------------------- parsing
@@ -322,6 +324,34 @@ def test_oversized_state_fails_before_allocating_with_exit_code_2():
     assert done.returncode == 2, done.stderr
     assert "over the cap" in done.stderr
     assert "MemoryError" not in done.stderr
+
+
+# Each instance is just over STATE_BYTE_CAP, so an unguarded build costs a
+# few hundred MB: a dense 4097 x 4097 or 4225 x 4225 chain matrix, the
+# 293,930 listed subsets of Johnson(20, 8), or a 2^24 + 1 or 2^25 value table.
+@pytest.mark.parametrize("build", [
+    lambda: walks.cycle_chain(4097),
+    lambda: walks.torus_chain(65, 2),
+    lambda: walks.complete_graph_chain(4097),
+    lambda: walks.JohnsonChain(20, 8),
+    lambda: bench.EXPERIMENTS["min-scaling"].runner(2**24 + 1, SeededRng(0), {}),
+    lambda: bench.EXPERIMENTS["local-min"].runner(2**25, SeededRng(0), {}),
+], ids=["cycle-4097", "torus-65x65", "complete-4097", "johnson-20-8",
+        "min-scaling-2^24+1", "local-min-2^25"])
+def test_oversized_instances_are_refused_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_oversized_szegedy_cycle_exits_2(capsys):
+    assert main(["run", "-e", "walk-szegedy-cycle", "--sizes", "4097"]) == 2
+    assert "over the cap" in capsys.readouterr().err
 
 
 def test_cli_selftest_passes(capsys):

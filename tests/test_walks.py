@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsearchlab import walks
+from qsearchlab import sim, walks
 from qsearchlab.sim import (
     BitOracle,
     NormalizationError,
@@ -331,6 +331,13 @@ def test_cached_chain_gaps_are_bit_equal_to_fresh_eigvalsh():
             (grid.neighbor(c, d), step) for d in range(grid.direction_count)])
         assert np.array_equal(torus_chain(side, dims).matrix, fresh)
         assert torus_chain(side, dims, marked={0}).spectral_gap == gap(fresh)
+    for size in (2, 3, 9, 59):
+        fresh = _loop_matrix(size, lambda i: [
+            (j, 1.0 / (size - 1)) for j in range(size) if j != i])
+        chain = complete_graph_chain(size, marked={1})
+        assert np.array_equal(chain.matrix, fresh)
+        assert chain.marked == {1}
+        assert chain.spectral_gap == gap(fresh)
     # eigvalsh, not the closed form 1 - cos(2*pi/4), which rounds below 1
     assert cycle_chain(4).spectral_gap == 1.0
 
@@ -378,6 +385,9 @@ def test_load_chain_rejects_bad_input():
     text = "4\n" + "\n".join(" ".join(map(str, row)) for row in bad)
     with pytest.raises(ParameterError):
         load_chain(text)
+    # a declared size past the dense-matrix budget is refused before any row is read
+    with pytest.raises(SizeCapError):
+        load_chain("4097\n" + "0.5 0.5\n" * 4097)
 
 
 # ------------------------------------------------------------ quantization
@@ -653,7 +663,7 @@ def test_memoized_search_equals_fresh_shots():
 def test_trajectory_memory_cap_raises_before_stepping():
     chain = cycle_chain(8, marked={0})
     edge_bytes = chain.edges().count * 16
-    shot_cap = walks.TRAJECTORY_BYTE_CAP // edge_bytes
+    shot_cap = sim.STATE_BYTE_CAP // edge_bytes
     with pytest.raises(SizeCapError):
         szegedy_find_marked(chain, WalkCosts(), SeededRng(0), step_budget=10**12,
                             shot_cap=shot_cap)
