@@ -15,6 +15,16 @@ the input's own amplitudes.  They then write the result there, without a
 fresh allocation and without the per-call settle; a loop that owns its
 buffer this way relies on the norm check that measurement makes.
 
+So that a Grover round reads the state once, a state may carry `_carry`:
+(None, sum of amps), or (v, <v|amps>) for the start state v of
+`amplify.amplification_round`.  The diffusion reads a carried sum, or sums
+the state once, and hands the sum on (a -> 2*mean - a keeps it) unless a
+pure call's settle rescales; the flip moves any carried value by -2 times
+the negated entries' share of it.  Construction, `copy()`, the rotations,
+measurement and the walks start with no carry.  The operators are the only
+writers of an operator-built state's amps: after an `out=` call, use only
+the returned state, and never pass as `out` a buffer another state wraps.
+
 Measurement draws from a `WeightTable` of |amps|^2: one sequential running
 sum up to ONE_LEVEL_MAX amplitudes; above that, a running sum over
 vectorized BLOCK totals plus a sequential sum over the one block a draw
@@ -76,6 +86,8 @@ STATE_BYTE_CAP = 256 * 2**20
 # local-min@16384 (sampled states of 1,555 amplitudes) took 3.4 ms against 2.5.
 ONE_LEVEL_MAX = 8192
 BLOCK = 1024
+# Marked sets up to this size update a carried amplitude sum in Python floats.
+_PYTHON_SUM_MAX = 16
 
 
 class ParameterError(ValueError):
@@ -140,15 +152,18 @@ def _settle_norm(amps: np.ndarray, reject_tol: Optional[float] = None) -> np.nda
 class StateVector:
     """Normalized amplitudes over a finite basis (0-based indices).
 
-    Real input is held as float64 and complex input as complex128.
+    Real input is held as float64 and complex input as complex128.  Only
+    operators set `_carry` (see the module docstring).
     """
 
-    __slots__ = ("amps",)
+    __slots__ = ("amps", "_carry")
 
-    def __init__(self, amps, copy: bool = True, _trusted: bool = False):
+    def __init__(self, amps, copy: bool = True, _trusted: bool = False, _carry=None):
         if _trusted and not copy:  # an operator's own 1-D float64 or complex128 result
             self.amps = amps
+            self._carry = _carry
             return
+        self._carry = None
         dtype = np.complex128 if np.iscomplexobj(amps) else np.float64
         arr = np.array(amps, dtype=dtype, copy=copy)
         if arr.ndim != 1 or arr.size < 1:
@@ -374,16 +389,31 @@ def apply_phase_flip(
 
     Without `out` the result is a new state.  Given `out` (which may be
     `state.amps` itself) the result is written there and wrapped; with
-    `out is state.amps` only the marked entries are touched.
+    `out is state.amps` only the marked entries are touched.  A carried
+    sum or overlap moves by -2 times the negated entries' share of it; a
+    state that carries none gives a result that carries none.
     """
     idx = _as_index_array(marked, state.dimension)
+    carry = state._carry
     if out is None:
         out = state.amps.copy()
     elif out is not state.amps:
         np.copyto(out, state.amps)
-    out[idx] = -out[idx]
+    picked = out[idx]
+    if carry is not None:
+        axis, value = carry
+        if axis is not None:
+            part = np.vdot(axis[idx], picked)
+        elif picked.size <= _PYTHON_SUM_MAX:
+            # a numpy reduce costs about 0.8 us a call, which the Python sum
+            # of a short marked set undercuts up to about 24 entries
+            part = sum(picked.tolist())
+        else:
+            part = np.add.reduce(picked)
+        carry = (axis, value - 2.0 * part)
+    out[idx] = -picked
     oracle.charge(1)
-    return StateVector(out, copy=False, _trusted=True)
+    return StateVector(out, copy=False, _trusted=True, _carry=carry)
 
 
 def apply_phase_rotation(
@@ -402,13 +432,22 @@ def apply_diffusion(state: StateVector, out: Optional[np.ndarray] = None) -> Sta
 
     Without `out` the result is a new state with its norm settled.  Given
     `out` (which may be `state.amps` itself) the same arithmetic writes the
-    result there, and the norm is left to the check at measurement.
+    result there, and the norm is left to the check at measurement.  The
+    mean comes from the carried amplitude sum, or from one pass over a
+    state that carries no sum, and the result carries that sum on, unless a
+    settle rescaled it.
     """
-    mean = np.add.reduce(state.amps) / state.amps.size  # ndarray.mean without its wrapper
+    carry = state._carry
+    if carry is None or carry[0] is not None:
+        carry = (None, np.add.reduce(state.amps))  # ndarray.sum without its wrapper
+    mean = carry[1] / state.amps.size
     if out is None:
-        return StateVector(_settle_norm(2.0 * mean - state.amps), copy=False, _trusted=True)
+        reflected = 2.0 * mean - state.amps
+        settled = _settle_norm(reflected)
+        return StateVector(settled, copy=False, _trusted=True,
+                           _carry=carry if settled is reflected else None)
     np.subtract(2.0 * mean, state.amps, out=out)
-    return StateVector(out, copy=False, _trusted=True)
+    return StateVector(out, copy=False, _trusted=True, _carry=carry)
 
 
 def apply_diffusion_rotation(state: StateVector, angle: float) -> StateVector:

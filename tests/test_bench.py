@@ -8,13 +8,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsearchlab
-from qsearchlab import bench, walks
+from qsearchlab import applications, bench, walks
 from qsearchlab.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -158,6 +159,45 @@ def test_golden_records():
     assert digest == GOLDEN_RECORDS_SHA256
 
 
+def _stripped_digest(lines) -> str:
+    """sha256 of JSONL record lines with the ms field dropped, as the golden gate hashes them."""
+    rows = []
+    for line in lines:
+        row = json.loads(line)
+        del row["ms"]
+        rows.append(json.dumps(row, separators=(",", ":")))
+    return hashlib.sha256(("\n".join(rows) + "\n").encode()).hexdigest()
+
+
+def test_golden_records_under_one_blas_thread():
+    # the golden gate runs with the default thread count, the benchmark with one
+    one_thread = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    done = _python_dash_m("run", "--experiment", "all", "--trials", "3", "--seed", "0",
+                          "--format", "jsonl", "--no-summary", env=one_thread)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 192
+    assert _stripped_digest(lines) == GOLDEN_RECORDS_SHA256
+
+
+# The same digest over the 2^15 and 2^16 amplitude cells of the grover-dense
+# benchmark workload, whose states the default sizes never reach.
+DENSE_CELLS = (("grover-scaling", 65536), ("grover-certain", 65536),
+               ("grover-unknown", 65536), ("amplify-uniform", 32768))
+DENSE_RECORDS_SHA256 = "45a5bd78e98d1555e5498d8d0cb695c664f64bd05b5b869ccbd4fc38a67e16fa"
+
+
+def test_golden_dense_records():
+    lines = [
+        bench.record_line(record, "jsonl")
+        for name, size in DENSE_CELLS
+        for record in bench.iter_records(
+            ExperimentConfig(experiment=name, sizes=(size,), trials=3, seed=0, format="jsonl"))
+    ]
+    assert len(lines) == 12
+    assert _stripped_digest(lines) == DENSE_RECORDS_SHA256
+
+
 def test_parallel_run_matches_serial():
     cfg = ExperimentConfig(experiment="min-scaling", sizes=(64, 128), trials=3, seed=11)
     serial = [r.without_ms() for r in run_experiment(cfg, jobs=1)]
@@ -298,9 +338,9 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 2
 
 
-def _python_dash_m(*args: str) -> subprocess.CompletedProcess:
+def _python_dash_m(*args: str, env: Optional[dict] = None) -> subprocess.CompletedProcess:
     src = str(Path(qsearchlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     return subprocess.run([sys.executable, "-m", "qsearchlab", *args],
                           env=env, capture_output=True, text=True, timeout=120)
@@ -329,6 +369,9 @@ def test_oversized_state_fails_before_allocating_with_exit_code_2():
 # Each instance is just over STATE_BYTE_CAP, so an unguarded build costs a
 # few hundred MB: a dense 4097 x 4097 or 4225 x 4225 chain matrix, the
 # 293,930 listed subsets of Johnson(20, 8), or a 2^24 + 1 or 2^25 value table.
+# The SAT cases: 2^34 variables would first ask for 128 GiB, one past the
+# variable cap would run for minutes a trial, and density 1e7 asks for 3e9
+# clause entries.
 @pytest.mark.parametrize("build", [
     lambda: walks.cycle_chain(4097),
     lambda: walks.torus_chain(65, 2),
@@ -336,8 +379,14 @@ def test_oversized_state_fails_before_allocating_with_exit_code_2():
     lambda: walks.JohnsonChain(20, 8),
     lambda: bench.EXPERIMENTS["min-scaling"].runner(2**24 + 1, SeededRng(0), {}),
     lambda: bench.EXPERIMENTS["local-min"].runner(2**25, SeededRng(0), {}),
+    lambda: bench.EXPERIMENTS["sat-schoening"].runner(2**34, SeededRng(0), {}),
+    lambda: applications.random_planted_formula(applications.MAX_SAT_VARIABLES + 1, SeededRng(0)),
+    lambda: applications.random_planted_formula(100, SeededRng(0), density=1e7),
+    lambda: applications.estimate_success(
+        applications.Cnf3Formula(applications.MAX_SAT_VARIABLES + 1, (((0, False),),)), SeededRng(0), 300),
 ], ids=["cycle-4097", "torus-65x65", "complete-4097", "johnson-20-8",
-        "min-scaling-2^24+1", "local-min-2^25"])
+        "min-scaling-2^24+1", "local-min-2^25", "sat-schoening-2^34", "planted-over-cap",
+        "planted-dense", "estimate-over-cap"])
 def test_oversized_instances_are_refused_before_allocating(build):
     tracemalloc.start()
     try:
@@ -352,6 +401,11 @@ def test_oversized_instances_are_refused_before_allocating(build):
 def test_oversized_szegedy_cycle_exits_2(capsys):
     assert main(["run", "-e", "walk-szegedy-cycle", "--sizes", "4097"]) == 2
     assert "over the cap" in capsys.readouterr().err
+
+
+def test_oversized_sat_schoening_exits_2(capsys):
+    assert main(["run", "-e", "sat-schoening", "--sizes", str(2**34)]) == 2
+    assert "exceed the desk-scale cap" in capsys.readouterr().err
 
 
 def test_cli_selftest_passes(capsys):

@@ -416,6 +416,84 @@ def test_measure_checks_the_norm_of_an_owned_buffer():
     assert 0 <= measure(settled, SeededRng(0)) < 16
 
 
+# ------------------------------------------------------- carried amplitude sum
+
+@pytest.mark.parametrize("dimension, rounds", [(8, 10_000), (1024, 10_000), (2**16, 201)])
+def test_carried_sum_rounds_match_a_resumming_reference(dimension, rounds):
+    marked = np.array([1, dimension - 2])
+    oracle = BitOracle(np.isin(np.arange(dimension), marked).astype(int))
+    state = uniform_state(dimension)
+    amps = state.amps
+    reference = amps.copy()
+    worst = 0.0
+    for _ in range(rounds):
+        state = apply_phase_flip(state, marked, oracle, out=amps)
+        state = apply_diffusion(state, out=amps)
+        # the reference re-sums its amplitudes every round
+        reference[marked] = -reference[marked]
+        reference = 2.0 * (np.add.reduce(reference) / dimension) - reference
+        worst = max(worst, float(np.abs(amps - reference).max()))
+    assert state._carry[0] is None
+    assert worst <= 1e-12
+
+
+_CARRY_STEPS = ("flip", "flip-in-place", "flip-into", "diffuse", "diffuse-in-place",
+                "diffuse-into", "rescale")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dimension=st.integers(1, 40),
+    data=st.data(),
+    seed=st.integers(0, 2**20),
+    complex_state=st.booleans(),
+)
+def test_carried_sum_follows_any_operator_sequence(dimension, data, seed, complex_state):
+    make = _random_state if complex_state else _random_real_state
+    state = make(SeededRng(seed, 2), dimension)
+    oracle = BitOracle(np.ones(dimension, dtype=int))
+    steps = data.draw(st.lists(st.sampled_from(_CARRY_STEPS), min_size=1, max_size=30))
+    for step in steps:
+        into = {}
+        if step.endswith("in-place"):
+            into = {"out": state.amps}
+        elif step.endswith("into"):
+            into = {"out": np.empty_like(state.amps)}
+        if step.startswith("flip"):
+            # unsorted marks with duplicates
+            marked = data.draw(st.lists(st.integers(0, dimension - 1), max_size=2 * dimension))
+            state = apply_phase_flip(state, marked, oracle, **into)
+        elif step.startswith("diffuse"):
+            state = apply_diffusion(state, **into)
+        else:
+            # a drifted state, carrying its own sum if it had one, forces the settle
+            scale = 1.0 + 1e-6
+            carry = None if state._carry is None else (None, state._carry[1] * scale)
+            state = apply_diffusion(StateVector(state.amps * scale, copy=False, _trusted=True, _carry=carry))
+            assert abs(state.norm() - 1.0) < 1e-12
+            assert state._carry is None  # the rescaled result drops the carry
+        if state._carry is not None:
+            assert state._carry[0] is None
+            assert abs(state._carry[1] - np.add.reduce(state.amps)) <= 1e-12 * dimension
+
+
+def test_constructed_and_copied_states_carry_nothing():
+    oracle = BitOracle([0, 1, 0, 0])
+    carried = apply_diffusion(apply_phase_flip(uniform_state(4), [1], oracle))
+    assert carried._carry[0] is None
+    built = (
+        StateVector([0.5, 0.5, 0.5, 0.5]),
+        StateVector(carried.amps, copy=False, _trusted=True),
+        uniform_state(4),
+        basis_state(4, 2),
+        carried.copy(),
+        apply_phase_rotation(carried, [1], 0.3, oracle),
+        apply_diffusion_rotation(carried, 0.3),
+        apply_phase_flip(uniform_state(4), [1], oracle),
+    )
+    assert all(state._carry is None for state in built)
+
+
 # -------------------------------------------------------------- measurement
 
 def test_measure_follows_probabilities():
