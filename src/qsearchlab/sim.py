@@ -22,8 +22,9 @@ the state once, and hands the sum on (a -> 2*mean - a keeps it) unless a
 pure call's settle rescales; the flip moves any carried value by -2 times
 the negated entries' share of it.  Construction, `copy()`, the rotations,
 measurement and the walks start with no carry.  The operators are the only
-writers of an operator-built state's amps: after an `out=` call, use only
-the returned state, and never pass as `out` a buffer another state wraps.
+writers of an operator-built state's amps: one that writes into its input's
+own buffer clears the input's carry, and no `out` may be a buffer that
+another state wraps.
 
 Measurement draws from a `WeightTable` of |amps|^2: one sequential running
 sum up to ONE_LEVEL_MAX amplitudes; above that, a running sum over
@@ -399,6 +400,8 @@ def apply_phase_flip(
         out = state.amps.copy()
     elif out is not state.amps:
         np.copyto(out, state.amps)
+    else:
+        state._carry = None  # its amps change under it
     picked = out[idx]
     if carry is not None:
         axis, value = carry
@@ -446,6 +449,8 @@ def apply_diffusion(state: StateVector, out: Optional[np.ndarray] = None) -> Sta
         settled = _settle_norm(reflected)
         return StateVector(settled, copy=False, _trusted=True,
                            _carry=carry if settled is reflected else None)
+    if out is state.amps:
+        state._carry = None  # its amps change under it
     np.subtract(2.0 * mean, state.amps, out=out)
     return StateVector(out, copy=False, _trusted=True, _carry=carry)
 

@@ -492,6 +492,11 @@ def test_constructed_and_copied_states_carry_nothing():
         apply_phase_flip(uniform_state(4), [1], oracle),
     )
     assert all(state._carry is None for state in built)
+    # a state whose own buffer an operator overwrote no longer carries
+    for op in (lambda s, **out: apply_phase_flip(s, [2], oracle, **out), apply_diffusion):
+        stepped = op(carried, out=carried.amps)
+        assert carried._carry is None and stepped._carry[0] is None
+        carried = stepped
 
 
 # -------------------------------------------------------------- measurement
