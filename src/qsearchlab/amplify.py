@@ -171,19 +171,15 @@ def amplification_round(
 
     Without `out` the result is a new state.  Given `out` (which may be
     `state.amps` itself) the flip writes there and the reflection works on
-    it in place.  The overlap <s|a> is carried with s as its axis: the
-    reflection keeps it and the flip updates it, so only a state that does
-    not carry it is read for it.
+    it in place.
     """
     state = sim.apply_phase_flip(state, good_indices, counter, out=out)
     a, s = state.amps, prep.start
-    carry = state._carry
-    overlap = carry[1] if carry is not None and carry[0] is s else np.vdot(s, a)
     # the flip's result is this call's own array, so reflect it in place;
     # only a complex start reflecting a real state needs a new array
-    twice_overlap = 2.0 * overlap * s
+    twice_overlap = 2.0 * np.vdot(s, a) * s
     reflected = np.subtract(twice_overlap, a, out=a if twice_overlap.dtype == a.dtype else None)
-    return StateVector(reflected, copy=False, _trusted=True, _carry=(s, overlap))
+    return StateVector(reflected, copy=False, _trusted=True)
 
 
 def amplitude_amplify(

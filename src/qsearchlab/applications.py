@@ -45,10 +45,10 @@ GROVER_UNKNOWN_COST_FACTOR = 3.0
 # success rate well below 1, so the repetition calculus has room to bite,
 # while staying far above the 0.5*(3/4)^n walk floor at desk scale.
 PLANTED_DENSITY = 8.0
-# Planted formulas and repair-walk estimates stop at this many variables.  A
-# sat-schoening trial grows as about n^2 (one BLAS thread, seed 0: 9 ms at 12
-# variables, 282 ms at 80, 1.12 s at 160, 4.79 s at 320), so the cap costs
-# about 12 s a trial; from 80 variables on every trial was inconclusive.
+# Planted formulas stop at this many variables.  A sat-schoening trial
+# grows as about n^2 (one BLAS thread, seed 0: 9 ms at 12 variables, 282 ms
+# at 80, 1.12 s at 160, 4.79 s at 320), so the cap costs about 12 s a trial;
+# from 80 variables on every trial was inconclusive.
 MAX_SAT_VARIABLES = 512
 
 
@@ -180,7 +180,9 @@ def random_planted_formula(
         raise ParameterError("planted formulas need at least 3 variables")
     if density <= 0:
         raise ParameterError("density must be positive")
-    _check_variable_count(variable_count)
+    if variable_count > MAX_SAT_VARIABLES:
+        raise SizeCapError(
+            f"{variable_count} variables exceed the desk-scale cap {MAX_SAT_VARIABLES}")
     clause_count = max(1, round(density * variable_count))
     sim.check_state_size(3 * clause_count)
     gen = rng.generator
@@ -194,12 +196,6 @@ def random_planted_formula(
                 break
         clauses.append(tuple((int(v), bool(s)) for v, s in zip(variables, negs)))
     return Cnf3Formula(variable_count, tuple(clauses)), planted
-
-
-def _check_variable_count(variable_count: int) -> None:
-    if variable_count > MAX_SAT_VARIABLES:
-        raise SizeCapError(
-            f"{variable_count} variables exceed the desk-scale cap {MAX_SAT_VARIABLES}")
 
 
 def schoening_run(formula: Cnf3Formula, rng: SeededRng) -> Optional[np.ndarray]:
@@ -276,11 +272,11 @@ def estimate_success(formula: Cnf3Formula, rng: SeededRng, trials: int) -> SatRu
     """Monte Carlo estimate of the repair walk's single-run success rate."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    # also bounds each batch's (rows, 3n + 1) arrays: 4,096 x 1,537 entries
-    _check_variable_count(formula.variable_count)
     successes = 0
     remaining = trials
     batch_rows = max(1, min(4096, (4_000_000 // max(1, formula.clause_count * 3))))
+    # a batch's largest array is its (rows, 3n + 1) literal picks
+    sim.check_state_size(min(batch_rows, trials) * (3 * formula.variable_count + 1))
     index = 0
     while remaining:
         chunk = min(batch_rows, remaining)

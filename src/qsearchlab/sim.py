@@ -15,16 +15,15 @@ the input's own amplitudes.  They then write the result there, without a
 fresh allocation and without the per-call settle; a loop that owns its
 buffer this way relies on the norm check that measurement makes.
 
-So that a Grover round reads the state once, a state may carry `_carry`:
-(None, sum of amps), or (v, <v|amps>) for the start state v of
-`amplify.amplification_round`.  The diffusion reads a carried sum, or sums
-the state once, and hands the sum on (a -> 2*mean - a keeps it) unless a
-pure call's settle rescales; the flip moves any carried value by -2 times
-the negated entries' share of it.  Construction, `copy()`, the rotations,
-measurement and the walks start with no carry.  The operators are the only
-writers of an operator-built state's amps: one that writes into its input's
-own buffer clears the input's carry, and no `out` may be a buffer that
-another state wraps.
+So that a Grover round reads the state once, a state may carry `_carry`,
+the sum of its amps.  The diffusion reads a carried sum, or sums the state
+once, and hands the sum on (a -> 2*mean - a keeps it) unless a pure call's
+settle rescales; the flip moves a carried sum by -2 times the sum of the
+negated entries.  Construction, `copy()`, the rotations, measurement and
+the walks start with no carry.  The operators are the only writers of an
+operator-built state's amps: one that writes into its input's own buffer
+clears the input's carry, and no `out` may be a buffer that another state
+wraps.  A caller that edits amplitudes in place edits a `copy()`.
 
 Measurement draws from a `WeightTable` of |amps|^2: one sequential running
 sum up to ONE_LEVEL_MAX amplitudes; above that, a running sum over
@@ -87,8 +86,6 @@ STATE_BYTE_CAP = 256 * 2**20
 # local-min@16384 (sampled states of 1,555 amplitudes) took 3.4 ms against 2.5.
 ONE_LEVEL_MAX = 8192
 BLOCK = 1024
-# Marked sets up to this size update a carried amplitude sum in Python floats.
-_PYTHON_SUM_MAX = 16
 
 
 class ParameterError(ValueError):
@@ -391,8 +388,8 @@ def apply_phase_flip(
     Without `out` the result is a new state.  Given `out` (which may be
     `state.amps` itself) the result is written there and wrapped; with
     `out is state.amps` only the marked entries are touched.  A carried
-    sum or overlap moves by -2 times the negated entries' share of it; a
-    state that carries none gives a result that carries none.
+    sum moves by -2 times the sum of the negated entries; a state that
+    carries none gives a result that carries none.
     """
     idx = _as_index_array(marked, state.dimension)
     carry = state._carry
@@ -404,16 +401,7 @@ def apply_phase_flip(
         state._carry = None  # its amps change under it
     picked = out[idx]
     if carry is not None:
-        axis, value = carry
-        if axis is not None:
-            part = np.vdot(axis[idx], picked)
-        elif picked.size <= _PYTHON_SUM_MAX:
-            # a numpy reduce costs about 0.8 us a call, which the Python sum
-            # of a short marked set undercuts up to about 24 entries
-            part = sum(picked.tolist())
-        else:
-            part = np.add.reduce(picked)
-        carry = (axis, value - 2.0 * part)
+        carry = carry - 2.0 * np.add.reduce(picked)
     out[idx] = -picked
     oracle.charge(1)
     return StateVector(out, copy=False, _trusted=True, _carry=carry)
@@ -441,9 +429,9 @@ def apply_diffusion(state: StateVector, out: Optional[np.ndarray] = None) -> Sta
     settle rescaled it.
     """
     carry = state._carry
-    if carry is None or carry[0] is not None:
-        carry = (None, np.add.reduce(state.amps))  # ndarray.sum without its wrapper
-    mean = carry[1] / state.amps.size
+    if carry is None:
+        carry = np.add.reduce(state.amps)  # ndarray.sum without its wrapper
+    mean = carry / state.amps.size
     if out is None:
         reflected = 2.0 * mean - state.amps
         settled = _settle_norm(reflected)

@@ -295,70 +295,6 @@ def test_out_and_pure_amplification_steps_agree_bit_for_bit(
         assert np.array_equal(owned.amps, before)
 
 
-# -------------------------------------------------------- carried overlap
-
-@pytest.mark.parametrize("dimension", [8, 1024])
-def test_carried_overlap_rounds_match_a_reprojecting_reference(dimension):
-    prep = _preparation("random", dimension, SeededRng(5, dimension).generator)
-    good = np.array([1, dimension - 2])
-    counter = PredicateOracle(dimension, marked=good)
-    state = StateVector(prep.start.copy())
-    amps = state.amps
-    reference = amps.copy()
-    worst_overlap = worst = 0.0
-    for _ in range(10_000):
-        state = amplification_round(state, prep, good, counter, out=amps)
-        assert state._carry[0] is prep.start
-        worst_overlap = max(worst_overlap, abs(state._carry[1] - np.vdot(prep.start, amps)))
-        # the reference reads <s|a> off the state every round
-        reference[good] = -reference[good]
-        reference = 2.0 * np.vdot(prep.start, reference) * prep.start - reference
-        worst = max(worst, float(np.abs(amps - reference).max()))
-    assert worst_overlap <= 1e-13
-    # <s|s> is 1 only to a few ulps, so neither path's reflection is exactly
-    # unitary, and each round may part them by about 1e-14: 10,000 rounds
-    # allow 1e-10 (seen: 2.4e-12 at 8 and 8.4e-13 at 1024 amplitudes)
-    assert worst <= 1e-10
-
-
-_MIXED_STEPS = ("round", "round-in-place", "flip-in-place", "diffuse", "diffuse-in-place")
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    dimension=st.integers(1, 40),
-    data=st.data(),
-    seed=st.integers(0, 2**20),
-    target=st.sampled_from(["uniform", "random", "zero"]),
-    complex_state=st.booleans(),
-)
-def test_a_carried_value_always_matches_its_axis(dimension, data, seed, target, complex_state):
-    # amplification rounds carry <s|a>, Grover operators the sum: interleaved,
-    # neither value may ever be read as the other
-    gen = SeededRng(seed, 3).generator
-    prep = _preparation(target, dimension, gen)
-    good = np.array(sorted(data.draw(st.sets(st.integers(0, dimension - 1)))), dtype=np.int64)
-    counter = PredicateOracle(dimension, marked=good)
-    raw = gen.normal(size=dimension) + (1j * gen.normal(size=dimension) if complex_state else 0)
-    state = StateVector(raw / np.linalg.norm(raw))
-    for step in data.draw(st.lists(st.sampled_from(_MIXED_STEPS), min_size=1, max_size=30)):
-        into = {"out": state.amps} if step.endswith("in-place") else {}
-        if step.startswith("round"):
-            state = amplification_round(state, prep, good, counter, **into)
-        elif step.startswith("flip"):
-            state = sim.apply_phase_flip(state, good, counter, **into)
-        else:
-            state = sim.apply_diffusion(state, **into)
-        if state._carry is None:  # a flip of a state that carried nothing
-            continue
-        axis, value = state._carry
-        if axis is None:
-            assert abs(value - np.add.reduce(state.amps)) <= 1e-12 * dimension
-        else:
-            assert axis is prep.start
-            assert abs(value - np.vdot(prep.start, state.amps)) <= 1e-12 * dimension
-
-
 def test_amplify_with_empty_good_set_never_claims_success():
     prep = uniform_preparation(8)
     params = AmplifyParams(good=(), success_floor=0.125)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qsearchlab.applications import (
+    MAX_SAT_VARIABLES,
     Cnf3Formula,
     ed_base_run,
     ed_hybrid_query_model,
@@ -161,6 +162,15 @@ def test_estimate_success_shapes_and_determinism():
     assert stats.wilson_low <= stats.success_rate <= stats.wilson_high
     with pytest.raises(ParameterError):
         estimate_success(formula, SeededRng(0), 0)
+
+
+def test_parsed_formulas_past_the_planted_cap_still_estimate():
+    # the variable cap bounds planted instances only; a parsed formula's
+    # walk costs scale with its clauses
+    formula = parse_dimacs("p cnf 600 2\n1 -300 600 0\n-2 5 -599 0\n")
+    stats = estimate_success(formula, SeededRng(4), 50)
+    assert formula.variable_count > MAX_SAT_VARIABLES
+    assert stats.successes == 50  # the clauses share no variable: two flips repair any start
 
 
 def test_wilson_interval_pinned_values():

@@ -370,8 +370,9 @@ def test_oversized_state_fails_before_allocating_with_exit_code_2():
 # few hundred MB: a dense 4097 x 4097 or 4225 x 4225 chain matrix, the
 # 293,930 listed subsets of Johnson(20, 8), or a 2^24 + 1 or 2^25 value table.
 # The SAT cases: 2^34 variables would first ask for 128 GiB, one past the
-# variable cap would run for minutes a trial, and density 1e7 asks for 3e9
-# clause entries.
+# variable cap would run for minutes a trial, density 1e7 asks for 3e9
+# clause entries, and 300 repair walks over 2^16 variables would pre-draw
+# 5.9e7 literal picks.
 @pytest.mark.parametrize("build", [
     lambda: walks.cycle_chain(4097),
     lambda: walks.torus_chain(65, 2),
@@ -383,10 +384,10 @@ def test_oversized_state_fails_before_allocating_with_exit_code_2():
     lambda: applications.random_planted_formula(applications.MAX_SAT_VARIABLES + 1, SeededRng(0)),
     lambda: applications.random_planted_formula(100, SeededRng(0), density=1e7),
     lambda: applications.estimate_success(
-        applications.Cnf3Formula(applications.MAX_SAT_VARIABLES + 1, (((0, False),),)), SeededRng(0), 300),
+        applications.Cnf3Formula(2**16, (((0, False),),)), SeededRng(0), 300),
 ], ids=["cycle-4097", "torus-65x65", "complete-4097", "johnson-20-8",
         "min-scaling-2^24+1", "local-min-2^25", "sat-schoening-2^34", "planted-over-cap",
-        "planted-dense", "estimate-over-cap"])
+        "planted-dense", "estimate-picks-over-cap"])
 def test_oversized_instances_are_refused_before_allocating(build):
     tracemalloc.start()
     try:

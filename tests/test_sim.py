@@ -433,7 +433,7 @@ def test_carried_sum_rounds_match_a_resumming_reference(dimension, rounds):
         reference[marked] = -reference[marked]
         reference = 2.0 * (np.add.reduce(reference) / dimension) - reference
         worst = max(worst, float(np.abs(amps - reference).max()))
-    assert state._carry[0] is None
+    assert state._carry is not None
     assert worst <= 1e-12
 
 
@@ -468,19 +468,18 @@ def test_carried_sum_follows_any_operator_sequence(dimension, data, seed, comple
         else:
             # a drifted state, carrying its own sum if it had one, forces the settle
             scale = 1.0 + 1e-6
-            carry = None if state._carry is None else (None, state._carry[1] * scale)
+            carry = None if state._carry is None else state._carry * scale
             state = apply_diffusion(StateVector(state.amps * scale, copy=False, _trusted=True, _carry=carry))
             assert abs(state.norm() - 1.0) < 1e-12
             assert state._carry is None  # the rescaled result drops the carry
         if state._carry is not None:
-            assert state._carry[0] is None
-            assert abs(state._carry[1] - np.add.reduce(state.amps)) <= 1e-12 * dimension
+            assert abs(state._carry - np.add.reduce(state.amps)) <= 1e-12 * dimension
 
 
 def test_constructed_and_copied_states_carry_nothing():
     oracle = BitOracle([0, 1, 0, 0])
     carried = apply_diffusion(apply_phase_flip(uniform_state(4), [1], oracle))
-    assert carried._carry[0] is None
+    assert carried._carry is not None
     built = (
         StateVector([0.5, 0.5, 0.5, 0.5]),
         StateVector(carried.amps, copy=False, _trusted=True),
@@ -495,8 +494,27 @@ def test_constructed_and_copied_states_carry_nothing():
     # a state whose own buffer an operator overwrote no longer carries
     for op in (lambda s, **out: apply_phase_flip(s, [2], oracle, **out), apply_diffusion):
         stepped = op(carried, out=carried.amps)
-        assert carried._carry is None and stepped._carry[0] is None
+        assert carried._carry is None and stepped._carry is not None
         carried = stepped
+
+
+def test_callers_edit_amplitudes_in_place_on_a_copy():
+    # The operators are the only writers of an operator-built state's amps.
+    # A caller edits a copy(), which carries nothing, so the next diffusion
+    # sums what the caller wrote.
+    oracle = BitOracle([0, 1, 0, 0, 0, 0, 0, 0])
+    carried = apply_diffusion(apply_phase_flip(uniform_state(8), [1], oracle))
+    edited = carried.copy()
+    edited.amps[2] = -edited.amps[2]
+    reflected = 2.0 * np.add.reduce(edited.amps) / 8 - edited.amps
+    assert np.array_equal(apply_diffusion(edited).amps, reflected)
+    # The same edit written into the carried state itself leaves its carry
+    # stale, and the diffusion then reflects about the old mean.
+    stale = carried._carry
+    carried.amps[2] = -carried.amps[2]
+    assert np.array_equal(carried.amps, edited.amps)
+    assert carried._carry == stale != np.add.reduce(carried.amps)
+    assert not np.allclose(apply_diffusion(carried).amps, reflected)
 
 
 # -------------------------------------------------------------- measurement
