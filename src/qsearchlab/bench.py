@@ -12,7 +12,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -521,6 +520,9 @@ def iter_records(config: ExperimentConfig, jobs: Optional[int] = None) -> Iterat
     if jobs == 1:
         results = map(_trial_worker, payloads)
     else:
+        # imported here so that a one-process run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=jobs)
         results = pool.map(_trial_worker, payloads)
     try:

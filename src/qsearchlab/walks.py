@@ -22,12 +22,17 @@ Chains are dense size x size matrices.  The cycle, torus and complete-graph
 chains are built from one neighbour table by `_regular_chain`; every chain
 matrix, like every trajectory, passes sim.check_state_size before it is
 allocated, and subset chains count their states before listing them.
+
+The classical hitting walk reads one table per chain: each row's running
+sums of P at its edge columns.  One trial steps in a scalar loop that
+bisects a row per step; more trials step in lockstep, vectorized.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -89,6 +94,10 @@ HITTING_CACHE_ENTRIES = 128
 # Walk-step budget multiplier for the quantized search; calibrated so the
 # test families find a marked state in well over a third of runs.
 SZEGEDY_BUDGET_FACTOR = 6.0
+# classical_hitting raises past this many steps, summed over its trials.
+HITTING_STEP_GUARD = 50_000_000
+# Uniforms a one-trial hitting walk draws at a time.
+HITTING_DRAW_CHUNK = 4096
 
 
 class TorusGrid:
@@ -330,7 +339,7 @@ class MarkovChain:
         self.matrix = arr
         self.size = arr.shape[0]
         self._mark(marked)
-        # gap, edges and row cumsum depend on the matrix alone; with_marked
+        # gap, edges and hitting table depend on the matrix alone; with_marked
         # clones share this dict, and share hitting solves keyed by marked set
         self._structure: dict = {}
         self._hitting_cache: dict = {}
@@ -383,13 +392,35 @@ class MarkovChain:
 
         return self._cached("edges", build)
 
-    def row_edges(self) -> np.ndarray:
-        def build():
-            cumsum = np.cumsum(self.matrix, axis=1)
-            cumsum.setflags(write=False)
-            return cumsum
+    def transition_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Each row's running sums of P at its edge columns, and those columns.
 
-        return self._cached("row_cumsum", build)
+        The sums equal the dense row cumsum at the same columns: np.cumsum
+        adds in order, and the zeros of P between edge columns add nothing.
+        Rows are padded to one past the largest degree, sums with +inf and
+        columns with size - 1.  So the first sum above a draw u < 1 always
+        exists, and its column is the next state; that is size - 1 when
+        rounding leaves the row's total at or below u, as in the dense
+        count of sums <= u clipped to size - 1.
+        """
+
+        def build():
+            edges = self.edges()
+            degrees = np.diff(edges.starts, append=edges.count)
+            width = int(degrees.max()) + 1
+            sim.check_state_size(self.size * width)  # 8 B each for a sum and a column
+            slots = np.arange(edges.count) - edges.starts[edges.rows]
+            sums = np.zeros((self.size, width))
+            sums[edges.rows, slots] = self.matrix[edges.rows, edges.cols]
+            np.cumsum(sums, axis=1, out=sums)
+            sums[np.arange(width) >= degrees[:, None]] = np.inf
+            cols = np.full((self.size, width), self.size - 1)
+            cols[edges.rows, slots] = edges.cols
+            for arr in (sums, cols):
+                arr.setflags(write=False)
+            return sums, cols
+
+        return self._cached("transitions", build)
 
 
 def _regular_chain(size: int, neighbours) -> MarkovChain:
@@ -654,31 +685,59 @@ def szegedy_find_marked(
 
 
 def classical_hitting(chain: MarkovChain, rng: SeededRng, trials: int) -> float:
-    """Monte Carlo mean steps from a stationary start to the marked set."""
+    """Monte Carlo mean steps from a stationary start to the marked set.
+
+    Both paths read chain.transition_table(): a step draws u and moves to
+    the column of the row's first running sum above u.  One trial is a
+    scalar loop that bisects the row, on uniforms drawn HITTING_DRAW_CHUNK
+    at a time, and leaves the generator just past the draws it used.  More
+    trials step in lockstep, one vectorized compare and count per step.
+    Raises RuntimeError once the trials' steps pass HITTING_STEP_GUARD.
+    """
     if not chain.marked:
         raise ParameterError("hitting time needs a non-empty marked set")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    edges = chain.row_edges()
+    sums, cols = chain.transition_table()
     marked_mask = chain.marked_mask
     gen = rng.generator
     states = gen.integers(0, chain.size, size=trials)
+    if trials == 1:
+        return float(_hit_once(sums, cols, chain.marked, gen, int(states[0])))
     steps = np.zeros(trials, dtype=np.int64)
     active = ~marked_mask[states]
     total = 0
-    guard = 50_000_000  # runaway protection; far beyond any desk-scale mean
-    # trials advance in lockstep so transition sampling stays vectorized
     while active.any():
         live = np.flatnonzero(active)
-        draws = gen.random(live.size)
-        states[live] = np.minimum(
-            (edges[states[live]] <= draws[:, None]).sum(axis=1), chain.size - 1)
+        rows = states[live]
+        states[live] = cols[rows, (sums[rows] <= gen.random(live.size)[:, None]).sum(axis=1)]
         steps[live] += 1
         total += live.size
-        if total > guard:
+        if total > HITTING_STEP_GUARD:
             raise RuntimeError("hitting-time simulation exceeded the step guard")
         active[live] = ~marked_mask[states[live]]
     return float(steps.mean())
+
+
+def _hit_once(sums: np.ndarray, cols: np.ndarray, marked, gen, state: int) -> int:
+    """Steps of one hitting walk from `state`, one bisection per step."""
+    width = sums.shape[1]
+    sums, cols = memoryview(sums.ravel()), memoryview(cols.ravel())
+    steps = 0
+    while state not in marked:
+        saved = gen.bit_generator.state
+        draws = gen.random(min(HITTING_DRAW_CHUNK, HITTING_STEP_GUARD + 1 - steps)).tolist()
+        for used, u in enumerate(draws, 1):
+            start = state * width
+            state = cols[bisect_right(sums, u, start, start + width)]
+            if state in marked:
+                gen.bit_generator.state = saved  # and redraw only the uniforms used
+                gen.random(used)
+                break
+        steps += used
+        if steps > HITTING_STEP_GUARD:
+            raise RuntimeError("hitting-time simulation exceeded the step guard")
+    return steps
 
 
 def exact_hitting_mean(chain: MarkovChain) -> float:
@@ -693,8 +752,11 @@ def exact_hitting_mean(chain: MarkovChain) -> float:
     if unmarked.size == 0:
         mean = 0.0
     else:
-        Q = chain.matrix[np.ix_(unmarked, unmarked)]
-        h = np.linalg.solve(np.eye(unmarked.size) - Q, np.ones(unmarked.size))
+        # I - Q built in place: 0 - q, then + 1 on the diagonal, round as eye - Q
+        system = chain.matrix[np.ix_(unmarked, unmarked)]
+        np.subtract(0.0, system, out=system)
+        system.flat[:: unmarked.size + 1] += 1.0
+        h = np.linalg.solve(system, np.ones(unmarked.size))
         mean = float(h.sum() / chain.size)
     if len(cache) >= HITTING_CACHE_ENTRIES:
         del cache[next(iter(cache))]

@@ -1,5 +1,6 @@
 """Benchmark harness tests: config parsing, record plumbing, fits, CLI."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -126,7 +127,8 @@ def test_jobs_capped_at_cpu_count_without_starting_processes(monkeypatch):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+    # bench imports the pool class only when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     for bad in (0, 3, 10**6):
         with pytest.raises(UsageError):
             ExperimentConfig(experiment="grover-scaling", jobs=bad)
@@ -338,12 +340,23 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 2
 
 
-def _python_dash_m(*args: str, env: Optional[dict] = None) -> subprocess.CompletedProcess:
+def _python(*args: str, env: Optional[dict] = None) -> subprocess.CompletedProcess:
     src = str(Path(qsearchlab.__file__).resolve().parents[1])
     env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-m", "qsearchlab", *args],
+    return subprocess.run([sys.executable, *args],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def _python_dash_m(*args: str, env: Optional[dict] = None) -> subprocess.CompletedProcess:
+    return _python("-m", "qsearchlab", *args, env=env)
+
+
+def test_import_does_not_load_multiprocessing():
+    done = _python("-c", "import sys, qsearchlab, qsearchlab.cli; "
+                         "print('multiprocessing' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_python_dash_m_runs_the_cli():

@@ -591,6 +591,154 @@ def test_monte_carlo_hitting_tracks_exact_solution():
         assert abs(sampled - exact) / exact < 0.10
 
 
+def _dense_hitting(chain, rng, trials, guard):
+    """Reference: the lockstep loop over the dense row cumsum of P."""
+    cumsum = np.cumsum(chain.matrix, axis=1)
+    gen = rng.generator
+    states = gen.integers(0, chain.size, size=trials)
+    steps = np.zeros(trials, dtype=np.int64)
+    active = ~chain.marked_mask[states]
+    total = 0
+    while active.any():
+        live = np.flatnonzero(active)
+        draws = gen.random(live.size)
+        states[live] = np.minimum(
+            (cumsum[states[live]] <= draws[:, None]).sum(axis=1), chain.size - 1)
+        steps[live] += 1
+        total += live.size
+        if total > guard:
+            raise RuntimeError("hitting-time simulation exceeded the step guard")
+        active[live] = ~chain.marked_mask[states[live]]
+    return float(steps.mean())
+
+
+def _asymmetric_chain():
+    """Chain whose P and P^T differ within CHAIN_CONSTRUCTION_TOL: edge
+    (0, 2) of the P + P^T pattern carries P = 0, while P[2, 0] = 5e-13."""
+    matrix = np.zeros((5, 5))
+    for x in range(5):
+        matrix[x, (x + 1) % 5] = matrix[x, (x - 1) % 5] = 0.5
+    matrix[2, 0] = 5e-13
+    matrix[2, 1] -= 5e-13
+    return MarkovChain(matrix, marked={4})
+
+
+def _hitting_chains():
+    # file input whose P and P^T differ within CHAIN_FILE_TOL; load_chain
+    # settles it to an exactly symmetric matrix
+    rng = SeededRng(56)
+    base = cycle_chain(7).matrix
+    noisy = base + rng.generator.uniform(-1e-10, 1e-10, size=base.shape)
+    lines = ["7"] + [" ".join(f"{v:.12e}" for v in row) for row in noisy] + ["3"]
+    return [
+        cycle_chain(16, marked={0}),
+        cycle_chain(64, marked={5, 40}),
+        torus_chain(6, 2, marked={7}),
+        complete_graph_chain(12, marked={3}),
+        JohnsonChain(6, 2, marked={0, 20}),
+        load_chain("\n".join(lines)),
+        _asymmetric_chain(),
+    ]
+
+
+def test_transition_table_matches_dense_row_cumsum():
+    for chain in _hitting_chains():
+        sums, cols = chain.transition_table()
+        cumsum = np.cumsum(chain.matrix, axis=1)
+        edges = chain.edges()
+        for x in range(chain.size):
+            row_cols = edges.cols[edges.rows == x]
+            degree = row_cols.size
+            assert np.array_equal(cols[x, :degree], row_cols)
+            assert np.array_equal(sums[x, :degree], cumsum[x, row_cols])
+            assert np.all(sums[x, degree:] == np.inf)
+            assert np.all(cols[x, degree:] == chain.size - 1)
+    assert _asymmetric_chain().matrix[0, 2] == 0.0  # a pattern edge with P = 0
+
+
+def test_scalar_hitting_matches_dense_reference_and_leaves_generator_in_step():
+    for index, chain in enumerate(_hitting_chains()):
+        for stream in range(6):
+            fast, slow = SeededRng(900 + index, stream), SeededRng(900 + index, stream)
+            if stream % 2:  # the start draw then leaves no buffered 32-bit half
+                fast.generator.integers(0, 7)
+                slow.generator.integers(0, 7)
+            assert classical_hitting(chain, fast, trials=1) == _dense_hitting(
+                chain, slow, 1, walks.HITTING_STEP_GUARD)
+            assert fast.generator.bit_generator.state == slow.generator.bit_generator.state
+            assert fast.random() == slow.random()
+
+
+def test_lockstep_hitting_matches_dense_reference():
+    for index, chain in enumerate(_hitting_chains()):
+        for stream in range(2):
+            fast, slow = SeededRng(700 + index, stream), SeededRng(700 + index, stream)
+            assert classical_hitting(chain, fast, trials=40) == _dense_hitting(
+                chain, slow, 40, walks.HITTING_STEP_GUARD)
+            assert fast.generator.bit_generator.state == slow.generator.bit_generator.state
+
+
+class _ScriptedGenerator(np.random.Generator):
+    """PCG64 generator whose start states and uniforms are fixed."""
+
+    def __init__(self, start, draw):
+        super().__init__(np.random.PCG64(0))
+        self.start, self.draw = start, draw
+
+    def integers(self, low, high=None, size=None):
+        return np.full(size, self.start)
+
+    def random(self, size=None):
+        return np.full(size, self.draw)
+
+
+def test_scripted_draws_move_where_the_dense_count_does():
+    # row 0 reaches only 1 and 2, and its total rounds to 1 - 4e-13; a draw
+    # above that total moves to state size - 1 = 3, which is not a neighbour
+    h, c = 0.5 - 2e-13, 0.5 + 2e-13
+    fallback = MarkovChain([[0, h, h, 0], [h, 0, 0, c], [h, 0, 0, c], [0, c, c, 0]],
+                           marked={3})
+    assert fallback.transition_table()[0][0, 1] < 1.0 - 1e-13 and fallback.matrix[0, 3] == 0.0
+    # row 0 of cycle(4) has sums 0.5 at column 1 and 1.0 at column 3; the
+    # dense count of sums <= 0.5 is 3, so a draw of exactly 0.5 moves to 3
+    tie = cycle_chain(4, marked={3})
+    for chain, draw in ((fallback, 1.0 - 1e-13), (tie, 0.5)):
+        for trials in (1, 2):
+            rng, reference = SeededRng(0), SeededRng(0)
+            rng.generator = _ScriptedGenerator(0, draw)
+            reference.generator = _ScriptedGenerator(0, draw)
+            assert classical_hitting(chain, rng, trials) == 1.0
+            assert _dense_hitting(chain, reference, trials, walks.HITTING_STEP_GUARD) == 1.0
+
+
+def test_hitting_step_guard_raises_on_both_paths(monkeypatch):
+    # {0, 1, 2} is a cycle that never reaches the marked self-loop 3
+    matrix = np.zeros((4, 4))
+    matrix[3, 3] = 1.0
+    for x in range(3):
+        matrix[x, (x + 1) % 3] = matrix[x, (x - 1) % 3] = 0.5
+    chain = MarkovChain(matrix, marked={3})
+    guard = walks.HITTING_DRAW_CHUNK + 905  # one full chunk and one partial
+    monkeypatch.setattr(walks, "HITTING_STEP_GUARD", guard)
+    seed = next(s for s in range(100)
+                if SeededRng(s).generator.integers(0, 4, size=1)[0] != 3)
+    for trials in (1, 4):
+        rng, reference = SeededRng(seed), SeededRng(seed)
+        with pytest.raises(RuntimeError, match="step guard"):
+            classical_hitting(chain, rng, trials)
+        with pytest.raises(RuntimeError, match="step guard"):
+            _dense_hitting(chain, reference, trials, guard)
+        assert rng.generator.bit_generator.state == reference.generator.bit_generator.state
+
+
+def test_exact_hitting_system_is_bit_equal_to_eye_minus_q():
+    for chain in _hitting_chains():
+        unmarked = np.asarray(sorted(set(range(chain.size)) - chain.marked))
+        q = chain.matrix[np.ix_(unmarked, unmarked)]
+        h = np.linalg.solve(np.eye(unmarked.size) - q, np.ones(unmarked.size))
+        assert exact_hitting_mean(chain) == float(h.sum() / chain.size)
+
+
 def test_hitting_validation():
     with pytest.raises(ParameterError):
         exact_hitting_mean(cycle_chain(6))
