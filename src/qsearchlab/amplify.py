@@ -77,7 +77,7 @@ def _householder_preparation(target: np.ndarray, cost: int) -> StatePreparation:
 
     def apply(state: StateVector) -> StateVector:
         a = state.amps
-        return StateVector(a - scale * (v @ a) * v, copy=False, _trusted=True)
+        return StateVector._wrap(a - scale * (v @ a) * v)
 
     return StatePreparation(dimension=target.size, forward=apply, inverse=apply, cost=cost)
 
@@ -179,7 +179,7 @@ def amplification_round(
     # only a complex start reflecting a real state needs a new array
     twice_overlap = 2.0 * np.vdot(s, a) * s
     reflected = np.subtract(twice_overlap, a, out=a if twice_overlap.dtype == a.dtype else None)
-    return StateVector(reflected, copy=False, _trusted=True)
+    return StateVector._wrap(reflected)
 
 
 def amplitude_amplify(
@@ -198,7 +198,7 @@ def amplitude_amplify(
     mask = _good_mask(params.good, dimension)
     good_idx = np.flatnonzero(mask)
     counter = PredicateOracle(dimension, marked=mask)
-    start = StateVector(prep.start, copy=False, _trusted=True)  # read-only: stepped on a copy
+    start = StateVector._wrap(prep.start)  # read-only: stepped on a copy
 
     if not params.floor_is_lower_bound:
         rounds = predicted_repetitions(params.success_floor)

@@ -199,10 +199,11 @@ def random_planted_formula(
 
 
 def schoening_run(formula: Cnf3Formula, rng: SeededRng) -> Optional[np.ndarray]:
-    """One bounded repair walk: uniform start, then up to 3n single flips.
+    """One bounded repair walk: uniform start, then up to 3n + 1 single flips.
 
     Each repair picks the first falsified clause and flips a uniformly
-    random literal of it.  Returns the satisfying assignment or None.
+    random literal of it; the assignment is checked before every flip and
+    after the last.  Returns the satisfying assignment or None.
     """
     n = formula.variable_count
     gen = rng.generator
@@ -214,11 +215,15 @@ def schoening_run(formula: Cnf3Formula, rng: SeededRng) -> Optional[np.ndarray]:
         length = int(formula._lengths[clause])
         pick = int(gen.integers(0, length))
         assignment[formula._vars[clause, pick]] ^= True
-    return None
+    return assignment if formula.satisfied_by(assignment) else None
 
 
 def _schoening_batch(formula: Cnf3Formula, rng: SeededRng, trials: int) -> int:
-    """Successes among vectorized repair walks; one row per trial."""
+    """Successes among vectorized repair walks; one row per trial.
+
+    Like schoening_run, each row is checked before every flip and after
+    the last of up to 3n + 1 flips.
+    """
     n = formula.variable_count
     gen = rng.generator
     assignments = gen.integers(0, 2, size=(trials, n)).astype(bool)

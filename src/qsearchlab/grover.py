@@ -123,7 +123,7 @@ def success_profile(size: int, marked_count: int, max_rounds: int) -> np.ndarray
     profile[0] = float((amps[:marked_count] ** 2).sum())
     for t in range(1, max_rounds + 1):
         amps[:marked_count] = -amps[:marked_count]
-        amps = sim._settle_norm(2.0 * amps.mean() - amps)
+        np.subtract(2.0 * amps.mean(), amps, out=amps)
         profile[t] = float((amps[:marked_count] ** 2).sum())
     return np.minimum(1.0, profile)
 

@@ -8,22 +8,25 @@ immutable bit/value tables with a monotone query counter.  The simulator
 may read a black box wholesale while *building* an operator, but cost is
 charged per operator application, never per basis state inspected.
 
-Operators are pure by default: they return a new state, and the ones that
-can round (diffusion and the rotations) settle its norm on every call.
-The phase flip and the diffusion also take an `out=` array, which may be
-the input's own amplitudes.  They then write the result there, without a
-fresh allocation and without the per-call settle; a loop that owns its
-buffer this way relies on the norm check that measurement makes.
+The norm is checked where amplitudes enter and where they leave:
+`StateVector(amps)` refuses a squared norm further than MEASURE_NORM_TOL
+from 1 and renormalizes one past NORM_DRIFT_LIMIT, and measurement refuses
+one past MEASURE_NORM_TOL.  Every operator in between is a plain unitary
+map that never renormalizes, so a broken contract (a stale carried sum,
+say) reaches measurement as a NormalizationError.  Operators are pure by
+default: they return a new state.  The phase flip and the diffusion also
+take an `out=` array, which may be the input's own amplitudes, and write
+the result there.
 
 So that a Grover round reads the state once, a state may carry `_carry`,
 the sum of its amps.  The diffusion reads a carried sum, or sums the state
-once, and hands the sum on (a -> 2*mean - a keeps it) unless a pure call's
-settle rescales; the flip moves a carried sum by -2 times the sum of the
-negated entries.  Construction, `copy()`, the rotations, measurement and
-the walks start with no carry.  The operators are the only writers of an
-operator-built state's amps: one that writes into its input's own buffer
-clears the input's carry, and no `out` may be a buffer that another state
-wraps.  A caller that edits amplitudes in place edits a `copy()`.
+once, and hands the sum on (a -> 2*mean - a keeps it); the flip moves a
+carried sum by -2 times the sum of the negated entries.  Construction,
+`copy()`, the rotations, measurement and the walks start with no carry.
+The operators are the only writers of an operator-built state's amps: one
+that writes into its input's own buffer clears the input's carry, and no
+`out` may be a buffer that another state wraps.  A caller that edits
+amplitudes in place edits a `copy()`.
 
 Measurement draws from a `WeightTable` of |amps|^2: one sequential running
 sum up to ONE_LEVEL_MAX amplitudes; above that, a running sum over
@@ -66,12 +69,11 @@ __all__ = [
     "measure",
 ]
 
-# Operators here are unitary, so norm drift is float rounding noise.  Pure
-# operator calls renormalize a result that drifted past this bound; a buffer
-# stepped in place with `out=` is checked, to MEASURE_NORM_TOL, when measured.
+# StateVector construction renormalizes amplitudes whose norm is further
+# than this from 1; operators are unitary and never renormalize.
 NORM_DRIFT_LIMIT = 1e-9
-# Measurement, and StateVector construction from untrusted amplitudes, refuse
-# states whose squared norm is further than this from 1.
+# Measurement and StateVector construction refuse states whose squared norm
+# is further than this from 1.
 MEASURE_NORM_TOL = 1e-6
 # The one byte budget for states, trajectories and chain matrices, counted
 # at 16 B per entry (one complex128 amplitude, or a float64 matrix entry and
@@ -136,37 +138,38 @@ class SeededRng:
         return f"SeededRng(master_seed={self.master_seed}, stream_id={self.stream_id}{key})"
 
 
-def _settle_norm(amps: np.ndarray, reject_tol: Optional[float] = None) -> np.ndarray:
-    """Renormalize amplitudes that drifted past the limit; refuse past reject_tol."""
-    # |sum|a|^2 - 1| ~ 2*|norm - 1| near 1, so compare against twice the limit
-    n2 = np.vdot(amps, amps).real
-    if reject_tol is not None and abs(n2 - 1.0) > reject_tol:
-        raise NormalizationError(f"amplitudes have squared norm {n2:.6g}, expected 1")
-    if abs(n2 - 1.0) > 2.0 * NORM_DRIFT_LIMIT:
-        amps = amps / np.sqrt(n2)
-    return amps
-
-
 class StateVector:
     """Normalized amplitudes over a finite basis (0-based indices).
 
-    Real input is held as float64 and complex input as complex128.  Only
-    operators set `_carry` (see the module docstring).
+    `StateVector(amps)` copies its input, as float64 for real input and
+    complex128 for complex input, and settles its norm (see the module
+    docstring).  Operators wrap their own results with `_wrap`, and only
+    they set `_carry`.
     """
 
     __slots__ = ("amps", "_carry")
 
-    def __init__(self, amps, copy: bool = True, _trusted: bool = False, _carry=None):
-        if _trusted and not copy:  # an operator's own 1-D float64 or complex128 result
-            self.amps = amps
-            self._carry = _carry
-            return
-        self._carry = None
+    def __init__(self, amps):
         dtype = np.complex128 if np.iscomplexobj(amps) else np.float64
-        arr = np.array(amps, dtype=dtype, copy=copy)
+        arr = np.array(amps, dtype=dtype)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("state needs a non-empty 1-D amplitude vector")
-        self.amps = arr if _trusted else _settle_norm(arr, MEASURE_NORM_TOL)
+        n2 = np.vdot(arr, arr).real
+        if abs(n2 - 1.0) > MEASURE_NORM_TOL:
+            raise NormalizationError(f"amplitudes have squared norm {n2:.6g}, expected 1")
+        # |sum|a|^2 - 1| ~ 2*|norm - 1| near 1, so compare against twice the limit
+        if abs(n2 - 1.0) > 2.0 * NORM_DRIFT_LIMIT:
+            arr /= np.sqrt(n2)
+        self.amps = arr
+        self._carry = None
+
+    @classmethod
+    def _wrap(cls, amps: np.ndarray, carry=None) -> "StateVector":
+        """An operator's own 1-D float64 or complex128 array, taken as it is."""
+        state = cls.__new__(cls)
+        state.amps = amps
+        state._carry = carry
+        return state
 
     @property
     def dimension(self) -> int:
@@ -180,7 +183,7 @@ class StateVector:
         return p / p.sum()
 
     def copy(self) -> "StateVector":
-        return StateVector(self.amps, copy=True, _trusted=True)
+        return StateVector._wrap(self.amps.copy())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StateVector(dimension={self.dimension})"
@@ -204,7 +207,7 @@ def uniform_state(dimension: int) -> StateVector:
     """Equal superposition over `dimension` basis states."""
     check_state_size(dimension)
     amps = np.full(dimension, 1.0 / np.sqrt(dimension))
-    return StateVector(amps, copy=False, _trusted=True)
+    return StateVector._wrap(amps)
 
 
 def basis_state(dimension: int, index: int = 0) -> StateVector:
@@ -214,7 +217,7 @@ def basis_state(dimension: int, index: int = 0) -> StateVector:
         raise IndexError(f"basis index {index} out of range for dimension {dimension}")
     amps = np.zeros(dimension)
     amps[index] = 1.0
-    return StateVector(amps, copy=False, _trusted=True)
+    return StateVector._wrap(amps)
 
 
 class _CountingOracle:
@@ -404,7 +407,7 @@ def apply_phase_flip(
         carry = carry - 2.0 * np.add.reduce(picked)
     out[idx] = -picked
     oracle.charge(1)
-    return StateVector(out, copy=False, _trusted=True, _carry=carry)
+    return StateVector._wrap(out, carry)
 
 
 def apply_phase_rotation(
@@ -415,32 +418,27 @@ def apply_phase_rotation(
     out = state.amps.astype(np.complex128)
     out[idx] = out[idx] * np.exp(1j * angle)
     oracle.charge(1)
-    return StateVector(_settle_norm(out), copy=False, _trusted=True)
+    return StateVector._wrap(out)
 
 
 def apply_diffusion(state: StateVector, out: Optional[np.ndarray] = None) -> StateVector:
     """Reflect about the uniform superposition: a_i -> 2*mean(a) - a_i.
 
-    Without `out` the result is a new state with its norm settled.  Given
-    `out` (which may be `state.amps` itself) the same arithmetic writes the
-    result there, and the norm is left to the check at measurement.  The
+    Without `out` the result is a new state.  Given `out` (which may be
+    `state.amps` itself) the same arithmetic writes the result there.  The
     mean comes from the carried amplitude sum, or from one pass over a
-    state that carries no sum, and the result carries that sum on, unless a
-    settle rescaled it.
+    state that carries no sum, and the result carries that sum on.
     """
     carry = state._carry
     if carry is None:
         carry = np.add.reduce(state.amps)  # ndarray.sum without its wrapper
     mean = carry / state.amps.size
     if out is None:
-        reflected = 2.0 * mean - state.amps
-        settled = _settle_norm(reflected)
-        return StateVector(settled, copy=False, _trusted=True,
-                           _carry=carry if settled is reflected else None)
-    if out is state.amps:
+        out = np.empty_like(state.amps)
+    elif out is state.amps:
         state._carry = None  # its amps change under it
     np.subtract(2.0 * mean, state.amps, out=out)
-    return StateVector(out, copy=False, _trusted=True, _carry=carry)
+    return StateVector._wrap(out, carry)
 
 
 def apply_diffusion_rotation(state: StateVector, angle: float) -> StateVector:
@@ -451,7 +449,7 @@ def apply_diffusion_rotation(state: StateVector, angle: float) -> StateVector:
     """
     mean = state.amps.mean()
     out = state.amps + (np.exp(1j * angle) - 1.0) * mean
-    return StateVector(_settle_norm(out), copy=False, _trusted=True)
+    return StateVector._wrap(out)
 
 
 class WeightTable:

@@ -24,8 +24,8 @@ matrix, like every trajectory, passes sim.check_state_size before it is
 allocated, and subset chains count their states before listing them.
 
 The classical hitting walk reads one table per chain: each row's running
-sums of P at its edge columns.  One trial steps in a scalar loop that
-bisects a row per step; more trials step in lockstep, vectorized.
+sums of P at its edge columns.  Trials walk one after another in a scalar
+loop that bisects a row per step.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ HITTING_CACHE_ENTRIES = 128
 SZEGEDY_BUDGET_FACTOR = 6.0
 # classical_hitting raises past this many steps, summed over its trials.
 HITTING_STEP_GUARD = 50_000_000
-# Uniforms a one-trial hitting walk draws at a time.
+# Uniforms classical_hitting draws at a time.
 HITTING_DRAW_CHUNK = 4096
 
 
@@ -197,7 +197,7 @@ def localized_coined_state(grid: TorusGrid, cell: int) -> StateVector:
     sim.check_state_size(grid.cells * k)
     amps = np.zeros(grid.cells * k)
     amps[cell * k:(cell + 1) * k] = 1.0 / math.sqrt(k)
-    return StateVector(amps, copy=False, _trusted=True)
+    return StateVector._wrap(amps)
 
 
 def grid_walk_step(grid: TorusGrid, state: StateVector, marked) -> StateVector:
@@ -226,7 +226,7 @@ def grid_walk_step(grid: TorusGrid, state: StateVector, marked) -> StateVector:
     twice_means *= 2.0
     twice_means[marked_idx] = 0.0  # 0 - amp is the negated identity coin
     np.subtract(twice_means[:, None], cells, out=cells)
-    return StateVector(out, copy=False, _trusted=True)
+    return StateVector._wrap(out)
 
 
 def grid_walk_probability_profile(grid: TorusGrid, marked, max_steps: int) -> np.ndarray:
@@ -398,10 +398,10 @@ class MarkovChain:
         The sums equal the dense row cumsum at the same columns: np.cumsum
         adds in order, and the zeros of P between edge columns add nothing.
         Rows are padded to one past the largest degree, sums with +inf and
-        columns with size - 1.  So the first sum above a draw u < 1 always
-        exists, and its column is the next state; that is size - 1 when
-        rounding leaves the row's total at or below u, as in the dense
-        count of sums <= u clipped to size - 1.
+        columns with the row's last edge column.  So the first sum above a
+        draw u < 1 always exists, and its column is the next state; when
+        rounding leaves the row's total at or below u, that is the row's
+        last neighbour, as if its last interval ran on to 1.
         """
 
         def build():
@@ -414,7 +414,8 @@ class MarkovChain:
             sums[edges.rows, slots] = self.matrix[edges.rows, edges.cols]
             np.cumsum(sums, axis=1, out=sums)
             sums[np.arange(width) >= degrees[:, None]] = np.inf
-            cols = np.full((self.size, width), self.size - 1)
+            last = edges.cols[edges.starts + degrees - 1]
+            cols = np.repeat(last, width).reshape(self.size, width)
             cols[edges.rows, slots] = edges.cols
             for arr in (sums, cols):
                 arr.setflags(write=False)
@@ -573,7 +574,7 @@ def szegedy_step(chain: MarkovChain, edge_state: np.ndarray) -> np.ndarray:
     psi = 2.0 * row_overlap[edges.rows] * edges.root - psi
     column_overlap = _row_sums((edges.root * psi)[edges.transpose], edges.starts)
     psi = 2.0 * edges.root * column_overlap[edges.cols] - psi
-    return sim._settle_norm(psi)
+    return psi
 
 
 def marked_pair_probability(chain: MarkovChain, edge_state: np.ndarray) -> float:
@@ -687,57 +688,46 @@ def szegedy_find_marked(
 def classical_hitting(chain: MarkovChain, rng: SeededRng, trials: int) -> float:
     """Monte Carlo mean steps from a stationary start to the marked set.
 
-    Both paths read chain.transition_table(): a step draws u and moves to
-    the column of the row's first running sum above u.  One trial is a
-    scalar loop that bisects the row, on uniforms drawn HITTING_DRAW_CHUNK
-    at a time, and leaves the generator just past the draws it used.  More
-    trials step in lockstep, one vectorized compare and count per step.
-    Raises RuntimeError once the trials' steps pass HITTING_STEP_GUARD.
+    The trials' start states are drawn first; then the trials walk one
+    after another over one stream of uniforms, drawn HITTING_DRAW_CHUNK at
+    a time.  A step draws u and moves to the column of the first running
+    sum above u in its row of chain.transition_table(), found by bisection.
+    The generator is left just past the uniforms used, as if they had been
+    drawn one per step.  Raises RuntimeError once the trials' steps pass
+    HITTING_STEP_GUARD.
     """
     if not chain.marked:
         raise ParameterError("hitting time needs a non-empty marked set")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     sums, cols = chain.transition_table()
-    marked_mask = chain.marked_mask
-    gen = rng.generator
-    states = gen.integers(0, chain.size, size=trials)
-    if trials == 1:
-        return float(_hit_once(sums, cols, chain.marked, gen, int(states[0])))
-    steps = np.zeros(trials, dtype=np.int64)
-    active = ~marked_mask[states]
-    total = 0
-    while active.any():
-        live = np.flatnonzero(active)
-        rows = states[live]
-        states[live] = cols[rows, (sums[rows] <= gen.random(live.size)[:, None]).sum(axis=1)]
-        steps[live] += 1
-        total += live.size
-        if total > HITTING_STEP_GUARD:
-            raise RuntimeError("hitting-time simulation exceeded the step guard")
-        active[live] = ~marked_mask[states[live]]
-    return float(steps.mean())
-
-
-def _hit_once(sums: np.ndarray, cols: np.ndarray, marked, gen, state: int) -> int:
-    """Steps of one hitting walk from `state`, one bisection per step."""
     width = sums.shape[1]
     sums, cols = memoryview(sums.ravel()), memoryview(cols.ravel())
-    steps = 0
-    while state not in marked:
-        saved = gen.bit_generator.state
-        draws = gen.random(min(HITTING_DRAW_CHUNK, HITTING_STEP_GUARD + 1 - steps)).tolist()
-        for used, u in enumerate(draws, 1):
-            start = state * width
-            state = cols[bisect_right(sums, u, start, start + width)]
-            if state in marked:
-                gen.bit_generator.state = saved  # and redraw only the uniforms used
-                gen.random(used)
-                break
-        steps += used
-        if steps > HITTING_STEP_GUARD:
+    marked = chain.marked
+    gen = rng.generator
+    total = drawn = 0  # steps taken and uniforms drawn, over all trials
+    draws = iter(())
+    for state in gen.integers(0, chain.size, size=trials).tolist():
+        while state not in marked:
+            for u in draws:
+                total += 1
+                start = state * width
+                state = cols[bisect_right(sums, u, start, start + width)]
+                if state in marked:
+                    break
+            else:
+                if total > HITTING_STEP_GUARD:
+                    raise RuntimeError("hitting-time simulation exceeded the step guard")
+                saved = gen.bit_generator.state
+                chunk = min(HITTING_DRAW_CHUNK, HITTING_STEP_GUARD + 1 - total)
+                draws = iter(gen.random(chunk).tolist())
+                drawn = total + chunk
+        if total > HITTING_STEP_GUARD:
             raise RuntimeError("hitting-time simulation exceeded the step guard")
-    return steps
+    if total < drawn:
+        gen.bit_generator.state = saved  # and redraw only the uniforms used
+        gen.random(chunk - (drawn - total))
+    return total / trials
 
 
 def exact_hitting_mean(chain: MarkovChain) -> float:

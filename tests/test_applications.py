@@ -128,7 +128,7 @@ def test_schoening_run_never_reports_false_positives():
         if result is not None:
             assert formula.satisfied_by(result)
             yielded += 1
-    assert 0 < yielded < 300  # some walks succeed, some exhaust their 3n flips
+    assert 0 < yielded < 300  # some walks succeed, some exhaust their 3n + 1 flips
 
 
 def test_schoening_run_on_unsatisfiable_formula():
@@ -150,6 +150,83 @@ def test_batch_walker_agrees_with_single_runs():
     p = single / trials
     sigma = math.sqrt(2 * p * (1 - p) / trials)
     assert abs(single - batch) / trials < 5 * sigma
+
+
+def _exact_walk_success(formula: Cnf3Formula, flips: int) -> float:
+    """Probability that a repair walk from a uniform start satisfies the
+    formula within `flips` flips, by dynamic programming over assignments."""
+    n = formula.variable_count
+    weights = {bits: 2.0 ** -n for bits in product((False, True), repeat=n)}
+    success = 0.0
+    for flip in range(flips + 1):
+        following = {}
+        for bits, weight in weights.items():
+            clause = formula.first_unsatisfied(bits)
+            if clause is None:
+                success += weight
+            elif flip < flips:
+                literals = formula.clauses[clause]
+                for variable, _ in literals:
+                    moved = bits[:variable] + (not bits[variable],) + bits[variable + 1:]
+                    following[moved] = following.get(moved, 0.0) + weight / len(literals)
+        weights = following
+    return success
+
+
+class _Branch(Exception):
+    def __init__(self, width: int):
+        super().__init__(width)
+        self.width = width
+
+
+class _ReplayedGenerator:
+    """Stand-in generator: a fixed start assignment, then scripted literal
+    picks; asking past the script raises _Branch with the pick's range."""
+
+    def __init__(self, start, picks):
+        self.start, self.picks = start, list(picks)
+
+    def integers(self, low, high=None, size=None):
+        if size is not None:
+            return np.array(self.start)
+        if not self.picks:
+            raise _Branch(high)
+        return self.picks.pop(0)
+
+
+def test_schoening_run_checks_after_3n_plus_1_flips():
+    # the only solution is x0 = x1 = true; from any other assignment the
+    # walk moves between the three others, so it can succeed at any flip
+    formula = Cnf3Formula(2, (
+        ((0, False), (1, False)),
+        ((0, True), (1, False)),
+        ((0, False), (1, True)),
+    ))
+    # schoening_run's exact success probability: every start and every
+    # sequence of literal picks, each weighted by its probability
+    success = 0.0
+    for start in product((0, 1), repeat=2):
+        pending = [((), 0.25)]
+        while pending:
+            picks, weight = pending.pop()
+            rng = SeededRng(0)
+            rng.generator = _ReplayedGenerator(start, picks)
+            try:
+                success += weight * (schoening_run(formula, rng) is not None)
+            except _Branch as branch:
+                pending.extend((picks + (k,), weight / branch.width) for k in range(branch.width))
+    assert success == pytest.approx(_exact_walk_success(formula, 7), abs=1e-12)
+    assert _exact_walk_success(formula, 6) < success - 0.01
+
+
+def test_batch_walker_matches_the_exact_success_probability():
+    formula, _ = random_planted_formula(5, SeededRng(42, 1))
+    trials = 50_000
+    rate = estimate_success(formula, SeededRng(8, 0), trials).success_rate
+    exact = _exact_walk_success(formula, 16)  # 3n + 1 flips
+    sigma = math.sqrt(exact * (1 - exact) / trials)
+    assert abs(rate - exact) < 5 * sigma
+    assert abs(rate - _exact_walk_success(formula, 15)) > 5 * sigma
 
 
 def test_estimate_success_shapes_and_determinism():

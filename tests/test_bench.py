@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -426,3 +427,22 @@ def test_cli_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out
+
+
+# ------------------------------------------------------------------ tooling
+
+def test_traced_boundaries_resolve_to_package_callables(monkeypatch):
+    # perfbench/ wraps these names by getattr on qsearchlab's modules; a name
+    # that was deleted or renamed would otherwise fail only a traced run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    names = set(tracing.boundary_names())
+    for workload in workloads.WORKLOADS.values():
+        names.update(workload.must_fire)
+    names.discard(tracing.TRIAL)  # the benchmark's own root span
+    assert len(names) > 30
+    for name in sorted(names):
+        layer, function = name.split(".")
+        module = importlib.import_module(f"qsearchlab.{layer}")
+        assert callable(getattr(module, function, None)), name

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsearchlab import sim
+from qsearchlab import amplify, sim, walks
 from qsearchlab.sim import (
     BitOracle,
     NormalizationError,
@@ -86,6 +86,7 @@ def test_state_vector_settles_small_drift():
     amps = np.full(4, 0.5) * (1.0 + 3e-7)  # within measure tolerance, above drift limit
     state = StateVector(amps)
     assert abs(state.norm() - 1.0) < 1e-12
+    assert np.array_equal(amps, np.full(4, 0.5) * (1.0 + 3e-7))  # the input is copied
 
 
 def test_state_vector_copy_is_independent():
@@ -93,9 +94,9 @@ def test_state_vector_copy_is_independent():
     clone = state.copy()
     clone.amps[0] = 0.0
     assert state.amps[0] != 0.0
-    # a trusted operator result wraps its array; its copy still copies
+    # an operator's result wraps its own array; its copy still copies
     amps = np.full(4, 0.5)
-    wrapped = StateVector(amps, copy=False, _trusted=True)
+    wrapped = StateVector._wrap(amps)
     assert wrapped.amps is amps
     assert wrapped.copy().amps is not amps
 
@@ -282,6 +283,8 @@ def test_state_kinds_stay_real_until_a_complex_phase_enters():
     assert StateVector([0, 1]).amps.dtype == real
     assert StateVector(np.array([0.6, 0.8j])).amps.dtype == np.complex128
     assert StateVector([0.6 + 0j, 0.8]).amps.dtype == np.complex128
+    assert StateVector(np.array([0.6, 0.8], dtype=np.float32)).amps.dtype == real
+    assert StateVector(np.array([0.6, 0.8j], dtype=np.complex64)).amps.dtype == np.complex128
     state = _random_real_state(SeededRng(17), 5)
     assert state.copy().amps.dtype == real
     assert apply_phase_flip(state, [1, 4], oracle).amps.dtype == real
@@ -303,7 +306,7 @@ def test_real_rounds_match_a_complex128_chain(size, marked_count):
     reference = StateVector(np.full(size, 1.0 / np.sqrt(size), dtype=np.complex128))
     for rounds in range(1, 3 * int(np.sqrt(size / marked_count)) + 3):
         # one round of each kind from the same input agrees to within 1e-15
-        widened = StateVector(real.amps.astype(np.complex128), _trusted=True)
+        widened = StateVector._wrap(real.amps.astype(np.complex128))
         real = apply_diffusion(apply_phase_flip(real, marked, oracle))
         same_input = apply_diffusion(apply_phase_flip(widened, marked, oracle))
         assert real.amps.dtype == np.float64
@@ -383,11 +386,8 @@ def test_out_flip_charges_like_the_pure_flip():
 
 
 @pytest.mark.parametrize("dimension", [8, 1024])
-def test_owned_rounds_stay_normalized_without_settling(dimension, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("an owned round settled its norm")
-
-    monkeypatch.setattr(sim, "_settle_norm", refuse)
+def test_owned_rounds_stay_normalized_without_settling(dimension):
+    # no operator renormalizes, so the norm holds by unitarity alone
     state = uniform_state(dimension)
     amps = state.amps
     oracle = BitOracle(np.isin(np.arange(dimension), [1, dimension - 2]).astype(int))
@@ -407,13 +407,51 @@ def test_measure_checks_the_norm_of_an_owned_buffer():
     oracle = BitOracle(np.eye(16, dtype=int)[3])
     state = apply_phase_flip(state, [3], oracle, out=amps)
     amps *= 1.0 + 1e-5
-    state = apply_diffusion(state, out=amps)  # in place: no settle repairs the drift
+    state = apply_diffusion(state, out=amps)  # no operator repairs the drift
     with pytest.raises(NormalizationError):
         measure(state, SeededRng(0))
-    # the pure diffusion still renormalizes such a state on every call
-    settled = apply_diffusion(StateVector(amps, copy=False, _trusted=True))
-    assert abs(settled.norm() - 1.0) < 1e-12
-    assert 0 <= measure(settled, SeededRng(0)) < 16
+    # the pure diffusion keeps the drift too, and measurement refuses it
+    pure = apply_diffusion(StateVector._wrap(amps))
+    assert pure.norm() == pytest.approx(state.norm(), abs=1e-12)
+    with pytest.raises(NormalizationError):
+        measure(pure, SeededRng(0))
+
+
+def test_operators_keep_a_drifted_norm_and_measurement_refuses_it():
+    # Squared norm 1 + 1e-7 is past the constructor's drift limit and inside
+    # the measurement tolerance.  Every operator is a plain unitary map, so
+    # each one keeps that norm; none of them renormalizes.
+    drift = 1.0 + 1e-7
+    raw = SeededRng(23).generator.normal(size=16)
+    amps = raw * (np.sqrt(drift) / np.linalg.norm(raw))
+    oracle = BitOracle(np.ones(16, dtype=int))
+    marked = np.array([2, 9])
+
+    def drifted():
+        return StateVector._wrap(amps.copy())
+
+    prep = amplify.uniform_preparation(16)
+    grid = walks.TorusGrid(2, 2)  # 4 cells of 4 directions
+    results = {
+        "flip": apply_phase_flip(drifted(), marked, oracle),
+        "flip out=": apply_phase_flip(drifted(), marked, oracle, out=np.empty(16)),
+        "rotation": apply_phase_rotation(drifted(), marked, 0.7, oracle),
+        "diffusion": apply_diffusion(drifted()),
+        "diffusion out=": apply_diffusion(drifted(), out=np.empty(16)),
+        "diffusion rotation": apply_diffusion_rotation(drifted(), 1.3),
+        "amplification round": amplify.amplification_round(drifted(), prep, marked, oracle),
+        "grid walk step": walks.grid_walk_step(grid, drifted(), [1]),
+    }
+    for name, state in results.items():
+        assert abs(np.vdot(state.amps, state.amps).real - drift) <= 1e-12, name
+    chain = walks.torus_chain(4, 2, marked={5})
+    stepped = walks.szegedy_step(chain, walks.stationary_edge_state(chain) * np.sqrt(drift))
+    assert abs(stepped @ stepped - drift) <= 1e-12
+    # past MEASURE_NORM_TOL, a pure operator's result is refused at measurement
+    far = StateVector._wrap(amps * np.sqrt((1.0 + 2e-6) / drift))
+    for state in (apply_diffusion(far), apply_phase_rotation(far, marked, 0.7, oracle)):
+        with pytest.raises(NormalizationError):
+            measure(state, SeededRng(0))
 
 
 # ------------------------------------------------------- carried amplitude sum
@@ -438,7 +476,7 @@ def test_carried_sum_rounds_match_a_resumming_reference(dimension, rounds):
 
 
 _CARRY_STEPS = ("flip", "flip-in-place", "flip-into", "diffuse", "diffuse-in-place",
-                "diffuse-into", "rescale")
+                "diffuse-into", "copy")
 
 
 @settings(max_examples=150, deadline=None)
@@ -466,12 +504,8 @@ def test_carried_sum_follows_any_operator_sequence(dimension, data, seed, comple
         elif step.startswith("diffuse"):
             state = apply_diffusion(state, **into)
         else:
-            # a drifted state, carrying its own sum if it had one, forces the settle
-            scale = 1.0 + 1e-6
-            carry = None if state._carry is None else state._carry * scale
-            state = apply_diffusion(StateVector(state.amps * scale, copy=False, _trusted=True, _carry=carry))
-            assert abs(state.norm() - 1.0) < 1e-12
-            assert state._carry is None  # the rescaled result drops the carry
+            state = state.copy()
+            assert state._carry is None  # the next diffusion sums the copy afresh
         if state._carry is not None:
             assert abs(state._carry - np.add.reduce(state.amps)) <= 1e-12 * dimension
 
@@ -482,7 +516,7 @@ def test_constructed_and_copied_states_carry_nothing():
     assert carried._carry is not None
     built = (
         StateVector([0.5, 0.5, 0.5, 0.5]),
-        StateVector(carried.amps, copy=False, _trusted=True),
+        StateVector._wrap(carried.amps),
         uniform_state(4),
         basis_state(4, 2),
         carried.copy(),
@@ -514,7 +548,13 @@ def test_callers_edit_amplitudes_in_place_on_a_copy():
     carried.amps[2] = -carried.amps[2]
     assert np.array_equal(carried.amps, edited.amps)
     assert carried._carry == stale != np.add.reduce(carried.amps)
-    assert not np.allclose(apply_diffusion(carried).amps, reflected)
+    wrong = apply_diffusion(carried)
+    assert not np.allclose(wrong.amps, reflected)
+    # That reflection is not unitary, and no operator hides it by rescaling:
+    # measurement refuses the result.
+    assert abs(wrong.norm() - 1.0) > 1e-2
+    with pytest.raises(NormalizationError):
+        measure(wrong, SeededRng(0))
 
 
 # -------------------------------------------------------------- measurement
@@ -531,7 +571,7 @@ def test_measure_follows_probabilities():
 
 
 def test_measure_rejects_denormalized_state():
-    bad = StateVector(np.full(4, 0.6), _trusted=True)
+    bad = StateVector._wrap(np.full(4, 0.6))
     with pytest.raises(NormalizationError):
         measure(bad, SeededRng(0))
 

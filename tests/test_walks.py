@@ -592,24 +592,22 @@ def test_monte_carlo_hitting_tracks_exact_solution():
 
 
 def _dense_hitting(chain, rng, trials, guard):
-    """Reference: the lockstep loop over the dense row cumsum of P."""
+    """Reference: trial after trial, one draw per step, over the dense row
+    cumsum of P.  A draw at or above a row's total moves to the row's last
+    neighbour in the pattern of P + P^T."""
     cumsum = np.cumsum(chain.matrix, axis=1)
     gen = rng.generator
-    states = gen.integers(0, chain.size, size=trials)
-    steps = np.zeros(trials, dtype=np.int64)
-    active = ~chain.marked_mask[states]
     total = 0
-    while active.any():
-        live = np.flatnonzero(active)
-        draws = gen.random(live.size)
-        states[live] = np.minimum(
-            (cumsum[states[live]] <= draws[:, None]).sum(axis=1), chain.size - 1)
-        steps[live] += 1
-        total += live.size
-        if total > guard:
-            raise RuntimeError("hitting-time simulation exceeded the step guard")
-        active[live] = ~chain.marked_mask[states[live]]
-    return float(steps.mean())
+    for state in gen.integers(0, chain.size, size=trials):
+        while not chain.marked_mask[state]:
+            row = state
+            state = int((cumsum[row] <= gen.random()).sum())
+            if state == chain.size:
+                state = int(np.flatnonzero(chain.matrix[row] + chain.matrix[:, row])[-1])
+            total += 1
+            if total > guard:
+                raise RuntimeError("hitting-time simulation exceeded the step guard")
+    return total / trials
 
 
 def _asymmetric_chain():
@@ -652,7 +650,7 @@ def test_transition_table_matches_dense_row_cumsum():
             assert np.array_equal(cols[x, :degree], row_cols)
             assert np.array_equal(sums[x, :degree], cumsum[x, row_cols])
             assert np.all(sums[x, degree:] == np.inf)
-            assert np.all(cols[x, degree:] == chain.size - 1)
+            assert np.all(cols[x, degree:] == row_cols[-1])
     assert _asymmetric_chain().matrix[0, 2] == 0.0  # a pattern edge with P = 0
 
 
@@ -669,7 +667,7 @@ def test_scalar_hitting_matches_dense_reference_and_leaves_generator_in_step():
             assert fast.random() == slow.random()
 
 
-def test_lockstep_hitting_matches_dense_reference():
+def test_many_trial_hitting_matches_dense_reference():
     for index, chain in enumerate(_hitting_chains()):
         for stream in range(2):
             fast, slow = SeededRng(700 + index, stream), SeededRng(700 + index, stream)
@@ -689,26 +687,29 @@ class _ScriptedGenerator(np.random.Generator):
         return np.full(size, self.start)
 
     def random(self, size=None):
-        return np.full(size, self.draw)
+        return self.draw if size is None else np.full(size, self.draw)
 
 
 def test_scripted_draws_move_where_the_dense_count_does():
     # row 0 reaches only 1 and 2, and its total rounds to 1 - 4e-13; a draw
-    # above that total moves to state size - 1 = 3, which is not a neighbour
+    # above that total moves to the row's last neighbour 2, never to the
+    # non-neighbour 3, and the same draw then moves from 2 to 3
     h, c = 0.5 - 2e-13, 0.5 + 2e-13
     fallback = MarkovChain([[0, h, h, 0], [h, 0, 0, c], [h, 0, 0, c], [0, c, c, 0]],
                            marked={3})
-    assert fallback.transition_table()[0][0, 1] < 1.0 - 1e-13 and fallback.matrix[0, 3] == 0.0
+    sums, cols = fallback.transition_table()
+    assert sums[0, 1] < 1.0 - 1e-13 and fallback.matrix[0, 3] == 0.0
+    assert list(cols[0]) == [1, 2, 2]
     # row 0 of cycle(4) has sums 0.5 at column 1 and 1.0 at column 3; the
     # dense count of sums <= 0.5 is 3, so a draw of exactly 0.5 moves to 3
     tie = cycle_chain(4, marked={3})
-    for chain, draw in ((fallback, 1.0 - 1e-13), (tie, 0.5)):
+    for chain, draw, steps in ((fallback, 1.0 - 1e-13, 2.0), (tie, 0.5, 1.0)):
         for trials in (1, 2):
             rng, reference = SeededRng(0), SeededRng(0)
             rng.generator = _ScriptedGenerator(0, draw)
             reference.generator = _ScriptedGenerator(0, draw)
-            assert classical_hitting(chain, rng, trials) == 1.0
-            assert _dense_hitting(chain, reference, trials, walks.HITTING_STEP_GUARD) == 1.0
+            assert classical_hitting(chain, rng, trials) == steps
+            assert _dense_hitting(chain, reference, trials, walks.HITTING_STEP_GUARD) == steps
 
 
 def test_hitting_step_guard_raises_on_both_paths(monkeypatch):
