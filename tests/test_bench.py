@@ -201,6 +201,24 @@ def test_golden_dense_records():
     assert _stripped_digest(lines) == DENSE_RECORDS_SHA256
 
 
+# The same digest over sat-schoening at sizes the default cells never reach,
+# where a repair walk runs longest.
+SAT_SIZES = (16, 20, 40)
+SAT_RECORDS_SHA256 = "28866876a1467fba782966bafa66471278c98f6650e31496ddf79d150c34e6c0"
+
+
+def test_golden_sat_records():
+    lines = [
+        bench.record_line(record, "jsonl")
+        for size in SAT_SIZES
+        for record in bench.iter_records(
+            ExperimentConfig(experiment="sat-schoening", sizes=(size,), trials=3, seed=0,
+                             format="jsonl"))
+    ]
+    assert len(lines) == 9
+    assert _stripped_digest(lines) == SAT_RECORDS_SHA256
+
+
 def test_parallel_run_matches_serial():
     cfg = ExperimentConfig(experiment="min-scaling", sizes=(64, 128), trials=3, seed=11)
     serial = [r.without_ms() for r in run_experiment(cfg, jobs=1)]
