@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,9 +47,9 @@ GROVER_UNKNOWN_COST_FACTOR = 3.0
 # while staying far above the 0.5*(3/4)^n walk floor at desk scale.
 PLANTED_DENSITY = 8.0
 # Planted formulas stop at this many variables.  A sat-schoening trial
-# grows as about n^2 (one BLAS thread, seed 0: 9 ms at 12 variables, 282 ms
-# at 80, 1.12 s at 160, 4.79 s at 320), so the cap costs about 12 s a trial;
-# from 80 variables on every trial was inconclusive.
+# grows as about n^2 (one BLAS thread, seed 0: 4.7 ms at 12 variables, 66 ms
+# at 80, 0.33 s at 160, 1.26 s at 320), so the cap costs about 3.3 s a
+# trial; from 80 variables on every trial was inconclusive.
 MAX_SAT_VARIABLES = 512
 
 
@@ -63,7 +64,7 @@ class Cnf3Formula:
     variable_count: int
     clauses: Tuple[Tuple[Tuple[int, bool], ...], ...]
     _vars: np.ndarray = field(init=False, repr=False, compare=False)
-    _negs: np.ndarray = field(init=False, repr=False, compare=False)
+    _lits: np.ndarray = field(init=False, repr=False, compare=False)
     _lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -71,54 +72,54 @@ class Cnf3Formula:
             raise ParameterError("formula needs at least one variable")
         if not self.clauses:
             raise ParameterError("formula needs at least one clause")
-        m = len(self.clauses)
-        vars_ = np.zeros((m, 3), dtype=np.int64)
-        negs = np.zeros((m, 3), dtype=bool)
-        lengths = np.zeros(m, dtype=np.int64)
-        for ci, clause in enumerate(self.clauses):
-            if not 1 <= len(clause) <= 3:
-                raise ParameterError(f"clause {ci} has {len(clause)} literals")
-            for li, (variable, negated) in enumerate(clause):
-                if not 0 <= variable < self.variable_count:
-                    raise ParameterError(f"clause {ci} uses variable {variable}")
-                vars_[ci, li] = variable
-                negs[ci, li] = bool(negated)
-            lengths[ci] = len(clause)
-            # Pad short clauses by repeating the last literal; repetition
-            # never changes clause truth and keeps the arrays rectangular.
-            for li in range(len(clause), 3):
-                vars_[ci, li] = vars_[ci, len(clause) - 1]
-                negs[ci, li] = negs[ci, len(clause) - 1]
-        for arr in (vars_, negs, lengths):
+        lengths = np.fromiter(map(len, self.clauses), dtype=np.int64, count=len(self.clauses))
+        bad = np.flatnonzero((lengths < 1) | (lengths > 3))
+        if bad.size:
+            raise ParameterError(f"clause {bad[0]} has {lengths[bad[0]]} literals")
+        pairs = np.array(list(chain.from_iterable(self.clauses)), dtype=np.int64)
+        ends = np.cumsum(lengths)
+        bad = np.flatnonzero((pairs[:, 0] < 0) | (pairs[:, 0] >= self.variable_count))
+        if bad.size:
+            raise ParameterError(f"clause {np.searchsorted(ends, bad[0], side='right')} "
+                                 f"uses variable {pairs[bad[0], 0]}")
+        # (3, m) slot tables; a short clause repeats its last literal, which
+        # never changes clause truth and keeps the tables rectangular
+        slots = ends - lengths + np.minimum(np.arange(3)[:, None], lengths - 1)
+        vars_ = pairs[slots, 0]
+        # a literal's row in the falsity table that _falsified gathers from
+        lits = vars_ + self.variable_count * (pairs[slots, 1] != 0)
+        for name, arr in (("_vars", vars_), ("_lits", lits), ("_lengths", lengths)):
             arr.setflags(write=False)
-        object.__setattr__(self, "_vars", vars_)
-        object.__setattr__(self, "_negs", negs)
-        object.__setattr__(self, "_lengths", lengths)
+            object.__setattr__(self, name, arr)
 
     @property
     def clause_count(self) -> int:
         return len(self.clauses)
 
-    def _clause_truth(self, assignment: np.ndarray) -> np.ndarray:
-        lits = assignment[self._vars] ^ self._negs
-        return lits.any(axis=1)
+    def _falsified(self, assignments: np.ndarray) -> np.ndarray:
+        """(m, rows) mask of falsified clauses for (n, rows) bool assignments.
+
+        The complement stacked on the table gives a (2n, rows) table of
+        literal falsity, so one gather through `_lits` reads every literal.
+        """
+        falsity = np.concatenate((~assignments, assignments)).take(self._lits, axis=0)
+        return falsity[0] & falsity[1] & falsity[2]
 
     def satisfied_by(self, assignment: Sequence[int]) -> bool:
-        bits = np.asarray(assignment, dtype=bool)
-        if bits.shape != (self.variable_count,):
-            raise ParameterError("assignment length must match variable count")
-        return bool(self._clause_truth(bits).all())
+        return self.first_unsatisfied(assignment) is None
 
     def first_unsatisfied(self, assignment: Sequence[int]) -> Optional[int]:
         """Index of the first falsified clause in declaration order."""
         bits = np.asarray(assignment, dtype=bool)
-        truth = self._clause_truth(bits)
-        bad = np.flatnonzero(~truth)
-        return int(bad[0]) if bad.size else None
+        if bits.shape != (self.variable_count,):
+            raise ParameterError("assignment length must match variable count")
+        falsified = self._falsified(bits[:, None])[:, 0]
+        first = int(falsified.argmax())
+        return first if falsified[first] else None
 
 
 def parse_dimacs(text: str) -> Cnf3Formula:
-    """Read DIMACS CNF, rejecting clauses with more than 3 literals."""
+    """Read DIMACS CNF; Cnf3Formula rejects clauses with more than 3 literals."""
     variable_count = None
     declared_clauses = None
     clauses = []
@@ -142,10 +143,6 @@ def parse_dimacs(text: str) -> Cnf3Formula:
             lit = int(tok)
             if lit == 0:
                 if current:
-                    if len(current) > 3:
-                        raise ParameterError(
-                            f"clause {len(clauses)} has {len(current)} literals; limit is 3"
-                        )
                     clauses.append(tuple(current))
                     current = []
                 continue
@@ -154,8 +151,6 @@ def parse_dimacs(text: str) -> Cnf3Formula:
                 raise ParameterError(f"literal {lit} exceeds declared variable count")
             current.append((variable, lit < 0))
     if current:
-        if len(current) > 3:
-            raise ParameterError(f"final clause has {len(current)} literals; limit is 3")
         clauses.append(tuple(current))
     if variable_count is None:
         raise ParameterError("missing problem line")
@@ -186,16 +181,19 @@ def random_planted_formula(
     clause_count = max(1, round(density * variable_count))
     sim.check_state_size(3 * clause_count)
     gen = rng.generator
-    planted = gen.integers(0, 2, size=variable_count).astype(bool)
+    planted = gen.integers(0, 2, size=variable_count)
+    plant = planted.tolist()
     clauses = []
     for _ in range(clause_count):
-        variables = gen.choice(variable_count, size=3, replace=False)
+        variables = gen.choice(variable_count, size=3, replace=False).tolist()
+        # the one sign triple under which the plant falsifies the clause
+        falsifying = [plant[v] for v in variables]
         while True:
-            negs = gen.integers(0, 2, size=3).astype(bool)
-            if bool(np.any(planted[variables] ^ negs)):
+            negs = gen.integers(0, 2, size=3).tolist()
+            if negs != falsifying:
                 break
-        clauses.append(tuple((int(v), bool(s)) for v, s in zip(variables, negs)))
-    return Cnf3Formula(variable_count, tuple(clauses)), planted
+        clauses.append(tuple(zip(variables, map(bool, negs))))
+    return Cnf3Formula(variable_count, tuple(clauses)), planted.astype(bool)
 
 
 def schoening_run(formula: Cnf3Formula, rng: SeededRng) -> Optional[np.ndarray]:
@@ -214,40 +212,36 @@ def schoening_run(formula: Cnf3Formula, rng: SeededRng) -> Optional[np.ndarray]:
             return assignment
         length = int(formula._lengths[clause])
         pick = int(gen.integers(0, length))
-        assignment[formula._vars[clause, pick]] ^= True
+        assignment[formula._vars[pick, clause]] ^= True
     return assignment if formula.satisfied_by(assignment) else None
 
 
 def _schoening_batch(formula: Cnf3Formula, rng: SeededRng, trials: int) -> int:
-    """Successes among vectorized repair walks; one row per trial.
+    """Successes among vectorized repair walks; one column per trial.
 
-    Like schoening_run, each row is checked before every flip and after
-    the last of up to 3n + 1 flips.
+    Like schoening_run, each walk is checked before every flip and after
+    the last of up to 3n + 1 flips.  A satisfied walk is never flipped
+    again, so it stays satisfied to the end.
     """
     n = formula.variable_count
     gen = rng.generator
-    assignments = gen.integers(0, 2, size=(trials, n)).astype(bool)
+    assignments = gen.integers(0, 2, size=(trials, n)).T.astype(bool, order="C")
     # Pre-draw the literal choices; each step consumes one column.
     picks = gen.random(size=(trials, 3 * n + 1))
-    done = np.zeros(trials, dtype=bool)
-    vars_, negs = formula._vars, formula._negs
-    lengths = formula._lengths
+    vars_, lengths = formula._vars, formula._lengths
+    cells = assignments.reshape(-1)
     for step in range(3 * n + 1):
-        truth = (assignments[:, vars_] ^ negs[None, :, :]).any(axis=2)
-        satisfied = truth.all(axis=1)
-        done |= satisfied
-        if done.all():
-            break
-        active = np.flatnonzero(~done)
-        first_bad = np.argmax(~truth[active], axis=1)
+        falsified = formula._falsified(assignments)
+        active = np.flatnonzero(falsified.any(axis=0))
+        if not active.size:
+            return trials
+        # argmax along contiguous rows: the copy costs less than a strided argmax
+        first_bad = falsified.T[active].argmax(axis=1)
         clause_len = lengths[first_bad]
         lit = np.minimum((picks[active, step] * clause_len).astype(np.int64),
                          clause_len - 1)
-        flip_vars = vars_[first_bad, lit]
-        assignments[active, flip_vars] ^= True
-    truth = (assignments[:, vars_] ^ negs[None, :, :]).any(axis=2)
-    done |= truth.all(axis=1)
-    return int(done.sum())
+        cells[vars_[lit, first_bad] * trials + active] ^= True
+    return trials - int(np.count_nonzero(formula._falsified(assignments).any(axis=0)))
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> Tuple[float, float]:
@@ -277,17 +271,12 @@ def estimate_success(formula: Cnf3Formula, rng: SeededRng, trials: int) -> SatRu
     """Monte Carlo estimate of the repair walk's single-run success rate."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    successes = 0
-    remaining = trials
     batch_rows = max(1, min(4096, (4_000_000 // max(1, formula.clause_count * 3))))
-    # a batch's largest array is its (rows, 3n + 1) literal picks
+    # a batch's largest array is its (rows, 3n + 1) float64 literal picks;
+    # batch_rows holds its (3, m, rows) literal gather to 4 MB
     sim.check_state_size(min(batch_rows, trials) * (3 * formula.variable_count + 1))
-    index = 0
-    while remaining:
-        chunk = min(batch_rows, remaining)
-        successes += _schoening_batch(formula, rng.split(index), chunk)
-        remaining -= chunk
-        index += 1
+    successes = sum(_schoening_batch(formula, rng.split(index), min(batch_rows, trials - start))
+                    for index, start in enumerate(range(0, trials, batch_rows)))
     low, high = wilson_interval(successes, trials)
     return SatRunStats(
         trials=trials,

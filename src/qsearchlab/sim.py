@@ -10,13 +10,13 @@ charged per operator application, never per basis state inspected.
 
 The norm is checked where amplitudes enter and where they leave:
 `StateVector(amps)` refuses a squared norm further than MEASURE_NORM_TOL
-from 1 and renormalizes one past NORM_DRIFT_LIMIT, and measurement refuses
-one past MEASURE_NORM_TOL.  Every operator in between is a plain unitary
-map that never renormalizes, so a broken contract (a stale carried sum,
-say) reaches measurement as a NormalizationError.  Operators are pure by
-default: they return a new state.  The phase flip and the diffusion also
-take an `out=` array, which may be the input's own amplitudes, and write
-the result there.
+from 1 and renormalizes one past NORM_DRIFT_LIMIT; measurement and
+`probabilities()` refuse one past MEASURE_NORM_TOL (`check_norm`).  Every
+operator in between is a plain unitary map that never renormalizes, so a
+broken contract (a stale carried sum, say) reaches measurement as a
+NormalizationError.  Operators are pure by default: they return a new
+state.  The phase flip and the diffusion also take an `out=` array, which
+may be the input's own amplitudes, and write the result there.
 
 So that a Grover round reads the state once, a state may carry `_carry`,
 the sum of its amps.  The diffusion reads a carried sum, or sums the state
@@ -64,6 +64,7 @@ __all__ = [
     "apply_diffusion_rotation",
     "marked_mask",
     "check_state_size",
+    "check_norm",
     "WeightTable",
     "born_table",
     "measure",
@@ -155,8 +156,7 @@ class StateVector:
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("state needs a non-empty 1-D amplitude vector")
         n2 = np.vdot(arr, arr).real
-        if abs(n2 - 1.0) > MEASURE_NORM_TOL:
-            raise NormalizationError(f"amplitudes have squared norm {n2:.6g}, expected 1")
+        check_norm(n2, "amplitudes")
         # |sum|a|^2 - 1| ~ 2*|norm - 1| near 1, so compare against twice the limit
         if abs(n2 - 1.0) > 2.0 * NORM_DRIFT_LIMIT:
             arr /= np.sqrt(n2)
@@ -179,14 +179,23 @@ class StateVector:
         return float(np.sqrt(np.vdot(self.amps, self.amps).real))
 
     def probabilities(self) -> np.ndarray:
+        """|amps|^2 over its sum; raises if the norm has drifted."""
         p = np.abs(self.amps) ** 2
-        return p / p.sum()
+        total = p.sum()
+        check_norm(total, "cannot read probabilities: state")
+        return p / total
 
     def copy(self) -> "StateVector":
         return StateVector._wrap(self.amps.copy())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StateVector(dimension={self.dimension})"
+
+
+def check_norm(n2: float, what: str) -> None:
+    """Raise NormalizationError if a squared norm is further than MEASURE_NORM_TOL from 1."""
+    if abs(n2 - 1.0) > MEASURE_NORM_TOL:
+        raise NormalizationError(f"{what} has squared norm {n2:.6g}, expected 1")
 
 
 def check_state_size(dimension: int) -> None:
@@ -521,8 +530,7 @@ def _born_weights(amps: np.ndarray) -> np.ndarray:
 def born_table(amps: np.ndarray) -> WeightTable:
     """Weight table of |amps|^2; raises if its total, the squared norm, has drifted."""
     table = WeightTable(amps)
-    if abs(table.total - 1.0) > MEASURE_NORM_TOL:
-        raise NormalizationError(f"cannot measure state with squared norm {table.total:.6g}")
+    check_norm(table.total, "cannot measure: state")
     return table
 
 

@@ -578,14 +578,15 @@ def szegedy_step(chain: MarkovChain, edge_state: np.ndarray) -> np.ndarray:
 
 
 def marked_pair_probability(chain: MarkovChain, edge_state: np.ndarray) -> float:
-    """Probability that measuring the pair yields a marked state in either slot."""
-    psi = _edge_amplitudes(chain, edge_state)
+    """Chance a measured pair is marked in either slot; raises if the norm has drifted."""
+    p = np.abs(_edge_amplitudes(chain, edge_state)) ** 2
+    total = p.sum()
+    sim.check_norm(total, "edge state")
     if not chain.marked:
         return 0.0
     edges = chain.edges()
-    p = np.abs(psi) ** 2
     keep = chain.marked_mask[edges.rows] | chain.marked_mask[edges.cols]
-    return float(p[keep].sum() / p.sum())
+    return float(p[keep].sum() / total)
 
 
 def measure_edge(chain: MarkovChain, edge_state: np.ndarray, rng: SeededRng) -> Tuple[int, int]:

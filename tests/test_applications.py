@@ -6,6 +6,8 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsearchlab.applications import (
     MAX_SAT_VARIABLES,
@@ -150,6 +152,128 @@ def test_batch_walker_agrees_with_single_runs():
     p = single / trials
     sigma = math.sqrt(2 * p * (1 - p) / trials)
     assert abs(single - batch) / trials < 5 * sigma
+
+
+# ------------------------------------------------ row-major reference walker
+# A row-major repair walker: one row per trial, a strided gather through
+# (m, 3) variable and sign tables, and a strided argmax.  It is the
+# differential oracle for the variable-major _schoening_batch.
+
+def _row_major_tables(formula: Cnf3Formula):
+    """(m, 3) variable and sign tables; a short clause repeats its last literal."""
+    m = formula.clause_count
+    vars_ = np.zeros((m, 3), dtype=np.int64)
+    negs = np.zeros((m, 3), dtype=bool)
+    lengths = np.zeros(m, dtype=np.int64)
+    for ci, clause in enumerate(formula.clauses):
+        for li in range(3):
+            vars_[ci, li], negs[ci, li] = clause[min(li, len(clause) - 1)]
+        lengths[ci] = len(clause)
+    return vars_, negs, lengths
+
+
+def _row_major_truth(formula: Cnf3Formula, assignments: np.ndarray) -> np.ndarray:
+    """(rows, m) clause truth for (rows, n) assignments."""
+    vars_, negs, _ = _row_major_tables(formula)
+    return (assignments[:, vars_] ^ negs[None, :, :]).any(axis=2)
+
+
+def _row_major_batch(formula: Cnf3Formula, rng: SeededRng, trials: int) -> int:
+    vars_, negs, lengths = _row_major_tables(formula)
+    n = formula.variable_count
+    gen = rng.generator
+    assignments = gen.integers(0, 2, size=(trials, n)).astype(bool)
+    picks = gen.random(size=(trials, 3 * n + 1))
+    done = np.zeros(trials, dtype=bool)
+    for step in range(3 * n + 1):
+        truth = (assignments[:, vars_] ^ negs[None, :, :]).any(axis=2)
+        done |= truth.all(axis=1)
+        if done.all():
+            break
+        active = np.flatnonzero(~done)
+        first_bad = np.argmax(~truth[active], axis=1)
+        clause_len = lengths[first_bad]
+        lit = np.minimum((picks[active, step] * clause_len).astype(np.int64),
+                         clause_len - 1)
+        assignments[active, vars_[first_bad, lit]] ^= True
+    done |= _row_major_truth(formula, assignments).all(axis=1)
+    return int(done.sum())
+
+
+def _reference_planted(variable_count: int, rng: SeededRng, density: float):
+    """(clauses, planted) from random_planted_formula's draws, checked clause by clause in numpy."""
+    gen = rng.generator
+    planted = gen.integers(0, 2, size=variable_count).astype(bool)
+    clauses = []
+    for _ in range(max(1, round(density * variable_count))):
+        variables = gen.choice(variable_count, size=3, replace=False)
+        while True:
+            negs = gen.integers(0, 2, size=3).astype(bool)
+            if bool(np.any(planted[variables] ^ negs)):
+                break
+        clauses.append(tuple((int(v), bool(s)) for v, s in zip(variables, negs)))
+    return tuple(clauses), planted
+
+
+@st.composite
+def _planted_formulas(draw, max_variables=14):
+    n = draw(st.integers(3, max_variables))
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.sampled_from((4.26, 8.0)))
+    return random_planted_formula(n, SeededRng(seed, n), density)[0]
+
+
+@st.composite
+def _dimacs_formulas(draw, max_variables=8):
+    """Parsed formulas with 1- and 2-literal clauses, repeated literals and x or not x."""
+    n = draw(st.integers(1, max_variables))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clause = st.one_of(
+        st.lists(literal, min_size=1, max_size=3),
+        st.lists(st.integers(1, n), min_size=1, max_size=1).map(lambda v: v * 2),
+        st.tuples(literal, st.integers(1, n)).flatmap(
+            lambda t: st.permutations([t[0], t[1], -t[1]])),
+    )
+    clauses = draw(st.lists(clause, min_size=1, max_size=4 * n + 2))
+    body = "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+    return parse_dimacs(f"p cnf {n} {len(clauses)}\n{body}")
+
+
+@settings(max_examples=80, deadline=None)
+@given(formula=st.one_of(_planted_formulas(), _dimacs_formulas()),
+       trials=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+@example(formula=UNSAT, trials=300, seed=0)
+@example(formula=Cnf3Formula(3, (((0, False), (0, False), (0, True)),)), trials=1, seed=1)
+def test_batch_walker_matches_the_row_major_reference(formula, trials, seed):
+    fast, slow = SeededRng(seed), SeededRng(seed)
+    assert _schoening_batch(formula, fast, trials) == _row_major_batch(formula, slow, trials)
+    assert fast.generator.bit_generator.state == slow.generator.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(formula=st.one_of(_planted_formulas(max_variables=9), _dimacs_formulas()))
+def test_formula_evaluation_matches_the_row_major_reference(formula):
+    every = np.array(list(product((False, True), repeat=formula.variable_count)))
+    truth = _row_major_truth(formula, every)
+    for bits, row in zip(every, truth):
+        bad = np.flatnonzero(~row)
+        assert formula.first_unsatisfied(bits) == (int(bad[0]) if bad.size else None)
+        assert formula.satisfied_by(bits) == (not bad.size)
+
+
+def test_planted_formula_stream_is_pinned():
+    # every seed in 0..199 and every size in 3..64, each at both densities
+    for seed in range(200):
+        size = 3 + seed % 62
+        for density in (4.26, 8.0):
+            fast, slow = SeededRng(seed, size), SeededRng(seed, size)
+            formula, planted = random_planted_formula(size, fast, density)
+            clauses, want = _reference_planted(size, slow, density)
+            assert formula.clauses == clauses
+            assert all(type(v) is int and type(s) is bool
+                       for clause in formula.clauses for v, s in clause)
+            assert planted.dtype == bool and np.array_equal(planted, want)
+            assert fast.generator.bit_generator.state == slow.generator.bit_generator.state
 
 
 def _exact_walk_success(formula: Cnf3Formula, flips: int) -> float:

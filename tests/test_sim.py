@@ -89,6 +89,16 @@ def test_state_vector_settles_small_drift():
     assert np.array_equal(amps, np.full(4, 0.5) * (1.0 + 3e-7))  # the input is copied
 
 
+def test_probabilities_refuse_a_drifted_norm():
+    amps = uniform_state(8).amps
+    with pytest.raises(NormalizationError):
+        StateVector._wrap(amps * np.sqrt(1 + 2e-6)).probabilities()
+    # inside the tolerance the weights are still divided by their own sum
+    near = StateVector._wrap(amps * np.sqrt(1 + 5e-7))
+    weights = np.abs(near.amps) ** 2
+    assert np.array_equal(near.probabilities(), weights / weights.sum())
+
+
 def test_state_vector_copy_is_independent():
     state = uniform_state(3)
     clone = state.copy()

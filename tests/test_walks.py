@@ -529,6 +529,20 @@ def test_marked_pair_probability_brute_force():
         marked_pair_probability(chain, raw)
 
 
+def test_marked_pair_probability_refuses_a_drifted_norm():
+    chain = cycle_chain(6, marked={0, 4})
+    psi = stationary_edge_state(chain)
+    for marked in (chain, cycle_chain(6)):
+        with pytest.raises(NormalizationError):
+            marked_pair_probability(marked, psi * np.sqrt(1 + 2e-6))
+    # inside the tolerance the marked mass is still divided by the total
+    near = psi * np.sqrt(1 + 5e-7)
+    weights = np.abs(near) ** 2
+    edges = chain.edges()
+    keep = chain.marked_mask[edges.rows] | chain.marked_mask[edges.cols]
+    assert marked_pair_probability(chain, near) == float(weights[keep].sum() / weights.sum())
+
+
 def test_cycle_profile_is_exactly_flat():
     # degree-2 rows make the row reflection a swap, so the quantized cycle
     # never concentrates: the marked-pair mass stays at 2/S forever
