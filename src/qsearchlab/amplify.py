@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -97,7 +97,7 @@ def preparation_from_target(target_amps, cost: int = 1) -> StatePreparation:
     if arr.ndim != 1 or arr.size < 1:
         raise ParameterError("target must be a non-empty 1-D amplitude vector")
     n2 = float(arr @ arr)
-    if abs(n2 - 1.0) > 1e-9:
+    if not abs(n2 - 1.0) <= 1e-9:  # a NaN norm fails too
         raise ParameterError(f"target has squared norm {n2:.6g}, expected 1")
     return _householder_preparation(arr, cost)
 
@@ -165,21 +165,15 @@ def amplification_round(
     prep: StatePreparation,
     good_indices: np.ndarray,
     counter: PredicateOracle,
-    out: Optional[np.ndarray] = None,
 ) -> StateVector:
-    """One round: good-set phase flip, then a -> 2<s|a>s - a about s = prep.start.
-
-    Without `out` the result is a new state.  Given `out` (which may be
-    `state.amps` itself) the flip writes there and the reflection works on
-    it in place.
-    """
-    state = sim.apply_phase_flip(state, good_indices, counter, out=out)
+    """One round on `state`: good-set phase flip, then a -> 2<s|a>s - a about s = prep.start."""
+    sim.apply_phase_flip(state, good_indices, counter)
     a, s = state.amps, prep.start
-    # the flip's result is this call's own array, so reflect it in place;
-    # only a complex start reflecting a real state needs a new array
+    # reflect in place; only a complex start reflecting a real state needs a new array
     twice_overlap = 2.0 * np.vdot(s, a) * s
-    reflected = np.subtract(twice_overlap, a, out=a if twice_overlap.dtype == a.dtype else None)
-    return StateVector._wrap(reflected)
+    state.amps = np.subtract(twice_overlap, a, out=a if twice_overlap.dtype == a.dtype else None)
+    state._carry = None
+    return state
 
 
 def amplitude_amplify(
@@ -204,7 +198,7 @@ def amplitude_amplify(
         rounds = predicted_repetitions(params.success_floor)
         state = start.copy()
         for _ in range(rounds):
-            state = amplification_round(state, prep, good_idx, counter, out=state.amps)
+            amplification_round(state, prep, good_idx, counter)
         index = sim.measure(state, rng)
         queries = (2 * rounds + 1) * prep.cost + counter.query_count
         return AmplifyResult(
@@ -217,7 +211,7 @@ def amplitude_amplify(
     cap = float(predicted_repetitions(params.success_floor) + 1)
     attempts, _ = _sweep_restarts(
         counter, mask, rng, cap, unknown_count_budget(cap), start,
-        lambda state, sink: amplification_round(state, prep, good_idx, sink, out=state.amps),
+        lambda state, sink: amplification_round(state, prep, good_idx, sink),
     )
     rounds_used = sum(rounds for rounds, _ in attempts)
     index = attempts[-1][1]

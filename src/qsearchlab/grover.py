@@ -117,6 +117,8 @@ def success_profile(size: int, marked_count: int, max_rounds: int) -> np.ndarray
     _check_counts(size, marked_count)
     if max_rounds < 0:
         raise ParameterError("max_rounds must be >= 0")
+    sim.check_state_size(size)
+    sim.check_state_size(max_rounds + 1)
     # Marked positions do not affect the profile; use the leading block.
     amps = np.full(size, 1.0 / math.sqrt(size))
     profile = np.empty(max_rounds + 1)
@@ -129,11 +131,9 @@ def success_profile(size: int, marked_count: int, max_rounds: int) -> np.ndarray
 
 
 def _run_rounds(state: StateVector, marked: np.ndarray, oracle, rounds: int) -> StateVector:
-    """Step `state` through `rounds` Grover rounds in place, in its own buffer."""
-    amps = state.amps
+    """Step `state` through `rounds` Grover rounds in place."""
     for _ in range(rounds):
-        state = sim.apply_phase_flip(state, marked, oracle, out=amps)
-        state = sim.apply_diffusion(state, out=amps)
+        sim.apply_diffusion(sim.apply_phase_flip(state, marked, oracle))
     return state
 
 
@@ -202,11 +202,10 @@ def prepared_certain_state(oracle: BitOracle, params: GroverParams) -> StateVect
     state = sim.uniform_state(params.size)
     if rounds == 0:
         return state  # every index marked; uniform state already certain
-    state = _run_rounds(state, marked, oracle, rounds - 1)
+    _run_rounds(state, marked, oracle, rounds - 1)
     phi, psi = _tuned_final_phases(theta, rounds)
-    state = sim.apply_phase_rotation(state, marked, phi, oracle)
-    state = sim.apply_diffusion_rotation(state, psi)
-    return state
+    sim.apply_phase_rotation(state, marked, phi, oracle)
+    return sim.apply_diffusion_rotation(state, psi)
 
 
 def search_with_certainty(oracle: BitOracle, params: GroverParams, rng: SeededRng) -> int:

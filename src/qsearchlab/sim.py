@@ -14,18 +14,15 @@ from 1 and renormalizes one past NORM_DRIFT_LIMIT; measurement and
 `probabilities()` refuse one past MEASURE_NORM_TOL (`check_norm`).  Every
 operator in between is a plain unitary map that never renormalizes, so a
 broken contract (a stale carried sum, say) reaches measurement as a
-NormalizationError.  Operators are pure by default: they return a new
-state.  The phase flip and the diffusion also take an `out=` array, which
-may be the input's own amplitudes, and write the result there.
+NormalizationError.  Operators update the state you pass and return that
+same object; `copy()` first to keep it.
 
 So that a Grover round reads the state once, a state may carry `_carry`,
 the sum of its amps.  The diffusion reads a carried sum, or sums the state
-once, and hands the sum on (a -> 2*mean - a keeps it); the flip moves a
+once, and keeps it (a -> 2*mean - a leaves it unchanged); the flip moves a
 carried sum by -2 times the sum of the negated entries.  Construction,
 `copy()`, the rotations, measurement and the walks start with no carry.
-The operators are the only writers of an operator-built state's amps: one
-that writes into its input's own buffer clears the input's carry, and no
-`out` may be a buffer that another state wraps.  A caller that edits
+The operators are the only writers of a state's amps: a caller that edits
 amplitudes in place edits a `copy()`.
 
 Measurement draws from a `WeightTable` of |amps|^2: one sequential running
@@ -144,8 +141,8 @@ class StateVector:
 
     `StateVector(amps)` copies its input, as float64 for real input and
     complex128 for complex input, and settles its norm (see the module
-    docstring).  Operators wrap their own results with `_wrap`, and only
-    they set `_carry`.
+    docstring).  State builders wrap their own arrays with `_wrap`, and only
+    the operators set `_carry`.
     """
 
     __slots__ = ("amps", "_carry")
@@ -164,11 +161,11 @@ class StateVector:
         self._carry = None
 
     @classmethod
-    def _wrap(cls, amps: np.ndarray, carry=None) -> "StateVector":
-        """An operator's own 1-D float64 or complex128 array, taken as it is."""
+    def _wrap(cls, amps: np.ndarray) -> "StateVector":
+        """A builder's own 1-D float64 or complex128 array, taken as it is."""
         state = cls.__new__(cls)
         state.amps = amps
-        state._carry = carry
+        state._carry = None
         return state
 
     @property
@@ -193,8 +190,8 @@ class StateVector:
 
 
 def check_norm(n2: float, what: str) -> None:
-    """Raise NormalizationError if a squared norm is further than MEASURE_NORM_TOL from 1."""
-    if abs(n2 - 1.0) > MEASURE_NORM_TOL:
+    """Raise NormalizationError unless a squared norm is within MEASURE_NORM_TOL of 1."""
+    if not abs(n2 - 1.0) <= MEASURE_NORM_TOL:  # a NaN norm fails too
         raise NormalizationError(f"{what} has squared norm {n2:.6g}, expected 1")
 
 
@@ -392,73 +389,57 @@ def _as_index_array(marked, dimension: int) -> np.ndarray:
     return idx
 
 
-def apply_phase_flip(
-    state: StateVector, marked, oracle: _CountingOracle, out: Optional[np.ndarray] = None
-) -> StateVector:
-    """Negate amplitudes on the marked set; charges one oracle query.
+def apply_phase_flip(state: StateVector, marked, oracle: _CountingOracle) -> StateVector:
+    """Negate the marked amplitudes of `state`; charges one oracle query.
 
-    Without `out` the result is a new state.  Given `out` (which may be
-    `state.amps` itself) the result is written there and wrapped; with
-    `out is state.amps` only the marked entries are touched.  A carried
-    sum moves by -2 times the sum of the negated entries; a state that
-    carries none gives a result that carries none.
+    A carried sum moves by -2 times the sum of the negated entries.
     """
     idx = _as_index_array(marked, state.dimension)
-    carry = state._carry
-    if out is None:
-        out = state.amps.copy()
-    elif out is not state.amps:
-        np.copyto(out, state.amps)
-    else:
-        state._carry = None  # its amps change under it
-    picked = out[idx]
-    if carry is not None:
-        carry = carry - 2.0 * np.add.reduce(picked)
-    out[idx] = -picked
+    amps = state.amps
+    picked = amps[idx]
+    if state._carry is not None:
+        state._carry = state._carry - 2.0 * np.add.reduce(picked)
+    amps[idx] = -picked
     oracle.charge(1)
-    return StateVector._wrap(out, carry)
+    return state
 
 
 def apply_phase_rotation(
     state: StateVector, marked, angle: float, oracle: _CountingOracle
 ) -> StateVector:
-    """Multiply marked amplitudes by exp(i*angle); charges one oracle query."""
+    """Multiply the marked amplitudes of `state` by exp(i*angle); charges one oracle query."""
     idx = _as_index_array(marked, state.dimension)
-    out = state.amps.astype(np.complex128)
-    out[idx] = out[idx] * np.exp(1j * angle)
+    amps = state.amps.astype(np.complex128)
+    amps[idx] = amps[idx] * np.exp(1j * angle)
     oracle.charge(1)
-    return StateVector._wrap(out)
+    state.amps, state._carry = amps, None
+    return state
 
 
-def apply_diffusion(state: StateVector, out: Optional[np.ndarray] = None) -> StateVector:
-    """Reflect about the uniform superposition: a_i -> 2*mean(a) - a_i.
+def apply_diffusion(state: StateVector) -> StateVector:
+    """Reflect `state` about the uniform superposition: a_i -> 2*mean(a) - a_i.
 
-    Without `out` the result is a new state.  Given `out` (which may be
-    `state.amps` itself) the same arithmetic writes the result there.  The
-    mean comes from the carried amplitude sum, or from one pass over a
-    state that carries no sum, and the result carries that sum on.
+    The mean comes from the carried amplitude sum, or from one pass over a
+    state that carries no sum, and the state then carries that sum on.
     """
     carry = state._carry
     if carry is None:
         carry = np.add.reduce(state.amps)  # ndarray.sum without its wrapper
     mean = carry / state.amps.size
-    if out is None:
-        out = np.empty_like(state.amps)
-    elif out is state.amps:
-        state._carry = None  # its amps change under it
-    np.subtract(2.0 * mean, state.amps, out=out)
-    return StateVector._wrap(out, carry)
+    np.subtract(2.0 * mean, state.amps, out=state.amps)
+    state._carry = carry
+    return state
 
 
 def apply_diffusion_rotation(state: StateVector, angle: float) -> StateVector:
-    """Apply I + (exp(i*angle) - 1) |u><u| with u the uniform superposition.
+    """Apply I + (exp(i*angle) - 1) |u><u| to `state`, with u the uniform superposition.
 
     At angle = pi this is the negated standard diffusion; intermediate angles
     give the partial reflections used by the exact-certainty search.
     """
     mean = state.amps.mean()
-    out = state.amps + (np.exp(1j * angle) - 1.0) * mean
-    return StateVector._wrap(out)
+    state.amps, state._carry = state.amps + (np.exp(1j * angle) - 1.0) * mean, None
+    return state
 
 
 class WeightTable:

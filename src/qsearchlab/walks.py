@@ -171,16 +171,18 @@ class TorusGrid:
         return self._shift_map
 
     def scan_order(self) -> np.ndarray:
-        """Boustrophedon visiting order; consecutive cells are adjacent."""
+        """Boustrophedon visiting order; consecutive cells are adjacent.
+
+        Axis 0 is scanned first.  Each further axis stacks `side` copies of
+        the order so far, every second one reversed, one layer apart.
+        """
         if self._scan_order is None:
-            order = [(c,) for c in range(self.side)]
-            for _ in range(self.dimensions - 1):
-                extended = []
-                for layer in range(self.side):
-                    block = order if layer % 2 == 0 else order[::-1]
-                    extended.extend(coords + (layer,) for coords in block)
-                order = extended
-            self._scan_order = np.asarray([self.cell_index(c) for c in order])
+            order = np.arange(self.side)
+            for axis in range(1, self.dimensions):
+                blocks = np.tile(order, (self.side, 1))
+                blocks[1::2] = blocks[1::2, ::-1]
+                order = (blocks + self.side**axis * np.arange(self.side)[:, None]).ravel()
+            self._scan_order = order
         return self._scan_order
 
 
@@ -236,6 +238,7 @@ def grid_walk_probability_profile(grid: TorusGrid, marked, max_steps: int) -> np
     """
     if max_steps < 0:
         raise ParameterError("max_steps must be >= 0")
+    sim.check_state_size(max_steps + 1)
     marked_idx = sim._as_index_array(marked, grid.cells)
     state = uniform_coined_state(grid)
     profile = np.empty(max_steps + 1)
@@ -327,13 +330,14 @@ class MarkovChain:
         arr = np.array(matrix, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
             raise ParameterError("chain needs a square matrix of size >= 2")
-        if arr.min() < 0:
+        # each check is written so that a NaN entry fails it
+        if not arr.min() >= 0:
             raise ParameterError("transition probabilities must be non-negative")
         row_err = np.abs(arr.sum(axis=1) - 1.0).max()
-        if row_err > CHAIN_CONSTRUCTION_TOL:
+        if not row_err <= CHAIN_CONSTRUCTION_TOL:
             raise ParameterError(f"rows must sum to 1 (max error {row_err:.3g})")
         sym_err = np.abs(arr - arr.T).max()
-        if sym_err > CHAIN_CONSTRUCTION_TOL:
+        if not sym_err <= CHAIN_CONSTRUCTION_TOL:
             raise ParameterError(f"matrix must be symmetric (max error {sym_err:.3g})")
         arr.setflags(write=False)
         self.matrix = arr
@@ -503,14 +507,15 @@ def load_chain(text: str) -> MarkovChain:
     else:
         marked = []
 
+    # each check is written so that a NaN entry fails it
     sym_err = np.abs(matrix - matrix.T).max()
-    if sym_err > CHAIN_FILE_TOL:
+    if not sym_err <= CHAIN_FILE_TOL:
         raise ParameterError(f"matrix asymmetry {sym_err:.3g} exceeds {CHAIN_FILE_TOL}")
     row_err = np.abs(matrix.sum(axis=1) - 1.0).max()
-    if row_err > CHAIN_FILE_TOL:
+    if not row_err <= CHAIN_FILE_TOL:
         raise ParameterError(f"row-sum error {row_err:.3g} exceeds {CHAIN_FILE_TOL}")
     low = matrix.min()
-    if low < -CHAIN_FILE_TOL:
+    if not low >= -CHAIN_FILE_TOL:
         raise ParameterError(f"negative transition probability {low:.3g}")
     np.clip(matrix, 0.0, None, out=matrix)
     # Alternate row normalization with symmetrization; each pass shrinks the
@@ -769,6 +774,7 @@ def expected_steps_to_success(chain: MarkovChain, shot_cap: Optional[int] = None
         shot_cap = default_shot_cap(chain)
     elif shot_cap < 1:
         raise ParameterError("shot_cap must be >= 1")
+    sim.check_state_size(shot_cap + 1)
     state = stationary_edge_state(chain)
     profile = np.empty(shot_cap + 1)
     profile[0] = marked_pair_probability(chain, state)

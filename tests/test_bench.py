@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsearchlab
-from qsearchlab import applications, bench, walks
+from qsearchlab import applications, bench, grover, walks
 from qsearchlab.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -404,7 +404,8 @@ def test_oversized_state_fails_before_allocating_with_exit_code_2():
 # The SAT cases: 2^34 variables would first ask for 128 GiB, one past the
 # variable cap would run for minutes a trial, density 1e7 asks for 3e9
 # clause entries, and 300 repair walks over 2^16 variables would pre-draw
-# 5.9e7 literal picks.
+# 5.9e7 literal picks.  The profiles: a 2^40-amplitude Grover state, and
+# 2^40 + 1 recorded rounds or steps, 8 TiB of float64 each.
 @pytest.mark.parametrize("build", [
     lambda: walks.cycle_chain(4097),
     lambda: walks.torus_chain(65, 2),
@@ -417,9 +418,14 @@ def test_oversized_state_fails_before_allocating_with_exit_code_2():
     lambda: applications.random_planted_formula(100, SeededRng(0), density=1e7),
     lambda: applications.estimate_success(
         applications.Cnf3Formula(2**16, (((0, False),),)), SeededRng(0), 300),
+    lambda: grover.success_profile(2**40, 1, 0),
+    lambda: grover.success_profile(4, 1, 2**40),
+    lambda: walks.grid_walk_probability_profile(walks.TorusGrid(2, 2), [0], 2**40),
+    lambda: walks.expected_steps_to_success(walks.cycle_chain(8, {0}), shot_cap=2**40),
 ], ids=["cycle-4097", "torus-65x65", "complete-4097", "johnson-20-8",
         "min-scaling-2^24+1", "local-min-2^25", "sat-schoening-2^34", "planted-over-cap",
-        "planted-dense", "estimate-picks-over-cap"])
+        "planted-dense", "estimate-picks-over-cap", "success-profile-2^40-state",
+        "success-profile-2^40-rounds", "grid-profile-2^40-steps", "expected-steps-2^40-cap"])
 def test_oversized_instances_are_refused_before_allocating(build):
     tracemalloc.start()
     try:
@@ -464,3 +470,32 @@ def test_traced_boundaries_resolve_to_package_callables(monkeypatch):
         layer, function = name.split(".")
         module = importlib.import_module(f"qsearchlab.{layer}")
         assert callable(getattr(module, function, None)), name
+
+
+@pytest.mark.parametrize("name", ["grover-dense", "small-state", "walks"])
+def test_every_must_fire_boundary_fires_in_one_untraced_round(monkeypatch, name):
+    # A boundary the code stops calling would otherwise fail only a traced
+    # perfbench run.  Counting wrappers stand in for the tracer; the round
+    # runs its cells, smallest first, until every boundary has fired.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    tracing = importlib.import_module("tracing")
+    workload = workloads.WORKLOADS[name]
+    silent = set(workload.must_fire) - {tracing.TRIAL}
+    for boundary in sorted(silent):
+        layer, function = boundary.split(".")
+        module = importlib.import_module(f"qsearchlab.{layer}")
+        original = getattr(module, function)
+
+        def counted(*args, _boundary=boundary, _original=original, **kwargs):
+            silent.discard(_boundary)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, function, counted)
+    plan = workloads.cells(workload, bench.EXPERIMENTS)
+    for cell in sorted(plan, key=lambda cell: cell.size):
+        if not silent:
+            break
+        rng = SeededRng(workloads.DEFAULT_SEED, cell.size_index).split(0)
+        bench.EXPERIMENTS[cell.experiment].runner(cell.size, rng, {})
+    assert not silent, sorted(silent)

@@ -2,7 +2,8 @@
 
 The operator tests run every reflection against an independently built
 dense matrix so the fast in-place implementations are never the only
-witness to their own correctness.
+witness to their own correctness.  Operators update the state they are
+given, so a test that reads an operator's input afterwards steps a copy().
 """
 
 import numpy as np
@@ -76,6 +77,9 @@ def test_state_vector_basics():
 def test_state_vector_rejects_denormalized_input():
     with pytest.raises(NormalizationError):
         StateVector([1.0, 1.0])
+    for bad in ([np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0], [1.0, np.nan * 1j]):
+        with pytest.raises(NormalizationError):
+            StateVector(bad)
     with pytest.raises(ParameterError):
         StateVector([])
     with pytest.raises(ParameterError):
@@ -93,6 +97,9 @@ def test_probabilities_refuse_a_drifted_norm():
     amps = uniform_state(8).amps
     with pytest.raises(NormalizationError):
         StateVector._wrap(amps * np.sqrt(1 + 2e-6)).probabilities()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NormalizationError):
+            StateVector._wrap(np.array([1.0, bad])).probabilities()
     # inside the tolerance the weights are still divided by their own sum
     near = StateVector._wrap(amps * np.sqrt(1 + 5e-7))
     weights = np.abs(near.amps) ** 2
@@ -104,7 +111,7 @@ def test_state_vector_copy_is_independent():
     clone = state.copy()
     clone.amps[0] = 0.0
     assert state.amps[0] != 0.0
-    # an operator's result wraps its own array; its copy still copies
+    # a builder's state wraps its own array; its copy still copies
     amps = np.full(4, 0.5)
     wrapped = StateVector._wrap(amps)
     assert wrapped.amps is amps
@@ -204,7 +211,7 @@ def test_phase_flip_matches_dense_diagonal():
     for _ in range(20):
         state = _random_state(rng, 8)
         oracle = BitOracle(np.isin(np.arange(8), marked).astype(int))
-        out = apply_phase_flip(state, marked, oracle)
+        out = apply_phase_flip(state.copy(), marked, oracle)
         assert np.allclose(out.amps, dense @ state.amps, atol=1e-14)
         assert oracle.query_count == 1
 
@@ -212,8 +219,8 @@ def test_phase_flip_matches_dense_diagonal():
 def test_phase_flip_ignores_duplicate_marks():
     state = uniform_state(4)
     oracle = BitOracle([0, 1, 0, 0])
-    once = apply_phase_flip(state, [1], oracle)
-    twice = apply_phase_flip(state, [1, 1], oracle)
+    once = apply_phase_flip(state.copy(), [1], oracle)
+    twice = apply_phase_flip(state.copy(), [1, 1], oracle)
     assert np.allclose(once.amps, twice.amps)
 
 
@@ -221,9 +228,9 @@ def test_phase_flip_sorts_and_dedupes_unsorted_marks():
     rng = SeededRng(16)
     state = _random_state(rng, 6)
     oracle = BitOracle([0, 1, 0, 1, 0, 1])
-    sorted_once = apply_phase_flip(state, [1, 3, 5], oracle)
+    sorted_once = apply_phase_flip(state.copy(), [1, 3, 5], oracle)
     for marks in ([5, 1, 3, 1, 5], [3, 3, 1, 5], {5, 3, 1}, np.array([5, 3, 1])):
-        assert np.array_equal(apply_phase_flip(state, marks, oracle).amps, sorted_once.amps)
+        assert np.array_equal(apply_phase_flip(state.copy(), marks, oracle).amps, sorted_once.amps)
     with pytest.raises(IndexError):
         apply_phase_flip(state, [3, 6, 1], oracle)
     with pytest.raises(IndexError):
@@ -234,8 +241,8 @@ def test_phase_rotation_at_pi_is_the_flip():
     rng = SeededRng(12)
     oracle = BitOracle([1, 0, 0, 1, 0])
     state = _random_state(rng, 5)
-    rotated = apply_phase_rotation(state, [0, 3], np.pi, oracle)
-    flipped = apply_phase_flip(state, [0, 3], oracle)
+    rotated = apply_phase_rotation(state.copy(), [0, 3], np.pi, oracle)
+    flipped = apply_phase_flip(state.copy(), [0, 3], oracle)
     assert np.allclose(rotated.amps, flipped.amps, atol=1e-12)
 
 
@@ -247,7 +254,7 @@ def test_diffusion_matches_dense_reflection():
     dense = 2.0 * np.outer(u, u) - np.eye(n)
     for _ in range(20):
         state = _random_state(rng, n)
-        out = apply_diffusion(state)
+        out = apply_diffusion(state.copy())
         assert np.allclose(out.amps, dense @ state.amps, atol=1e-13)
 
 
@@ -255,10 +262,10 @@ def test_diffusion_rotation_endpoints():
     rng = SeededRng(14)
     state = _random_state(rng, 6)
     # angle pi gives the negated standard diffusion, angle 0 the identity
-    neg = apply_diffusion_rotation(state, np.pi)
-    std = apply_diffusion(state)
+    neg = apply_diffusion_rotation(state.copy(), np.pi)
+    std = apply_diffusion(state.copy())
     assert np.allclose(neg.amps, -std.amps, atol=1e-12)
-    ident = apply_diffusion_rotation(state, 0.0)
+    ident = apply_diffusion_rotation(state.copy(), 0.0)
     assert np.allclose(ident.amps, state.amps, atol=1e-15)
 
 
@@ -297,14 +304,14 @@ def test_state_kinds_stay_real_until_a_complex_phase_enters():
     assert StateVector(np.array([0.6, 0.8j], dtype=np.complex64)).amps.dtype == np.complex128
     state = _random_real_state(SeededRng(17), 5)
     assert state.copy().amps.dtype == real
-    assert apply_phase_flip(state, [1, 4], oracle).amps.dtype == real
-    assert apply_diffusion(state).amps.dtype == real
-    rotated = apply_phase_rotation(state, [1, 4], 0.3, oracle)
+    assert apply_phase_flip(state.copy(), [1, 4], oracle).amps.dtype == real
+    assert apply_diffusion(state.copy()).amps.dtype == real
+    rotated = apply_phase_rotation(state.copy(), [1, 4], 0.3, oracle)
     assert rotated.amps.dtype == np.complex128
-    assert apply_diffusion_rotation(state, 0.3).amps.dtype == np.complex128
+    assert apply_diffusion_rotation(state.copy(), 0.3).amps.dtype == np.complex128
     # once complex, flips and diffusion keep the state complex
-    assert apply_phase_flip(rotated, [1], oracle).amps.dtype == np.complex128
-    assert apply_diffusion(rotated).amps.dtype == np.complex128
+    assert apply_phase_flip(rotated.copy(), [1], oracle).amps.dtype == np.complex128
+    assert apply_diffusion(rotated.copy()).amps.dtype == np.complex128
 
 
 @pytest.mark.parametrize("size, marked_count", [(3, 1), (7, 2), (64, 1), (1000, 1), (1000, 150), (4096, 1)])
@@ -343,7 +350,7 @@ def test_every_operator_preserves_inner_products():
             a, b = make(rng, dimension), make(rng, dimension)
             before = np.vdot(a.amps, b.amps)
             for op in operators:
-                assert abs(np.vdot(op(a).amps, op(b).amps) - before) < 1e-12
+                assert abs(np.vdot(op(a.copy()).amps, op(b.copy()).amps) - before) < 1e-12
 
 
 def test_single_grover_round_on_four_items_is_exact():
@@ -362,37 +369,38 @@ def test_single_grover_round_on_four_items_is_exact():
     data=st.data(),
     seed=st.integers(0, 2**20),
     complex_state=st.booleans(),
-    in_place=st.booleans(),
+    target=st.sampled_from(["uniform", "random", "zero"]),
 )
-def test_out_and_pure_operators_agree_bit_for_bit(dimension, data, seed, complex_state, in_place):
-    # unsorted marks with duplicates go through the same index helper on both paths
+def test_operators_step_and_return_their_input(dimension, data, seed, complex_state, target):
+    # unsorted marks with duplicates go through the index helper
     marked = data.draw(st.lists(st.integers(0, dimension - 1), max_size=2 * dimension))
+    good = np.array(sorted(set(marked)), dtype=np.int64)
     make = _random_state if complex_state else _random_real_state
-    state = make(SeededRng(seed, 1), dimension)
-    operators = (
-        lambda s, **out: apply_phase_flip(s, marked, BitOracle(np.ones(dimension, dtype=int)), **out),
-        apply_diffusion,
-    )
-    for op in operators:
+    oracle = BitOracle(np.ones(dimension, dtype=int))
+    raw = SeededRng(seed, 2).generator.normal(size=dimension)
+    if target == "uniform":
+        prep = amplify.uniform_preparation(dimension)
+    else:
+        prep = amplify.preparation_from_target(
+            raw / np.linalg.norm(raw) if target == "random" else np.eye(dimension)[0])
+    operators = {
+        "flip": lambda s: apply_phase_flip(s, marked, oracle),
+        "rotation": lambda s: apply_phase_rotation(s, marked, 0.73, oracle),
+        "diffusion": apply_diffusion,
+        "diffusion rotation": lambda s: apply_diffusion_rotation(s, 2.1),
+        "amplification round": lambda s: amplify.amplification_round(s, prep, good, oracle),
+    }
+    for name, op in operators.items():
+        state = make(SeededRng(seed, 1), dimension)
+        kept = state.copy()
         before = state.amps.copy()
-        pure = op(state)
-        assert np.array_equal(state.amps, before)  # a pure call leaves its input alone
-        owned = StateVector(before.copy())
-        buffer = owned.amps if in_place else np.full_like(before, np.nan)
-        written = op(owned, out=buffer)
-        assert written.amps is buffer
-        assert written.amps.dtype == pure.amps.dtype == before.dtype
-        assert np.array_equal(written.amps, pure.amps)
-        if not in_place:
-            assert np.array_equal(owned.amps, before)
-
-
-def test_out_flip_charges_like_the_pure_flip():
-    oracle = BitOracle([0, 1, 1, 0])
-    state = uniform_state(4)
-    apply_phase_flip(state, [1, 2], oracle, out=state.amps)
-    apply_phase_flip(state, [1, 2], oracle, out=np.empty(4))
-    assert oracle.query_count == 2
+        assert op(state) is state, name
+        assert np.array_equal(kept.amps, before), name  # the copy is untouched
+        if "rotation" not in name:  # only a complex phase makes a real state complex
+            assert state.amps.dtype == before.dtype, name
+        # the same step on the copy gives the same amplitudes, bit for bit
+        assert np.array_equal(op(kept).amps, state.amps), name
+    assert oracle.query_count == 2 * 3  # flip, rotation and round, each twice
 
 
 @pytest.mark.parametrize("dimension", [8, 1024])
@@ -404,8 +412,7 @@ def test_owned_rounds_stay_normalized_without_settling(dimension):
     marked = oracle.marked_indices()
     worst = 0.0
     for _ in range(10_000):
-        state = apply_phase_flip(state, marked, oracle, out=amps)
-        state = apply_diffusion(state, out=amps)
+        apply_diffusion(apply_phase_flip(state, marked, oracle))
         worst = max(worst, abs(float(np.sqrt(amps @ amps)) - 1.0))
     assert state.amps is amps
     assert worst <= 1e-12
@@ -415,16 +422,17 @@ def test_measure_checks_the_norm_of_an_owned_buffer():
     state = uniform_state(16)
     amps = state.amps
     oracle = BitOracle(np.eye(16, dtype=int)[3])
-    state = apply_phase_flip(state, [3], oracle, out=amps)
+    apply_phase_flip(state, [3], oracle)
     amps *= 1.0 + 1e-5
-    state = apply_diffusion(state, out=amps)  # no operator repairs the drift
+    apply_diffusion(state)  # no operator repairs the drift
+    assert state.amps is amps
     with pytest.raises(NormalizationError):
         measure(state, SeededRng(0))
-    # the pure diffusion keeps the drift too, and measurement refuses it
-    pure = apply_diffusion(StateVector._wrap(amps))
-    assert pure.norm() == pytest.approx(state.norm(), abs=1e-12)
+    # a diffusion that sums the drifted amplitudes afresh keeps the drift too
+    resummed = apply_diffusion(StateVector._wrap(amps.copy()))
+    assert resummed.norm() == pytest.approx(state.norm(), abs=1e-12)
     with pytest.raises(NormalizationError):
-        measure(pure, SeededRng(0))
+        measure(resummed, SeededRng(0))
 
 
 def test_operators_keep_a_drifted_norm_and_measurement_refuses_it():
@@ -444,10 +452,8 @@ def test_operators_keep_a_drifted_norm_and_measurement_refuses_it():
     grid = walks.TorusGrid(2, 2)  # 4 cells of 4 directions
     results = {
         "flip": apply_phase_flip(drifted(), marked, oracle),
-        "flip out=": apply_phase_flip(drifted(), marked, oracle, out=np.empty(16)),
         "rotation": apply_phase_rotation(drifted(), marked, 0.7, oracle),
         "diffusion": apply_diffusion(drifted()),
-        "diffusion out=": apply_diffusion(drifted(), out=np.empty(16)),
         "diffusion rotation": apply_diffusion_rotation(drifted(), 1.3),
         "amplification round": amplify.amplification_round(drifted(), prep, marked, oracle),
         "grid walk step": walks.grid_walk_step(grid, drifted(), [1]),
@@ -457,9 +463,9 @@ def test_operators_keep_a_drifted_norm_and_measurement_refuses_it():
     chain = walks.torus_chain(4, 2, marked={5})
     stepped = walks.szegedy_step(chain, walks.stationary_edge_state(chain) * np.sqrt(drift))
     assert abs(stepped @ stepped - drift) <= 1e-12
-    # past MEASURE_NORM_TOL, a pure operator's result is refused at measurement
+    # past MEASURE_NORM_TOL, an operator's result is refused at measurement
     far = StateVector._wrap(amps * np.sqrt((1.0 + 2e-6) / drift))
-    for state in (apply_diffusion(far), apply_phase_rotation(far, marked, 0.7, oracle)):
+    for state in (apply_diffusion(far.copy()), apply_phase_rotation(far.copy(), marked, 0.7, oracle)):
         with pytest.raises(NormalizationError):
             measure(state, SeededRng(0))
 
@@ -475,8 +481,7 @@ def test_carried_sum_rounds_match_a_resumming_reference(dimension, rounds):
     reference = amps.copy()
     worst = 0.0
     for _ in range(rounds):
-        state = apply_phase_flip(state, marked, oracle, out=amps)
-        state = apply_diffusion(state, out=amps)
+        apply_diffusion(apply_phase_flip(state, marked, oracle))
         # the reference re-sums its amplitudes every round
         reference[marked] = -reference[marked]
         reference = 2.0 * (np.add.reduce(reference) / dimension) - reference
@@ -485,8 +490,7 @@ def test_carried_sum_rounds_match_a_resumming_reference(dimension, rounds):
     assert worst <= 1e-12
 
 
-_CARRY_STEPS = ("flip", "flip-in-place", "flip-into", "diffuse", "diffuse-in-place",
-                "diffuse-into", "copy")
+_CARRY_STEPS = ("flip", "diffuse", "copy")
 
 
 @settings(max_examples=150, deadline=None)
@@ -502,17 +506,12 @@ def test_carried_sum_follows_any_operator_sequence(dimension, data, seed, comple
     oracle = BitOracle(np.ones(dimension, dtype=int))
     steps = data.draw(st.lists(st.sampled_from(_CARRY_STEPS), min_size=1, max_size=30))
     for step in steps:
-        into = {}
-        if step.endswith("in-place"):
-            into = {"out": state.amps}
-        elif step.endswith("into"):
-            into = {"out": np.empty_like(state.amps)}
-        if step.startswith("flip"):
+        if step == "flip":
             # unsorted marks with duplicates
             marked = data.draw(st.lists(st.integers(0, dimension - 1), max_size=2 * dimension))
-            state = apply_phase_flip(state, marked, oracle, **into)
-        elif step.startswith("diffuse"):
-            state = apply_diffusion(state, **into)
+            apply_phase_flip(state, marked, oracle)
+        elif step == "diffuse":
+            apply_diffusion(state)
         else:
             state = state.copy()
             assert state._carry is None  # the next diffusion sums the copy afresh
@@ -522,41 +521,47 @@ def test_carried_sum_follows_any_operator_sequence(dimension, data, seed, comple
 
 def test_constructed_and_copied_states_carry_nothing():
     oracle = BitOracle([0, 1, 0, 0])
-    carried = apply_diffusion(apply_phase_flip(uniform_state(4), [1], oracle))
-    assert carried._carry is not None
+
+    def carrying():
+        state = apply_diffusion(apply_phase_flip(uniform_state(4), [1], oracle))
+        assert state._carry is not None
+        return state
+
+    prep = amplify.uniform_preparation(4)
     built = (
         StateVector([0.5, 0.5, 0.5, 0.5]),
-        StateVector._wrap(carried.amps),
+        StateVector._wrap(carrying().amps.copy()),
         uniform_state(4),
         basis_state(4, 2),
-        carried.copy(),
-        apply_phase_rotation(carried, [1], 0.3, oracle),
-        apply_diffusion_rotation(carried, 0.3),
+        carrying().copy(),
+        apply_phase_rotation(carrying(), [1], 0.3, oracle),
+        apply_diffusion_rotation(carrying(), 0.3),
+        amplify.amplification_round(carrying(), prep, np.array([1]), oracle),
         apply_phase_flip(uniform_state(4), [1], oracle),
     )
     assert all(state._carry is None for state in built)
-    # a state whose own buffer an operator overwrote no longer carries
-    for op in (lambda s, **out: apply_phase_flip(s, [2], oracle, **out), apply_diffusion):
-        stepped = op(carried, out=carried.amps)
-        assert carried._carry is None and stepped._carry is not None
-        carried = stepped
+    # stepped in place, a carrying state keeps carrying
+    carried = carrying()
+    assert apply_phase_flip(carried, [2], oracle) is carried and carried._carry is not None
+    assert apply_diffusion(carried) is carried and carried._carry is not None
 
 
 def test_callers_edit_amplitudes_in_place_on_a_copy():
-    # The operators are the only writers of an operator-built state's amps.
-    # A caller edits a copy(), which carries nothing, so the next diffusion
-    # sums what the caller wrote.
+    # The operators are the only writers of a state's amps.  A caller edits a
+    # copy(), which carries nothing, so the next diffusion sums what the
+    # caller wrote.
     oracle = BitOracle([0, 1, 0, 0, 0, 0, 0, 0])
     carried = apply_diffusion(apply_phase_flip(uniform_state(8), [1], oracle))
     edited = carried.copy()
     edited.amps[2] = -edited.amps[2]
-    reflected = 2.0 * np.add.reduce(edited.amps) / 8 - edited.amps
+    written = edited.amps.copy()
+    reflected = 2.0 * np.add.reduce(written) / 8 - written
     assert np.array_equal(apply_diffusion(edited).amps, reflected)
     # The same edit written into the carried state itself leaves its carry
     # stale, and the diffusion then reflects about the old mean.
     stale = carried._carry
     carried.amps[2] = -carried.amps[2]
-    assert np.array_equal(carried.amps, edited.amps)
+    assert np.array_equal(carried.amps, written)
     assert carried._carry == stale != np.add.reduce(carried.amps)
     wrong = apply_diffusion(carried)
     assert not np.allclose(wrong.amps, reflected)
@@ -584,6 +589,9 @@ def test_measure_rejects_denormalized_state():
     bad = StateVector._wrap(np.full(4, 0.6))
     with pytest.raises(NormalizationError):
         measure(bad, SeededRng(0))
+    for amps in ([1.0, np.nan], [np.nan, 0.0], [1.0, np.inf], [1.0, np.nan * 1j]):
+        with pytest.raises(NormalizationError):
+            measure(StateVector._wrap(np.array(amps)), SeededRng(0))
 
 
 class _FixedDraw:

@@ -111,6 +111,28 @@ def test_scan_order_visits_adjacent_cells():
             assert grid.distance(int(a), int(b)) == 1
 
 
+def _reference_scan_order(grid: TorusGrid) -> list:
+    # coordinate tuples, axis 0 fastest; each further axis stacks the order so
+    # far once per layer, every second copy reversed
+    order = [(c,) for c in range(grid.side)]
+    for _ in range(grid.dimensions - 1):
+        extended = []
+        for layer in range(grid.side):
+            block = order if layer % 2 == 0 else order[::-1]
+            extended.extend(coords + (layer,) for coords in block)
+        order = extended
+    return [grid.cell_index(c) for c in order]
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_scan_order_matches_the_coordinate_reference(dims):
+    for side in range(2, 14):
+        grid = TorusGrid(side, dims)
+        order = grid.scan_order()
+        assert order.dtype == np.int64
+        assert order.tolist() == _reference_scan_order(grid)
+
+
 def test_grid_validation():
     with pytest.raises(ParameterError):
         TorusGrid(4, 1)
@@ -291,6 +313,11 @@ def test_chain_validation():
         MarkovChain(np.array([[1.0]]))
     with pytest.raises(ParameterError):
         MarkovChain(np.array([[1.2, -0.2], [-0.2, 1.2]]))
+    for bad in (np.nan, np.inf):
+        for matrix in ([[bad, 0.5], [0.5, 0.5]], [[0.5, bad], [bad, 0.5]],
+                       [[bad, bad], [bad, bad]]):
+            with pytest.raises(ParameterError):
+                MarkovChain(np.array(matrix))
     with pytest.raises(IndexError):
         cycle_chain(4, marked={4})
 
@@ -385,6 +412,10 @@ def test_load_chain_rejects_bad_input():
     text = "4\n" + "\n".join(" ".join(map(str, row)) for row in bad)
     with pytest.raises(ParameterError):
         load_chain(text)
+    for bad in ("nan", "inf", "-inf"):
+        for rows in (f"{bad} 0.5\n0.5 0.5", f"0.5 {bad}\n{bad} 0.5", f"{bad} {bad}\n{bad} {bad}"):
+            with pytest.raises(ParameterError):
+                load_chain(f"2\n{rows}")
     # a declared size past the dense-matrix budget is refused before any row is read
     with pytest.raises(SizeCapError):
         load_chain("4097\n" + "0.5 0.5\n" * 4097)
