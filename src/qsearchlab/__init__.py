@@ -4,7 +4,6 @@ from .sim import (
     BitOracle,
     NormalizationError,
     ParameterError,
-    PredicateOracle,
     SeededRng,
     SizeCapError,
     StateVector,
@@ -18,7 +17,6 @@ from .sim import (
 )
 from .grover import (
     GroverParams,
-    find_all,
     optimal_query_count,
     search,
     search_unknown_count,
@@ -33,7 +31,6 @@ from .amplify import (
     amplitude_amplify,
     classical_repetitions,
     predicted_repetitions,
-    preparation_from_target,
     uniform_preparation,
 )
 from .minima import (
@@ -64,9 +61,7 @@ from .applications import (
     Cnf3Formula,
     ed_base_run,
     ed_hybrid_query_model,
-    element_distinctness_hybrid,
     estimate_success,
-    parse_dimacs,
     quantum_speedup_report,
     random_planted_formula,
     schoening_run,
@@ -78,18 +73,17 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # sim
-    "BitOracle", "NormalizationError", "ParameterError", "PredicateOracle",
-    "SeededRng", "SizeCapError", "StateVector", "UnsupportedModeError",
-    "ValueOracle", "apply_diffusion", "apply_phase_flip", "basis_state",
-    "measure", "uniform_state",
+    "BitOracle", "NormalizationError", "ParameterError", "SeededRng",
+    "SizeCapError", "StateVector", "UnsupportedModeError", "ValueOracle",
+    "apply_diffusion", "apply_phase_flip", "basis_state", "measure",
+    "uniform_state",
     # grover
-    "GroverParams", "find_all", "optimal_query_count", "search",
-    "search_unknown_count", "search_with_certainty", "success_probability",
+    "GroverParams", "optimal_query_count", "search", "search_unknown_count",
+    "search_with_certainty", "success_probability",
     # amplify
     "AmplifyParams", "AmplifyResult", "StatePreparation",
     "amplification_schedule_scale", "amplitude_amplify",
-    "classical_repetitions", "predicted_repetitions", "preparation_from_target",
-    "uniform_preparation",
+    "classical_repetitions", "predicted_repetitions", "uniform_preparation",
     # minima
     "HypercubeOracle", "LocalMinParams", "MinimumResult", "find_local_minimum",
     "find_minimum", "verify_local_min",
@@ -99,8 +93,7 @@ __all__ = [
     "ed_walk", "exact_hitting_mean", "grid_walk_search", "johnson_chain",
     "szegedy_find_marked", "szegedy_step", "torus_chain",
     # applications
-    "Cnf3Formula", "ed_base_run", "ed_hybrid_query_model",
-    "element_distinctness_hybrid", "estimate_success", "parse_dimacs",
+    "Cnf3Formula", "ed_base_run", "ed_hybrid_query_model", "estimate_success",
     "quantum_speedup_report", "random_planted_formula", "schoening_run",
     "wilson_interval",
 ]

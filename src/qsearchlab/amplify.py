@@ -21,14 +21,13 @@ import numpy as np
 
 from . import sim
 from .grover import _rounds_from_angle, _sweep_restarts, unknown_count_budget
-from .sim import ParameterError, PredicateOracle, SeededRng, StateVector
+from .sim import BitOracle, ParameterError, SeededRng, StateVector
 
 __all__ = [
     "StatePreparation",
     "AmplifyParams",
     "AmplifyResult",
     "uniform_preparation",
-    "preparation_from_target",
     "predicted_repetitions",
     "amplification_schedule_scale",
     "classical_repetitions",
@@ -89,19 +88,6 @@ def uniform_preparation(dimension: int, cost: int = 1) -> StatePreparation:
     return _householder_preparation(target, cost)
 
 
-def preparation_from_target(target_amps, cost: int = 1) -> StatePreparation:
-    """Preparation whose start state has the given real amplitudes."""
-    if np.iscomplexobj(target_amps):
-        raise ParameterError("target amplitudes must be real-valued")
-    arr = np.array(target_amps, dtype=np.float64, copy=True)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ParameterError("target must be a non-empty 1-D amplitude vector")
-    n2 = float(arr @ arr)
-    if not abs(n2 - 1.0) <= 1e-9:  # a NaN norm fails too
-        raise ParameterError(f"target has squared norm {n2:.6g}, expected 1")
-    return _householder_preparation(arr, cost)
-
-
 def _check_floor(success_floor: float) -> None:
     if not 0.0 < success_floor <= 1.0:
         raise ParameterError(f"success_floor must be in (0, 1], got {success_floor}")
@@ -109,7 +95,7 @@ def _check_floor(success_floor: float) -> None:
 
 @dataclass(frozen=True)
 class AmplifyParams:
-    """Success-probability floor plus the good-outcome predicate.
+    """Success-probability floor plus the good set, as a bool mask or indices.
 
     `floor_is_lower_bound` switches to a randomized round schedule that
     stays robust when the true success probability exceeds the floor (a
@@ -117,7 +103,7 @@ class AmplifyParams:
     """
 
     success_floor: float
-    good: Union[Callable[[int], bool], np.ndarray, Iterable[int]]
+    good: Union[np.ndarray, Iterable[int]]
     floor_is_lower_bound: bool = False
 
     def __post_init__(self):
@@ -142,7 +128,7 @@ def amplification_schedule_scale(success_floor: float) -> float:
     """Continuous repetition scale; predicted_repetitions is ceil(scale - 1/2).
 
     Useful for scaling fits, where integer rounding at small counts would
-    swamp the trend.
+    swamp the trend.  Exact oracle: reference for tests.
     """
     _check_floor(success_floor)
     return math.pi / (4.0 * math.asin(math.sqrt(success_floor)))
@@ -154,17 +140,11 @@ def classical_repetitions(success_floor: float) -> int:
     return math.ceil(1.0 / success_floor)
 
 
-def _good_mask(good, dimension: int) -> np.ndarray:
-    if callable(good):
-        return np.fromiter((bool(good(i)) for i in range(dimension)), dtype=bool, count=dimension)
-    return sim.marked_mask(good, dimension)
-
-
 def amplification_round(
     state: StateVector,
     prep: StatePreparation,
     good_indices: np.ndarray,
-    counter: PredicateOracle,
+    counter: sim._CountingOracle,
 ) -> StateVector:
     """One round on `state`: good-set phase flip, then a -> 2<s|a>s - a about s = prep.start."""
     sim.apply_phase_flip(state, good_indices, counter)
@@ -182,16 +162,16 @@ def amplitude_amplify(
     """Amplify the good component of prep's start state, then measure.
 
     Query cost is (2*rounds + 1) preparation applications plus one
-    good-predicate query per round; the returned good flag is a classical
+    good-set query per round; the returned good flag is a classical
     re-check of the measured index and is not charged.  In lower-bound
     mode the restart schedule runs as one sweep along a single round
     trajectory, and each attempt is charged its own rounds, preparations
     and verification, as if it had restarted from the start state.
     """
     dimension = prep.dimension
-    mask = _good_mask(params.good, dimension)
+    mask = sim.marked_mask(params.good, dimension)
     good_idx = np.flatnonzero(mask)
-    counter = PredicateOracle(dimension, marked=mask)
+    counter = BitOracle(mask)
     start = StateVector._wrap(prep.start)  # read-only: stepped on a copy
 
     if not params.floor_is_lower_bound:
@@ -207,7 +187,7 @@ def amplitude_amplify(
 
     # Lower-bound mode: true success may exceed the floor, so a fixed round
     # count can overshoot.  Reuse the unknown-count schedule over rounds,
-    # verifying each measurement (one charged predicate query per attempt).
+    # verifying each measurement (one charged good-set query per attempt).
     cap = float(predicted_repetitions(params.success_floor) + 1)
     attempts, _ = _sweep_restarts(
         counter, mask, rng, cap, unknown_count_budget(cap), start,

@@ -3,8 +3,8 @@
 The SAT side estimates the single-run success rate of a bounded random
 repair walk and converts it into predicted repetition counts for classical
 restarts versus amplitude amplification of the whole walk.  The collision
-side runs a sample-then-search hybrid whose query count concentrates around
-N^(3/4).
+side runs one sample-then-search pass; amplifying it costs about N^(3/4)
+queries (`ed_hybrid_query_model`).
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import numpy as np
 from . import grover
 from .amplify import classical_repetitions, predicted_repetitions
 from . import sim
-from .sim import ParameterError, PredicateOracle, SeededRng, SizeCapError, ValueOracle
+from .sim import BitOracle, ParameterError, SeededRng, SizeCapError, ValueOracle
 
 __all__ = [
     "Cnf3Formula",
-    "parse_dimacs",
     "random_planted_formula",
     "schoening_run",
     "wilson_interval",
@@ -33,8 +32,6 @@ __all__ = [
     "quantum_speedup_report",
     "EdBaseRun",
     "ed_base_run",
-    "EdHybridResult",
-    "element_distinctness_hybrid",
     "ed_hybrid_query_model",
 ]
 
@@ -118,49 +115,6 @@ class Cnf3Formula:
         return first if falsified[first] else None
 
 
-def parse_dimacs(text: str) -> Cnf3Formula:
-    """Read DIMACS CNF; Cnf3Formula rejects clauses with more than 3 literals."""
-    variable_count = None
-    declared_clauses = None
-    clauses = []
-    current: list[Tuple[int, bool]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParameterError(f"malformed problem line: {line!r}")
-            variable_count = int(parts[2])
-            declared_clauses = int(parts[3])
-            continue
-        if variable_count is None:
-            raise ParameterError("clause data before the problem line")
-        if line.startswith("%"):
-            break
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                if current:
-                    clauses.append(tuple(current))
-                    current = []
-                continue
-            variable = abs(lit) - 1
-            if variable >= variable_count:
-                raise ParameterError(f"literal {lit} exceeds declared variable count")
-            current.append((variable, lit < 0))
-    if current:
-        clauses.append(tuple(current))
-    if variable_count is None:
-        raise ParameterError("missing problem line")
-    if declared_clauses is not None and declared_clauses != len(clauses):
-        raise ParameterError(
-            f"declared {declared_clauses} clauses but parsed {len(clauses)}"
-        )
-    return Cnf3Formula(variable_count, tuple(clauses))
-
-
 def random_planted_formula(
     variable_count: int,
     rng: SeededRng,
@@ -202,6 +156,7 @@ def schoening_run(formula: Cnf3Formula, rng: SeededRng) -> Optional[np.ndarray]:
     Each repair picks the first falsified clause and flips a uniformly
     random literal of it; the assignment is checked before every flip and
     after the last.  Returns the satisfying assignment or None.
+    Exact oracle: reference for tests.
     """
     n = formula.variable_count
     gen = rng.generator
@@ -294,21 +249,6 @@ class SpeedupReport:
     quantum_repetitions: Optional[int]
     speedup: Optional[float]
     conclusive: bool
-    base_rate_model: str = "uniform-start"
-
-    def summary(self) -> str:
-        if not self.conclusive:
-            return (
-                f"inconclusive: 0/{self.stats.trials} walks succeeded; "
-                f"95% interval [{self.stats.wilson_low:.3g}, {self.stats.wilson_high:.3g}]"
-            )
-        return (
-            f"success rate {self.stats.success_rate:.4g} "
-            f"[{self.stats.wilson_low:.4g}, {self.stats.wilson_high:.4g}]; "
-            f"classical restarts {self.classical_restarts}, "
-            f"amplified repetitions {self.quantum_repetitions}, "
-            f"speedup {self.speedup:.2f}x"
-        )
 
 
 def quantum_speedup_report(formula: Cnf3Formula, rng: SeededRng, trials: int) -> SpeedupReport:
@@ -377,7 +317,7 @@ def ed_base_run(oracle: ValueOracle, rng: SeededRng) -> EdBaseRun:
     in_sample = np.zeros(size, dtype=bool)
     in_sample[positions] = True
     matches = np.isin(all_values, sample_values) & ~in_sample
-    probe = PredicateOracle(size, marked=matches, charge_to=(oracle,))
+    probe = BitOracle(matches, charge_to=(oracle,))
     search_start = oracle.query_count
     hit = grover.search_unknown_count(probe, size, rng)
     search_spent = oracle.query_count - search_start
@@ -388,39 +328,6 @@ def ed_base_run(oracle: ValueOracle, rng: SeededRng) -> EdBaseRun:
     partner = int(positions[int(np.flatnonzero(sample_values == value)[0])])
     return EdBaseRun(pair=(min(partner, hit), max(partner, hit)),
                      sample_queries=sample_spent, search_queries=search_spent)
-
-
-@dataclass(frozen=True)
-class EdHybridResult:
-    pair: Optional[Tuple[int, int]]
-    queries: int
-    attempts: int
-
-
-def element_distinctness_hybrid(
-    oracle: ValueOracle,
-    rng: SeededRng,
-    single_run_floor: Optional[float] = None,
-) -> EdHybridResult:
-    """Repeat the sample-then-search pass until a collision appears.
-
-    The attempt cap is sized from a floor on the per-pass success rate
-    (default 0.5/sqrt(N), the regime with exactly one duplicated value).
-    """
-    size = oracle.size
-    if single_run_floor is None:
-        single_run_floor = 0.5 / math.sqrt(size)
-    if not 0.0 < single_run_floor <= 1.0:
-        raise ParameterError("single_run_floor must lie in (0, 1]")
-    attempts_cap = math.ceil(3.3 / single_run_floor)
-    start = oracle.query_count
-    for attempt in range(1, attempts_cap + 1):
-        run = ed_base_run(oracle, rng.split(attempt))
-        if run.pair is not None:
-            return EdHybridResult(pair=run.pair, queries=oracle.query_count - start,
-                                  attempts=attempt)
-    return EdHybridResult(pair=None, queries=oracle.query_count - start,
-                          attempts=attempts_cap)
 
 
 def ed_hybrid_query_model(size: int, success_rate: Optional[float] = None) -> float:

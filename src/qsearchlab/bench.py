@@ -449,9 +449,6 @@ def parse_sizes(text: str) -> Tuple[int, ...]:
     return tuple(sorted(sizes))
 
 
-_CONFIG_KEYS = {"experiment", "sizes", "trials", "seed", "out", "format", "jobs"}
-
-
 def load_config(path: Union[str, Path], overrides: Optional[Mapping[str, object]] = None) -> ExperimentConfig:
     """Read key=value lines ('#' comments); unknown keys become runner params."""
     text = Path(path).read_text(encoding="utf-8")
@@ -479,8 +476,6 @@ def load_config(path: Union[str, Path], overrides: Optional[Mapping[str, object]
                 raise UsageError(f"{key} must be an integer, got {value!r}") from None
         elif key in ("experiment", "out", "format"):
             kwargs[key] = str(value)
-        elif key in _CONFIG_KEYS:  # pragma: no cover - exhaustiveness guard
-            kwargs[key] = value
         else:
             try:
                 params[key] = float(value)

@@ -118,13 +118,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_run(args)
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (None, 0) else 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SizeCapError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, SizeCapError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

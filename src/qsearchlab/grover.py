@@ -1,9 +1,8 @@
 """Grover-style search on a query-counted statevector.
 
-Four entry points: fixed-count search for a known number of marked items,
-an exact-certainty variant with one phase-tuned final round, a randomized
-schedule for an unknown marked count, and exhaustive enumeration built on
-top of the unknown-count search.
+Three entry points: fixed-count search for a known number of marked items,
+an exact-certainty variant with one phase-tuned final round, and a
+randomized schedule for an unknown marked count.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from . import sim
 from .sim import (
     BitOracle,
     ParameterError,
-    PredicateOracle,
     SeededRng,
     StateVector,
     UnsupportedModeError,
@@ -37,7 +35,6 @@ __all__ = [
     "restart_schedule",
     "unknown_count_budget",
     "search_unknown_count",
-    "find_all",
 ]
 
 # Growth factor for the unknown-count iteration schedule.
@@ -50,11 +47,10 @@ UNKNOWN_BUDGET_FACTOR = 9.0
 
 @dataclass(frozen=True)
 class GroverParams:
-    """Search-space size, marked-count hint, and optional round override."""
+    """Search-space size and marked-count hint."""
 
     size: int
     marked_count: Optional[int] = None
-    iterations: Optional[int] = None
 
     def __post_init__(self):
         if self.size < 1:
@@ -63,8 +59,6 @@ class GroverParams:
             raise ParameterError(
                 f"marked_count {self.marked_count} outside [0, {self.size}]"
             )
-        if self.iterations is not None and self.iterations < 0:
-            raise ParameterError("iterations override must be >= 0")
 
 
 def _half_angle(size: int, marked_count: int) -> float:
@@ -113,6 +107,7 @@ def success_profile(size: int, marked_count: int, max_rounds: int) -> np.ndarray
     One dense statevector run records the marked mass after every round;
     the iteration is real-valued because flips and diffusion preserve real
     amplitudes.  Analysis helper: nothing is charged.
+    Exact oracle: reference for tests.
     """
     _check_counts(size, marked_count)
     if max_rounds < 0:
@@ -148,12 +143,7 @@ def search(oracle: BitOracle, params: GroverParams, rng: SeededRng) -> int:
         raise ParameterError("params.size must match oracle size")
     marked = oracle.marked_indices()
     count = params.marked_count if params.marked_count is not None else int(marked.size)
-    if params.iterations is not None:
-        rounds = params.iterations
-    elif count == 0:
-        rounds = 0
-    else:
-        rounds = optimal_query_count(params.size, count)
+    rounds = optimal_query_count(params.size, count) if count else 0
     state = _run_rounds(sim.uniform_state(params.size), marked, oracle, rounds)
     return sim.measure(state, rng)
 
@@ -330,23 +320,3 @@ def search_unknown_count(
     )
     return attempts[-1][1] if found else None
 
-
-def find_all(oracle: BitOracle, size: int, rng: SeededRng) -> set[int]:
-    """Enumerate the marked set by repeated unknown-count searches.
-
-    Each found index is masked out of a wrapped predicate; applications of
-    the wrapped predicate still charge the underlying oracle.  Stops at the
-    first absent verdict.
-    """
-    if size != oracle.size:
-        raise ParameterError("size must match oracle size")
-    found: set[int] = set()
-    mask = sim.marked_mask(oracle.marked_indices(), size)
-    while True:
-        wrapped = PredicateOracle(size, marked=mask, charge_to=(oracle,))
-        hit = search_unknown_count(wrapped, size, rng)
-        if hit is None:
-            return found
-        found.add(int(hit))
-        mask = mask.copy()
-        mask[hit] = False

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import grover
-from .sim import ParameterError, PredicateOracle, SeededRng, SizeCapError, ValueOracle
+from .sim import BitOracle, ParameterError, SeededRng, SizeCapError, ValueOracle
 
 __all__ = [
     "MinimumResult",
@@ -74,8 +74,7 @@ def find_minimum(
         remaining = budget - spent
         if remaining <= 0:
             return MinimumResult(champion, int(values[champion]), spent, verified=False)
-        mask = values < values[champion]
-        threshold_oracle = PredicateOracle(size, marked=mask, charge_to=(oracle,))
+        threshold_oracle = BitOracle(values < values[champion], charge_to=(oracle,))
         hit = grover.search_unknown_count(
             threshold_oracle, size, rng, max_queries=min(remaining, full_budget)
         )
@@ -111,12 +110,6 @@ class HypercubeOracle(ValueOracle):
                 f"need exactly 2^{bit_count} values, got shape {self._values.shape}"
             )
         self.bit_count = int(bit_count)
-
-    @classmethod
-    def from_function(cls, bit_count: int, fn: Callable[[Tuple[int, ...]], int]) -> "HypercubeOracle":
-        _check_bit_count(bit_count)
-        table = [fn(_bits_of(x, bit_count)) for x in range(1 << bit_count)]
-        return cls(bit_count, table)
 
     def _to_index(self, assignment: Union[int, Sequence[int]]) -> int:
         if not isinstance(assignment, (int, np.integer)):
@@ -165,7 +158,10 @@ class LocalMinResult:
 
 
 def verify_local_min(oracle: HypercubeOracle, assignment: Union[int, Sequence[int]]) -> bool:
-    """Check all single-flip neighbors classically; costs exactly n+1 queries."""
+    """Check all single-flip neighbors classically; costs exactly n+1 queries.
+
+    Exact oracle: reference for tests.
+    """
     is_min, _ = _verify_and_improve(oracle, oracle._to_index(assignment))
     return is_min
 
@@ -218,8 +214,7 @@ def find_local_minimum(
     while not success and steps < params.descent_budget:
         steps += 1
         neighbors = np.asarray([current ^ (1 << bit) for bit in range(n)])
-        mask = table[neighbors] < table[current]
-        neighbor_oracle = PredicateOracle(n, marked=mask, charge_to=(oracle,))
+        neighbor_oracle = BitOracle(table[neighbors] < table[current], charge_to=(oracle,))
         hit = grover.search_unknown_count(neighbor_oracle, n, rng)
         if hit is not None:
             current = int(neighbors[hit])

@@ -39,7 +39,7 @@ value tables all pass it before their first size-driven array exists.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "StateVector",
     "BitOracle",
     "ValueOracle",
-    "PredicateOracle",
     "uniform_state",
     "basis_state",
     "apply_phase_flip",
@@ -246,14 +245,21 @@ class _CountingOracle:
 
 
 class BitOracle(_CountingOracle):
-    """Immutable black-box bit string; every probe or phase application costs 1."""
+    """Immutable black-box bit string; every probe or phase application costs 1.
 
-    def __init__(self, bits):
-        super().__init__()
-        arr = np.array(bits, dtype=np.uint8, copy=True)
+    The one marked-set oracle.  A bool mask is taken without the 0/1 check;
+    callers that hold marked indices pass `marked_mask(indices, size)`.
+    Charges fan out to the oracles in `charge_to`, so a threshold or
+    neighbour oracle over a value table still charges that table per query.
+    """
+
+    def __init__(self, bits, charge_to: Sequence[_CountingOracle] = ()):
+        super().__init__(charge_to)
+        is_mask = getattr(bits, "dtype", None) == bool
+        arr = np.array(bits, dtype=bool if is_mask else np.uint8, copy=True)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("bit oracle needs a non-empty 1-D bit table")
-        if not np.all((arr == 0) | (arr == 1)):
+        if not is_mask and not np.all((arr == 0) | (arr == 1)):
             raise ParameterError("bit oracle entries must be 0 or 1")
         arr.setflags(write=False)
         self._bits = arr
@@ -308,57 +314,6 @@ class ValueOracle(_CountingOracle):
     def peek_all(self) -> np.ndarray:
         """Simulation-side read-only view of the whole table; free of charge."""
         return self._values
-
-
-class PredicateOracle(_CountingOracle):
-    """Marked-set oracle defined by a predicate or an explicit mask.
-
-    Wrapping another oracle via `charge_to` keeps accounting honest: one
-    application of the wrapped predicate still costs one query against the
-    underlying black box.
-    """
-
-    def __init__(
-        self,
-        size: int,
-        predicate: Optional[Callable[[int], bool]] = None,
-        marked: Union[np.ndarray, Iterable[int], None] = None,
-        charge_to: Sequence[_CountingOracle] = (),
-    ):
-        super().__init__(charge_to)
-        if size < 1:
-            raise ParameterError("predicate oracle needs size >= 1")
-        if (predicate is None) == (marked is None):
-            raise ParameterError("provide exactly one of predicate or marked")
-        self._size = int(size)
-        if marked is not None:
-            mask = marked_mask(marked, self._size)
-            mask.setflags(write=False)
-            self._mask = mask
-            self._predicate = None
-        else:
-            self._mask = None
-            self._predicate = predicate
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def query(self, index: int) -> bool:
-        """Evaluate the predicate classically on one index; charges one query."""
-        if not 0 <= index < self._size:
-            raise IndexError(f"oracle index {index} out of range for size {self._size}")
-        self.charge(1)
-        if self._mask is not None:
-            return bool(self._mask[index])
-        return bool(self._predicate(index))
-
-    def marked_indices(self) -> np.ndarray:
-        """Simulation-side marked set for operator construction; free of charge."""
-        if self._mask is not None:
-            return np.flatnonzero(self._mask)
-        hits = [i for i in range(self._size) if self._predicate(i)]
-        return np.asarray(hits, dtype=np.int64)
 
 
 def marked_mask(marked: Union[np.ndarray, Iterable[int]], size: int) -> np.ndarray:

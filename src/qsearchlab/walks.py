@@ -18,8 +18,8 @@ search every shot restarts from the same stationary state, so each shot is
 a prefix of one deterministic trajectory; the search computes that
 trajectory once, as far as its longest shot, and measures the prefix.
 
-Chains are dense size x size matrices.  The cycle, torus and complete-graph
-chains are built from one neighbour table by `_regular_chain`; every chain
+Chains are dense size x size matrices.  The cycle and torus chains are
+built from one neighbour table by `_regular_chain`; every chain
 matrix, like every trajectory, passes sim.check_state_size before it is
 allocated, and subset chains count their states before listing them.
 
@@ -36,7 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -64,8 +64,6 @@ __all__ = [
     "WalkSearchResult",
     "cycle_chain",
     "torus_chain",
-    "complete_graph_chain",
-    "load_chain",
     "stationary_edge_state",
     "szegedy_step",
     "marked_pair_probability",
@@ -85,8 +83,6 @@ __all__ = [
 
 # Chain matrices must be symmetric and row-stochastic to this precision.
 CHAIN_CONSTRUCTION_TOL = 1e-12
-# File ingestion accepts looser input and cleans it up to construction grade.
-CHAIN_FILE_TOL = 1e-9
 # Hitting solves kept per chain structure.  Base chains are cached for the
 # life of the process and every trial may mark a new set, so the oldest
 # solve is dropped beyond this many.
@@ -124,29 +120,12 @@ class TorusGrid:
             cell //= self.side
         return tuple(coords)
 
-    def cell_index(self, coords: Sequence[int]) -> int:
-        if len(coords) != self.dimensions:
-            raise ParameterError("coordinate arity must match dimensions")
-        index = 0
-        for axis in reversed(range(self.dimensions)):
-            c = coords[axis] % self.side
-            index = index * self.side + c
-        return index
-
-    def neighbor(self, cell: int, direction: int) -> int:
-        """Adjacent cell along a signed axis; direction 2*a+s, s=0 forward."""
-        if not 0 <= direction < self.direction_count:
-            raise IndexError(f"direction {direction} out of range")
-        coords = list(self.coordinates(cell))
-        axis, sign = divmod(direction, 2)
-        coords[axis] = (coords[axis] + (1 if sign == 0 else -1)) % self.side
-        return self.cell_index(coords)
-
     @staticmethod
     def reverse(direction: int) -> int:
         return direction ^ 1
 
     def distance(self, a: int, b: int) -> int:
+        """Wrap-around Manhattan distance.  Exact oracle: reference for tests."""
         ca, cb = self.coordinates(a), self.coordinates(b)
         total = 0
         for x, y in zip(ca, cb):
@@ -192,7 +171,10 @@ def uniform_coined_state(grid: TorusGrid) -> StateVector:
 
 
 def localized_coined_state(grid: TorusGrid, cell: int) -> StateVector:
-    """Equal float64 amplitudes on the directions of one cell."""
+    """Equal float64 amplitudes on the directions of one cell.
+
+    Exact oracle: reference for tests.
+    """
     if not 0 <= cell < grid.cells:
         raise IndexError(f"cell {cell} out of range")
     k = grid.direction_count
@@ -234,7 +216,7 @@ def grid_walk_step(grid: TorusGrid, state: StateVector, marked) -> StateVector:
 def grid_walk_probability_profile(grid: TorusGrid, marked, max_steps: int) -> np.ndarray:
     """Marked-cell probability after 0..max_steps steps from uniform.
 
-    Pure analysis helper: no oracle is charged.
+    Pure analysis helper: no oracle is charged.  Exact oracle: reference for tests.
     """
     if max_steps < 0:
         raise ParameterError("max_steps must be >= 0")
@@ -468,68 +450,6 @@ def torus_chain(side: int, dimensions: int = 2, marked=()) -> MarkovChain:
     return _torus_base(side, dimensions).with_marked(marked)
 
 
-def complete_graph_chain(size: int, marked=()) -> MarkovChain:
-    """Uniform walk on the complete graph (no self-loops)."""
-    if size < 2:
-        raise ParameterError("complete-graph chain needs size >= 2")
-    return _regular_chain(
-        size, lambda: (np.arange(size)[:, None] + np.arange(1, size)) % size
-    ).with_marked(marked)
-
-
-def load_chain(text: str) -> MarkovChain:
-    """Parse a chain from plain text: size line, matrix rows, marked line.
-
-    Input within 1e-9 of symmetric row-stochastic is accepted and settled
-    to construction precision; anything worse is rejected.
-    """
-    lines = [line.strip() for line in text.strip().splitlines() if line.strip() != ""]
-    if not lines:
-        raise ParameterError("empty chain description")
-    try:
-        size = int(lines[0])
-    except ValueError as exc:
-        raise ParameterError(f"first line must be the state count: {lines[0]!r}") from exc
-    if size < 2:
-        raise ParameterError("chain needs at least 2 states")
-    sim.check_state_size(size * size)
-    if len(lines) < 1 + size:
-        raise ParameterError(f"expected {size} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for line in lines[1 : 1 + size]:
-        row = [float(tok) for tok in line.split()]
-        if len(row) != size:
-            raise ParameterError(f"matrix row has {len(row)} entries, expected {size}")
-        rows.append(row)
-    matrix = np.asarray(rows)
-    if len(lines) > 1 + size:
-        marked = [int(tok) for tok in lines[1 + size].split()]
-    else:
-        marked = []
-
-    # each check is written so that a NaN entry fails it
-    sym_err = np.abs(matrix - matrix.T).max()
-    if not sym_err <= CHAIN_FILE_TOL:
-        raise ParameterError(f"matrix asymmetry {sym_err:.3g} exceeds {CHAIN_FILE_TOL}")
-    row_err = np.abs(matrix.sum(axis=1) - 1.0).max()
-    if not row_err <= CHAIN_FILE_TOL:
-        raise ParameterError(f"row-sum error {row_err:.3g} exceeds {CHAIN_FILE_TOL}")
-    low = matrix.min()
-    if not low >= -CHAIN_FILE_TOL:
-        raise ParameterError(f"negative transition probability {low:.3g}")
-    np.clip(matrix, 0.0, None, out=matrix)
-    # Alternate row normalization with symmetrization; each pass shrinks the
-    # residual by about half, so tolerance-level noise settles well inside
-    # construction precision.
-    matrix = 0.5 * (matrix + matrix.T)
-    for _ in range(80):
-        if np.abs(matrix.sum(axis=1) - 1.0).max() <= 1e-14:
-            break
-        matrix = matrix / matrix.sum(axis=1, keepdims=True)
-        matrix = 0.5 * (matrix + matrix.T)
-    return MarkovChain(matrix, marked)
-
-
 def stationary_edge_state(chain: MarkovChain) -> np.ndarray:
     """Start state sqrt(P[x, y] / size), one amplitude per edge of the chain."""
     return chain.edges().root / math.sqrt(chain.size)
@@ -623,12 +543,12 @@ class WalkSearchResult:
     cost: float
 
 
-def recommended_step_budget(chain: MarkovChain, factor: float = SZEGEDY_BUDGET_FACTOR) -> int:
+def recommended_step_budget(chain: MarkovChain) -> int:
     """Walk-step budget scaling as 1/sqrt(marked fraction times spectral gap)."""
     if not chain.marked:
         raise ParameterError("budget heuristic needs a non-empty marked set")
     product = chain.marked_fraction * max(chain.spectral_gap, 1e-12)
-    return max(1, math.ceil(factor / math.sqrt(product)))
+    return max(1, math.ceil(SZEGEDY_BUDGET_FACTOR / math.sqrt(product)))
 
 
 def szegedy_find_marked(
@@ -766,7 +686,7 @@ def expected_steps_to_success(chain: MarkovChain, shot_cap: Optional[int] = None
     Closed-form companion to szegedy_find_marked with an unlimited budget.
     Shot lengths are uniform on [1, cap] and the per-length success
     probability comes from the deterministic marked-pair profile, so the
-    value carries no sampling noise.
+    value carries no sampling noise.  Exact oracle: reference for tests.
     """
     if not chain.marked:
         raise ParameterError("expected steps need a non-empty marked set")
@@ -871,7 +791,10 @@ def johnson_chain(element_count: int, subset_size: int, oracle: ValueOracle) -> 
 
 
 def collision_vertex_probability(element_count: int, subset_size: int) -> Fraction:
-    """Chance a uniform subset of the given size contains a fixed pair."""
+    """Chance a uniform subset of the given size contains a fixed pair.
+
+    Exact oracle: reference for tests.
+    """
     if element_count < 1:
         raise ParameterError("element count must be >= 1")
     if not 0 <= subset_size <= element_count:

@@ -14,9 +14,7 @@ from qsearchlab.applications import (
     Cnf3Formula,
     ed_base_run,
     ed_hybrid_query_model,
-    element_distinctness_hybrid,
     estimate_success,
-    parse_dimacs,
     quantum_speedup_report,
     random_planted_formula,
     schoening_run,
@@ -72,40 +70,6 @@ def test_formula_validation():
     formula = Cnf3Formula(2, (((0, False),),))
     with pytest.raises(ParameterError):
         formula.satisfied_by((1, 0, 1))
-
-
-def test_parse_dimacs_standard_file():
-    text = """c planted instance
-c
-p cnf 4 3
-1 -2 3 0
--1 4 0
-2 0
-"""
-    formula = parse_dimacs(text)
-    assert formula.variable_count == 4
-    assert formula.clauses[0] == ((0, False), (1, True), (2, False))
-    assert formula.clauses[1] == ((0, True), (3, False))
-    assert formula.clauses[2] == ((1, False),)
-
-
-def test_parse_dimacs_rejects_bad_input():
-    with pytest.raises(ParameterError):
-        parse_dimacs("p cnf 2 1\n1 2 -1 -2 0\n")  # four literals
-    with pytest.raises(ParameterError):
-        parse_dimacs("1 2 0\n")  # clause before header
-    with pytest.raises(ParameterError):
-        parse_dimacs("p cnf 2 1\n3 0\n")  # literal out of range
-    with pytest.raises(ParameterError):
-        parse_dimacs("p cnf 2 5\n1 0\n")  # declared count mismatch
-    with pytest.raises(ParameterError):
-        parse_dimacs("c nothing here\n")
-
-
-def test_parse_dimacs_final_clause_without_terminator():
-    formula = parse_dimacs("p cnf 2 2\n1 2 0\n-1 -2")
-    assert formula.clause_count == 2
-    assert formula.clauses[1] == ((0, True), (1, True))
 
 
 def test_random_planted_formula_is_satisfied_by_plant():
@@ -224,8 +188,11 @@ def _planted_formulas(draw, max_variables=14):
 
 
 @st.composite
-def _dimacs_formulas(draw, max_variables=8):
-    """Parsed formulas with 1- and 2-literal clauses, repeated literals and x or not x."""
+def _edge_case_formulas(draw, max_variables=8):
+    """Formulas with 1- and 2-literal clauses, repeated literals and x or not x.
+
+    Literals are drawn in DIMACS form: +v or -v for variable v - 1.
+    """
     n = draw(st.integers(1, max_variables))
     literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
     clause = st.one_of(
@@ -235,12 +202,11 @@ def _dimacs_formulas(draw, max_variables=8):
             lambda t: st.permutations([t[0], t[1], -t[1]])),
     )
     clauses = draw(st.lists(clause, min_size=1, max_size=4 * n + 2))
-    body = "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
-    return parse_dimacs(f"p cnf {n} {len(clauses)}\n{body}")
+    return Cnf3Formula(n, tuple(tuple((abs(lit) - 1, lit < 0) for lit in c) for c in clauses))
 
 
 @settings(max_examples=80, deadline=None)
-@given(formula=st.one_of(_planted_formulas(), _dimacs_formulas()),
+@given(formula=st.one_of(_planted_formulas(), _edge_case_formulas()),
        trials=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
 @example(formula=UNSAT, trials=300, seed=0)
 @example(formula=Cnf3Formula(3, (((0, False), (0, False), (0, True)),)), trials=1, seed=1)
@@ -251,7 +217,7 @@ def test_batch_walker_matches_the_row_major_reference(formula, trials, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(formula=st.one_of(_planted_formulas(max_variables=9), _dimacs_formulas()))
+@given(formula=st.one_of(_planted_formulas(max_variables=9), _edge_case_formulas()))
 def test_formula_evaluation_matches_the_row_major_reference(formula):
     every = np.array(list(product((False, True), repeat=formula.variable_count)))
     truth = _row_major_truth(formula, every)
@@ -366,9 +332,10 @@ def test_estimate_success_shapes_and_determinism():
 
 
 def test_parsed_formulas_past_the_planted_cap_still_estimate():
-    # the variable cap bounds planted instances only; a parsed formula's
-    # walk costs scale with its clauses
-    formula = parse_dimacs("p cnf 600 2\n1 -300 600 0\n-2 5 -599 0\n")
+    # the variable cap bounds planted instances only; a formula built by
+    # hand costs walks that scale with its clauses
+    formula = Cnf3Formula(600, (((0, False), (299, True), (599, False)),
+                                ((1, True), (4, False), (598, True))))
     stats = estimate_success(formula, SeededRng(4), 50)
     assert formula.variable_count > MAX_SAT_VARIABLES
     assert stats.successes == 50  # the clauses share no variable: two flips repair any start
@@ -411,12 +378,10 @@ def test_speedup_report_paths():
     assert report.classical_restarts >= report.quantum_repetitions >= 1
     assert report.speedup == pytest.approx(
         report.classical_restarts / report.quantum_repetitions)
-    assert "speedup" in report.summary()
 
     dead = quantum_speedup_report(UNSAT, SeededRng(79, 0), 50)
     assert not dead.conclusive
     assert dead.speedup is None
-    assert "inconclusive" in dead.summary()
 
 
 # ----------------------------------------------------- element distinctness
@@ -458,24 +423,6 @@ def test_ed_base_run_all_distinct_returns_none():
         oracle = ValueOracle(np.arange(32) * 3)
         run = ed_base_run(oracle, SeededRng(66, seed))
         assert run.pair is None
-
-
-def test_ed_hybrid_finds_collision():
-    found = 0
-    for seed in range(40):
-        rng = SeededRng(246, seed)
-        oracle = _planted_collision_oracle(64, rng)
-        values = oracle.peek_all()
-        result = element_distinctness_hybrid(oracle, rng)
-        assert result.queries == oracle.query_count
-        assert result.attempts >= 1
-        if result.pair is not None:
-            a, b = result.pair
-            assert a != b and values[a] == values[b]
-            found += 1
-    assert found >= 38
-    with pytest.raises(ParameterError):
-        element_distinctness_hybrid(ValueOracle([1, 2]), SeededRng(0), single_run_floor=0.0)
 
 
 def test_ed_query_model_values():

@@ -399,8 +399,9 @@ def test_oversized_state_fails_before_allocating_with_exit_code_2():
 
 
 # Each instance is just over STATE_BYTE_CAP, so an unguarded build costs a
-# few hundred MB: a dense 4097 x 4097 or 4225 x 4225 chain matrix, the
-# 293,930 listed subsets of Johnson(20, 8), or a 2^24 + 1 or 2^25 value table.
+# few hundred MB: a dense 4097 x 4097, 4225 x 4225 or 4913 x 4913 chain
+# matrix, the 293,930 listed subsets of Johnson(20, 8), or a 2^24 + 1 or 2^25
+# value table.
 # The SAT cases: 2^34 variables would first ask for 128 GiB, one past the
 # variable cap would run for minutes a trial, density 1e7 asks for 3e9
 # clause entries, and 300 repair walks over 2^16 variables would pre-draw
@@ -409,7 +410,7 @@ def test_oversized_state_fails_before_allocating_with_exit_code_2():
 @pytest.mark.parametrize("build", [
     lambda: walks.cycle_chain(4097),
     lambda: walks.torus_chain(65, 2),
-    lambda: walks.complete_graph_chain(4097),
+    lambda: walks.torus_chain(17, 3),
     lambda: walks.JohnsonChain(20, 8),
     lambda: bench.EXPERIMENTS["min-scaling"].runner(2**24 + 1, SeededRng(0), {}),
     lambda: bench.EXPERIMENTS["local-min"].runner(2**25, SeededRng(0), {}),
@@ -422,7 +423,7 @@ def test_oversized_state_fails_before_allocating_with_exit_code_2():
     lambda: grover.success_profile(4, 1, 2**40),
     lambda: walks.grid_walk_probability_profile(walks.TorusGrid(2, 2), [0], 2**40),
     lambda: walks.expected_steps_to_success(walks.cycle_chain(8, {0}), shot_cap=2**40),
-], ids=["cycle-4097", "torus-65x65", "complete-4097", "johnson-20-8",
+], ids=["cycle-4097", "torus-65x65", "torus-17x17x17", "johnson-20-8",
         "min-scaling-2^24+1", "local-min-2^25", "sat-schoening-2^34", "planted-over-cap",
         "planted-dense", "estimate-picks-over-cap", "success-profile-2^40-state",
         "success-profile-2^40-rounds", "grid-profile-2^40-steps", "expected-steps-2^40-cap"])
@@ -454,6 +455,21 @@ def test_cli_selftest_passes(capsys):
 
 
 # ------------------------------------------------------------------ tooling
+
+EXPORTING_MODULES = ("sim", "grover", "amplify", "minima", "applications", "walks", "bench")
+
+
+def test_every_exported_name_resolves():
+    # a deleted function must leave no dangling entry in any __all__
+    assert len(qsearchlab.__all__) > 40
+    for name in qsearchlab.__all__:
+        assert hasattr(qsearchlab, name), f"qsearchlab.{name}"
+    for layer in EXPORTING_MODULES:
+        module = importlib.import_module(f"qsearchlab.{layer}")
+        assert module.__all__, layer
+        for name in module.__all__:
+            assert hasattr(module, name), f"qsearchlab.{layer}.{name}"
+
 
 def test_traced_boundaries_resolve_to_package_callables(monkeypatch):
     # perfbench/ wraps these names by getattr on qsearchlab's modules; a name

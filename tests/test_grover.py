@@ -17,7 +17,6 @@ from qsearchlab import grover, sim
 from qsearchlab.amplify import predicted_repetitions
 from qsearchlab.grover import (
     GroverParams,
-    find_all,
     optimal_query_count,
     prepared_certain_state,
     search,
@@ -29,7 +28,6 @@ from qsearchlab.grover import (
 from qsearchlab.sim import (
     BitOracle,
     ParameterError,
-    PredicateOracle,
     SeededRng,
     StateVector,
     UnsupportedModeError,
@@ -201,9 +199,6 @@ def test_search_charges_scheduled_rounds():
     oracle = _planted_oracle(64, [10])
     search(oracle, GroverParams(64, 1), SeededRng(3))
     assert oracle.query_count == PINNED_ROUNDS[(64, 1)]
-    fixed = _planted_oracle(64, [10])
-    search(fixed, GroverParams(64, 1, iterations=2), SeededRng(3))
-    assert fixed.query_count == 2
 
 
 def test_search_success_rate_matches_formula():
@@ -229,8 +224,6 @@ def test_grover_params_validation():
         GroverParams(0, 1)
     with pytest.raises(ParameterError):
         GroverParams(8, 9)
-    with pytest.raises(ParameterError):
-        GroverParams(8, 1, iterations=-1)
 
 
 # ----------------------------------------------------- unknown marked count
@@ -316,19 +309,6 @@ def _plain_unknown_count(oracle, size, rng, min_marked=None, max_queries=None):
     return None
 
 
-def _plain_find_all(oracle, size, rng):
-    found = set()
-    mask = sim.marked_mask(oracle.marked_indices(), size)
-    while True:
-        wrapped = PredicateOracle(size, marked=mask, charge_to=(oracle,))
-        hit = _plain_unknown_count(wrapped, size, rng)
-        if hit is None:
-            return found
-        found.add(int(hit))
-        mask = mask.copy()
-        mask[hit] = False
-
-
 @st.composite
 def _marked_sets(draw, max_size=48):
     size = draw(st.integers(1, max_size))
@@ -352,22 +332,10 @@ def test_sweep_matches_plain_restart_loop(case, seed, min_marked, max_queries):
     outcomes = []
     for run in (search_unknown_count, _plain_unknown_count):
         base = _planted_oracle(size, marked)
-        oracle = PredicateOracle(size, marked=sorted(marked), charge_to=(base,))
+        oracle = BitOracle(sim.marked_mask(sorted(marked), size), charge_to=(base,))
         rng = SeededRng(seed, 4)
         hit = run(oracle, size, rng, min_marked=min_marked, max_queries=max_queries)
         outcomes.append((hit, oracle.query_count, base.query_count, rng.random()))
-    assert outcomes[0] == outcomes[1]
-
-
-@settings(max_examples=30, deadline=None)
-@given(case=_marked_sets(max_size=40), seed=st.integers(0, 2**20))
-def test_find_all_matches_plain_restart_loop(case, seed):
-    size, marked = case
-    outcomes = []
-    for run in (find_all, _plain_find_all):
-        oracle = _planted_oracle(size, marked)
-        rng = SeededRng(seed, 5)
-        outcomes.append((run(oracle, size, rng), oracle.query_count, rng.random()))
     assert outcomes[0] == outcomes[1]
 
 
@@ -378,7 +346,7 @@ def test_owned_rounds_equal_a_pure_operator_chain(case, rounds, complex_state):
     marked = np.array(sorted(marked), dtype=np.int64)
     dtype = np.complex128 if complex_state else np.float64
     start = np.full(size, 1.0 / math.sqrt(size), dtype=dtype)
-    owned_oracle, pure_oracle = PredicateOracle(size, marked=marked), PredicateOracle(size, marked=marked)
+    owned_oracle, pure_oracle = _planted_oracle(size, marked), _planted_oracle(size, marked)
     owned = StateVector(start.copy())
     buffer = owned.amps
     stepped = grover._run_rounds(owned, marked, owned_oracle, rounds)
@@ -399,16 +367,9 @@ def test_sweep_leaves_the_start_state_unmodified(case, seed):
     before = start.amps.copy()
     cap = math.sqrt(size)
     grover._sweep_restarts(
-        PredicateOracle(size, marked=marked), sim.marked_mask(marked, size), SeededRng(seed, 7),
+        _planted_oracle(size, marked), sim.marked_mask(marked, size), SeededRng(seed, 7),
         cap, grover.unknown_count_budget(cap), start,
         lambda state, sink: grover._run_rounds(state, marked, sink, 1),
     )
     assert np.array_equal(start.amps, before)
 
-
-def test_find_all_recovers_every_mark():
-    rng = SeededRng(31, 9)
-    marked = {3, 17, 40, 41, 59}
-    oracle = _planted_oracle(64, marked)
-    assert find_all(oracle, 64, rng) == marked
-    assert find_all(_planted_oracle(16, []), 16, SeededRng(31, 1)) == set()

@@ -79,13 +79,6 @@ def test_hypercube_oracle_bit_addressing():
     assert oracle.query_count == 3
 
 
-def test_hypercube_oracle_from_function():
-    oracle = HypercubeOracle.from_function(4, lambda bits: sum(bits))
-    assert oracle.peek(0) == 0
-    assert oracle.peek(15) == 4
-    assert oracle.peek((1, 0, 1, 0)) == 2
-
-
 def test_hypercube_oracle_validation():
     with pytest.raises(ParameterError):
         HypercubeOracle(2, [1, 2, 3])
@@ -150,8 +143,7 @@ def test_find_local_minimum_descends_from_sample():
     # single-basin objective: descent must end at the global minimum
     n = 7
     target = 53
-    oracle = HypercubeOracle.from_function(n, lambda bits: sum(
-        b != ((target >> i) & 1) for i, b in enumerate(bits)))
+    oracle = HypercubeOracle(n, [bin(x ^ target).count("1") for x in range(1 << n)])
     result = find_local_minimum(oracle, SeededRng(3, 3))
     assert result.success
     assert result.index == target

@@ -16,7 +16,6 @@ from qsearchlab.sim import (
     BitOracle,
     NormalizationError,
     ParameterError,
-    PredicateOracle,
     SeededRng,
     SizeCapError,
     StateVector,
@@ -169,7 +168,7 @@ def test_value_oracle_peek_is_free():
 
 def test_charge_fans_out_to_wrapped_oracles():
     base = ValueOracle([1, 2, 3, 4])
-    probe = PredicateOracle(4, marked=[0, 2], charge_to=(base,))
+    probe = BitOracle(sim.marked_mask([0, 2], 4), charge_to=(base,))
     probe.query(1)
     probe.charge(3)
     assert probe.query_count == 4
@@ -178,22 +177,26 @@ def test_charge_fans_out_to_wrapped_oracles():
         probe.charge(-1)
 
 
-def test_predicate_oracle_routes():
-    by_mask = PredicateOracle(5, marked=np.array([False, True, False, True, False]))
-    by_index = PredicateOracle(5, marked=[1, 3])
-    by_fn = PredicateOracle(5, predicate=lambda i: i % 2 == 1)
-    for oracle in (by_mask, by_index, by_fn):
+def test_bit_oracle_routes():
+    mask = np.array([False, True, False, True, False])
+    by_mask = BitOracle(mask)
+    by_index = BitOracle(sim.marked_mask([1, 3], 5))
+    by_bits = BitOracle([0, 1, 0, 1, 0])
+    mask[1] = False  # the oracle keeps its own read-only copy of a mask
+    for oracle in (by_mask, by_index, by_bits):
         assert list(oracle.marked_indices()) == [1, 3]
-        assert oracle.query(3) is True
-        assert oracle.query(0) is False
+        assert oracle.query(3) == 1
+        assert oracle.query(0) == 0
+        assert not oracle._bits.flags.writeable
+    assert by_mask._bits.dtype == bool and by_bits._bits.dtype == np.uint8
     with pytest.raises(ParameterError):
-        PredicateOracle(5)
+        BitOracle(np.zeros(0, dtype=bool))
     with pytest.raises(ParameterError):
-        PredicateOracle(5, predicate=lambda i: True, marked=[0])
+        BitOracle(np.ones((2, 2), dtype=bool))
     with pytest.raises(ParameterError):
-        PredicateOracle(4, marked=np.array([True, False]))
+        sim.marked_mask(np.array([True, False]), 4)
     with pytest.raises(IndexError):
-        PredicateOracle(4, marked=[4])
+        sim.marked_mask([4], 4)
 
 
 # ---------------------------------------------------------------- operators
@@ -381,8 +384,8 @@ def test_operators_step_and_return_their_input(dimension, data, seed, complex_st
     if target == "uniform":
         prep = amplify.uniform_preparation(dimension)
     else:
-        prep = amplify.preparation_from_target(
-            raw / np.linalg.norm(raw) if target == "random" else np.eye(dimension)[0])
+        prep = amplify._householder_preparation(
+            raw / np.linalg.norm(raw) if target == "random" else np.eye(dimension)[0], cost=1)
     operators = {
         "flip": lambda s: apply_phase_flip(s, marked, oracle),
         "rotation": lambda s: apply_phase_rotation(s, marked, 0.73, oracle),

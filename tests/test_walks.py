@@ -32,7 +32,6 @@ from qsearchlab.walks import (
     WalkCosts,
     classical_hitting,
     collision_vertex_probability,
-    complete_graph_chain,
     cycle_chain,
     default_shot_cap,
     ed_walk,
@@ -43,7 +42,6 @@ from qsearchlab.walks import (
     grid_walk_search,
     grid_walk_step,
     johnson_chain,
-    load_chain,
     localized_coined_state,
     marked_pair_probability,
     measure_edge,
@@ -56,33 +54,54 @@ from qsearchlab.walks import (
 )
 
 
+def _complete_chain(size: int, marked=()) -> MarkovChain:
+    """Uniform walk on the complete graph, without self-loops."""
+    return MarkovChain((np.ones((size, size)) - np.eye(size)) / (size - 1), marked)
+
+
 # ------------------------------------------------------------ torus geometry
+
+def _cell_index(grid: TorusGrid, coords) -> int:
+    """Reference cell of wrapped coordinates, axis 0 least significant."""
+    return sum((c % grid.side) * grid.side**axis for axis, c in enumerate(coords))
+
+
+def _neighbor(grid: TorusGrid, cell: int, direction: int) -> int:
+    """Reference for shift_map and scan_order: the adjacent cell along signed
+    axis direction 2*a + s, where s = 0 steps forward."""
+    coords = list(grid.coordinates(cell))
+    axis, sign = divmod(direction, 2)
+    coords[axis] += 1 if sign == 0 else -1
+    return _cell_index(grid, coords)
+
 
 def test_grid_coordinate_roundtrip():
     for side, dims in ((4, 2), (3, 3), (2, 2)):
         grid = TorusGrid(side, dims)
         for cell in range(grid.cells):
-            assert grid.cell_index(grid.coordinates(cell)) == cell
+            assert _cell_index(grid, grid.coordinates(cell)) == cell
 
 
 def test_grid_neighbors_and_reverse():
     grid = TorusGrid(4, 2)
     # hand-checked: cell 5 is (1, 1); +x lands on (2, 1) = 6, -y on (1, 0) = 1
     assert grid.coordinates(5) == (1, 1)
-    assert grid.neighbor(5, 0) == 6
-    assert grid.neighbor(5, 3) == 1
+    assert _neighbor(grid, 5, 0) == 6
+    assert _neighbor(grid, 5, 3) == 1
+    assert grid.shift_map()[5 * 4 + 0] == 6 * 4 + 1
+    assert grid.shift_map()[5 * 4 + 3] == 1 * 4 + 2
     for dims in (2, 3):
         g = TorusGrid(3, dims)
         for cell in range(g.cells):
             for direction in range(g.direction_count):
-                back = g.neighbor(g.neighbor(cell, direction), g.reverse(direction))
+                back = _neighbor(g, _neighbor(g, cell, direction), g.reverse(direction))
                 assert back == cell
 
 
 def test_grid_distance_is_a_wraparound_metric():
     grid = TorusGrid(6, 2)
-    assert grid.distance(0, grid.cell_index((5, 0))) == 1
-    assert grid.distance(0, grid.cell_index((3, 3))) == 6
+    assert grid.distance(0, _cell_index(grid, (5, 0))) == 1
+    assert grid.distance(0, _cell_index(grid, (3, 3))) == 6
     for a in (0, 7, 20):
         assert grid.distance(a, a) == 0
         for b in (1, 9, 35):
@@ -97,7 +116,7 @@ def test_shift_map_is_an_involutive_permutation():
         assert sorted(shift) == list(range(grid.cells * grid.direction_count))
         assert np.array_equal(shift[shift], np.arange(shift.size))
         k = grid.direction_count
-        by_neighbor = [grid.neighbor(cell, d) * k + grid.reverse(d)
+        by_neighbor = [_neighbor(grid, cell, d) * k + grid.reverse(d)
                        for cell in range(grid.cells) for d in range(k)]
         assert shift.tolist() == by_neighbor
 
@@ -121,7 +140,7 @@ def _reference_scan_order(grid: TorusGrid) -> list:
             block = order if layer % 2 == 0 else order[::-1]
             extended.extend(coords + (layer,) for coords in block)
         order = extended
-    return [grid.cell_index(c) for c in order]
+    return [_cell_index(grid, c) for c in order]
 
 
 @pytest.mark.parametrize("dims", [2, 3])
@@ -141,8 +160,6 @@ def test_grid_validation():
     grid = TorusGrid(3, 2)
     with pytest.raises(IndexError):
         grid.coordinates(9)
-    with pytest.raises(IndexError):
-        grid.neighbor(0, 4)
 
 
 # ------------------------------------------------------------- coined walk
@@ -155,7 +172,7 @@ def _dense_coined_step(grid: TorusGrid, marked) -> np.ndarray:
     for cell in range(grid.cells):
         for direction in range(k):
             src = cell * k + direction
-            dst = grid.neighbor(cell, direction) * k + grid.reverse(direction)
+            dst = _neighbor(grid, cell, direction) * k + grid.reverse(direction)
             shift[dst, src] = 1.0
     coin = np.zeros((n, n))
     grover_coin = 2.0 / k * np.ones((k, k)) - np.eye(k)
@@ -327,7 +344,7 @@ def test_spectral_gap_closed_forms():
     assert cycle_chain(8).spectral_gap == pytest.approx(1 - math.cos(math.pi / 4), abs=1e-12)
     assert cycle_chain(16).spectral_gap == pytest.approx(0.07612046748871324, abs=1e-12)
     for size in (2, 5, 9):
-        assert complete_graph_chain(size).spectral_gap == pytest.approx(
+        assert _complete_chain(size).spectral_gap == pytest.approx(
             size / (size - 1), abs=1e-12)
     assert torus_chain(6, 2).spectral_gap == pytest.approx(
         (1 - math.cos(math.pi / 3)) / 2, abs=1e-12)
@@ -355,16 +372,9 @@ def test_cached_chain_gaps_are_bit_equal_to_fresh_eigvalsh():
         grid = TorusGrid(side, dims)
         step = 1.0 / grid.direction_count
         fresh = _loop_matrix(grid.cells, lambda c: [
-            (grid.neighbor(c, d), step) for d in range(grid.direction_count)])
+            (_neighbor(grid, c, d), step) for d in range(grid.direction_count)])
         assert np.array_equal(torus_chain(side, dims).matrix, fresh)
         assert torus_chain(side, dims, marked={0}).spectral_gap == gap(fresh)
-    for size in (2, 3, 9, 59):
-        fresh = _loop_matrix(size, lambda i: [
-            (j, 1.0 / (size - 1)) for j in range(size) if j != i])
-        chain = complete_graph_chain(size, marked={1})
-        assert np.array_equal(chain.matrix, fresh)
-        assert chain.marked == {1}
-        assert chain.spectral_gap == gap(fresh)
     # eigvalsh, not the closed form 1 - cos(2*pi/4), which rounds below 1
     assert cycle_chain(4).spectral_gap == 1.0
 
@@ -384,41 +394,6 @@ def test_with_marked_shares_structure_and_cache():
     assert len(chain._hitting_cache) == walks.HITTING_CACHE_ENTRIES
     # relabeling a vertex-transitive chain cannot change the hitting time
     assert exact_hitting_mean(clone) == pytest.approx(exact_hitting_mean(chain), abs=1e-12)
-
-
-def test_load_chain_round_trip_and_tolerance():
-    rng = SeededRng(55)
-    base = cycle_chain(5).matrix
-    noisy = base + rng.generator.uniform(-4e-10, 4e-10, size=base.shape)
-    noisy = 0.5 * (noisy + noisy.T)  # keep the perturbation symmetric
-    lines = ["5"] + [" ".join(f"{v:.12e}" for v in row) for row in noisy] + ["0 2"]
-    chain = load_chain("\n".join(lines))
-    assert chain.marked == {0, 2}
-    assert np.abs(chain.matrix.sum(axis=1) - 1.0).max() < 1e-12
-    assert np.abs(chain.matrix - base).max() < 1e-8
-
-
-def test_load_chain_rejects_bad_input():
-    with pytest.raises(ParameterError):
-        load_chain("")
-    with pytest.raises(ParameterError):
-        load_chain("2\n0.5 0.5")
-    with pytest.raises(ParameterError):
-        load_chain("2\n0.5 0.5 0.5\n0.5 0.5")
-    with pytest.raises(ParameterError):
-        load_chain("1\n1.0")
-    bad = cycle_chain(4).matrix.copy()
-    bad[0, 1] += 1e-6  # beyond ingestion tolerance
-    text = "4\n" + "\n".join(" ".join(map(str, row)) for row in bad)
-    with pytest.raises(ParameterError):
-        load_chain(text)
-    for bad in ("nan", "inf", "-inf"):
-        for rows in (f"{bad} 0.5\n0.5 0.5", f"0.5 {bad}\n{bad} 0.5", f"{bad} {bad}\n{bad} {bad}"):
-            with pytest.raises(ParameterError):
-                load_chain(f"2\n{rows}")
-    # a declared size past the dense-matrix budget is refused before any row is read
-    with pytest.raises(SizeCapError):
-        load_chain("4097\n" + "0.5 0.5\n" * 4097)
 
 
 # ------------------------------------------------------------ quantization
@@ -468,7 +443,7 @@ def test_szegedy_step_matches_dense_reflections():
     rng = SeededRng(31)
     cases = (
         cycle_chain(5, marked={1}),
-        complete_graph_chain(4, marked={0, 2}),
+        _complete_chain(4, marked={0, 2}),
         torus_chain(2, 2, marked={3}),
         cycle_chain(4),
         JohnsonChain(4, 1).with_marked({0, 5}),
@@ -511,7 +486,7 @@ def _family_chains(draw):
     elif family == "torus":
         chain = torus_chain(draw(st.integers(2, 4)), draw(st.sampled_from((2, 3))))
     elif family == "complete":
-        chain = complete_graph_chain(draw(st.integers(2, 8)))
+        chain = _complete_chain(draw(st.integers(2, 8)))
     else:
         elements = draw(st.integers(3, 6))
         chain = JohnsonChain(elements, draw(st.integers(1, elements - 1)))
@@ -537,7 +512,7 @@ def test_real_szegedy_step_equals_complex_step(case):
 
 
 def test_stationary_state_is_fixed_without_marks():
-    for chain in (cycle_chain(6), complete_graph_chain(5), torus_chain(3, 2)):
+    for chain in (cycle_chain(6), _complete_chain(5), torus_chain(3, 2)):
         psi = stationary_edge_state(chain)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
         assert np.abs(szegedy_step(chain, psi) - psi).max() < 1e-12
@@ -624,13 +599,13 @@ def test_cycle_hitting_closed_form():
 def test_complete_graph_hitting_closed_form():
     # each unmarked state needs S-1 expected steps; the start is uniform
     for size in (2, 5, 8):
-        chain = complete_graph_chain(size, marked={size - 1})
+        chain = _complete_chain(size, marked={size - 1})
         assert exact_hitting_mean(chain) == pytest.approx(
             (size - 1) ** 2 / size, abs=1e-9)
 
 
 def test_monte_carlo_hitting_tracks_exact_solution():
-    for chain in (cycle_chain(12, marked={0}), complete_graph_chain(8, marked={3})):
+    for chain in (cycle_chain(12, marked={0}), _complete_chain(8, marked={3})):
         exact = exact_hitting_mean(chain)
         sampled = classical_hitting(chain, SeededRng(4444, 0), trials=2000)
         assert abs(sampled - exact) / exact < 0.10
@@ -666,20 +641,25 @@ def _asymmetric_chain():
     return MarkovChain(matrix, marked={4})
 
 
+def _irregular_chain():
+    """Lazy cycle with random symmetric edge weights and the rest of each row
+    on its self-loop, so no two rows share their running sums."""
+    weights = SeededRng(56).generator.uniform(0.1, 0.4, size=7)
+    matrix = np.zeros((7, 7))
+    for x in range(7):
+        matrix[x, (x + 1) % 7] = matrix[(x + 1) % 7, x] = weights[x]
+    matrix[np.diag_indices(7)] = 1.0 - matrix.sum(axis=1)
+    return MarkovChain(matrix, marked={3})
+
+
 def _hitting_chains():
-    # file input whose P and P^T differ within CHAIN_FILE_TOL; load_chain
-    # settles it to an exactly symmetric matrix
-    rng = SeededRng(56)
-    base = cycle_chain(7).matrix
-    noisy = base + rng.generator.uniform(-1e-10, 1e-10, size=base.shape)
-    lines = ["7"] + [" ".join(f"{v:.12e}" for v in row) for row in noisy] + ["3"]
     return [
         cycle_chain(16, marked={0}),
         cycle_chain(64, marked={5, 40}),
         torus_chain(6, 2, marked={7}),
-        complete_graph_chain(12, marked={3}),
+        _complete_chain(12, marked={3}),
         JohnsonChain(6, 2, marked={0, 20}),
-        load_chain("\n".join(lines)),
+        _irregular_chain(),
         _asymmetric_chain(),
     ]
 
@@ -839,7 +819,7 @@ def test_memoized_search_equals_fresh_shots():
     chains = (
         torus_chain(4, 2, marked={9}),
         cycle_chain(16, marked={3}),
-        complete_graph_chain(6, marked={2}),
+        _complete_chain(6, marked={2}),
         johnson_chain(6, 4, ValueOracle([0, 1, 2, 3, 1, 5])),
     )
     for chain in chains:
@@ -871,7 +851,7 @@ def test_trajectory_memory_cap_raises_before_stepping():
 
 
 def test_szegedy_search_shot_cap_one_prepares_every_step():
-    chain = complete_graph_chain(6, marked={2})
+    chain = _complete_chain(6, marked={2})
     result = szegedy_find_marked(chain, WalkCosts(), SeededRng(77, 0), shot_cap=1)
     assert result.preparations == result.walk_steps
 
