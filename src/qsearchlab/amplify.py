@@ -164,9 +164,12 @@ def amplitude_amplify(
     Query cost is (2*rounds + 1) preparation applications plus one
     good-set query per round; the returned good flag is a classical
     re-check of the measured index and is not charged.  In lower-bound
-    mode the restart schedule runs as one sweep along a single round
-    trajectory, and each attempt is charged its own rounds, preparations
-    and verification, as if it had restarted from the start state.
+    mode the restart schedule is decoded up front from the generator's raw
+    words and runs as one sweep along a single round trajectory
+    (`grover._sweep_restarts`); each attempt up to the first verified one is
+    charged its own rounds, preparations and verification, as if it had
+    restarted from the start state, and the generator is left just past
+    that attempt's measurement draw.
     """
     dimension = prep.dimension
     mask = sim.marked_mask(params.good, dimension)

@@ -3,15 +3,32 @@
 Three entry points: fixed-count search for a known number of marked items,
 an exact-certainty variant with one phase-tuned final round, and a
 randomized schedule for an unknown marked count.
+
+The randomized schedule's plan is decoded from raw PCG64 words
+(`bit_generator.random_raw`) by the rules numpy's `Generator` draws with,
+so records match scalar `integers(0, hi)` and `random()` calls:
+
+- `integers(0, hi)` with 1 < hi <= 2**32 is Lemire's method on one uint32:
+  the product u * hi is kept when its low 32 bits are at least 2**32 % hi,
+  and its high 32 bits are the draw.  The uint32 is the bit generator's
+  buffered half (`has_uint32`, `uinteger`) when one is set; otherwise the
+  low half of a fresh word, whose high half is then buffered.  Past 2**32
+  the same test runs on whole words at 64 bits, and `integers(0, 1)` reads
+  nothing.
+- `random()` is (w >> 11) * 2**-53 of one fresh word; it leaves the
+  buffered half alone, as `random_raw` does.
+
+`tests/test_grover.py::test_plan_decodes_the_scalar_draws` pins both rules,
+and the generator state after every prefix of a plan, against numpy.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,7 +49,6 @@ __all__ = [
     "search",
     "search_with_certainty",
     "prepared_certain_state",
-    "restart_schedule",
     "unknown_count_budget",
     "search_unknown_count",
 ]
@@ -43,6 +59,9 @@ SCHEDULE_GROWTH = 6.0 / 5.0
 # absent; calibrated so one search misses an existing item with probability
 # well under 1/20 while the absent case still costs O(sqrt(size)).
 UNKNOWN_BUDGET_FACTOR = 9.0
+# Raw generator words read per call while a restart plan is decoded; over
+# criterion 05's 13,590 plans this took 13,751 reads.
+PLAN_WORDS = 64
 
 
 @dataclass(frozen=True)
@@ -204,28 +223,72 @@ def search_with_certainty(oracle: BitOracle, params: GroverParams, rng: SeededRn
     return sim.measure(state, rng)
 
 
-def restart_schedule(rng: SeededRng, cap: float, budget: int) -> Iterator[int]:
-    """Round counts of the randomized restart schedule for an unknown count.
-
-    Each attempt draws its round count uniformly below a ceiling that
-    starts at 1 and grows by SCHEDULE_GROWTH up to `cap`.  An attempt spends
-    its rounds plus one verification from `budget`; the schedule ends once
-    the budget is spent.  The next count is drawn only when the caller asks
-    for it, after the previous attempt's measurement.
-    """
-    cap = max(cap, 1.0)
-    ceiling = 1.0
-    spent = 0
-    while spent < budget:
-        rounds = int(rng.generator.integers(0, math.ceil(ceiling)))
-        spent += rounds + 1
-        yield rounds
-        ceiling = min(SCHEDULE_GROWTH * ceiling, cap)
-
-
 def unknown_count_budget(cap: float) -> int:
     """Query budget after which a restart schedule capped at `cap` gives up."""
     return math.ceil(UNKNOWN_BUDGET_FACTOR * cap) + 12
+
+
+def _plan(bit_generator, cap: float, budget: int):
+    """Randomized restart plan for an unknown count, decoded from raw PCG64 words.
+
+    Each attempt draws its round count uniformly below a ceiling that starts
+    at 1 and grows by SCHEDULE_GROWTH up to `cap`, then the draw that will
+    measure it.  An attempt spends its rounds plus one verification from
+    `budget`; the plan ends once the budget is spent.  The words are read in
+    blocks of PLAN_WORDS and decoded exactly as `integers(0, hi)` and
+    `random()` of a `Generator` on `bit_generator` would draw them, one after
+    the other (see the module docstring).  Returns the generator state at
+    entry, the round counts, the draws, and for each attempt where its draws
+    end: (words read, has_uint32, uinteger).  The generator is left past the
+    last block read; `_place` sets it just past any attempt.
+    """
+    entry = bit_generator.state
+    cap = max(cap, 1.0)
+    has, half = entry["has_uint32"], entry["uinteger"]
+    words, used = [], 0
+    rounds, draws, ends = [], [], []
+    ceiling, spent = 1.0, 0
+    while spent < budget:
+        hi = math.ceil(ceiling)
+        drawn = 0
+        if hi > 1:  # integers(0, 1) reads nothing
+            if hi > 1 << 63:
+                raise ParameterError(f"restart ceiling {hi} is past the int64 range")
+            bits = 32 if hi <= 1 << 32 else 64  # past 2**32, whole words
+            threshold = (1 << bits) % hi
+            while True:  # Lemire's rejection loop
+                if has and bits == 32:
+                    value, has = half, 0
+                else:
+                    if used == len(words):
+                        words += bit_generator.random_raw(PLAN_WORDS).tolist()
+                    value = words[used]
+                    used += 1
+                    if bits == 32:  # low half now, high half buffered
+                        value, half, has = value & 0xFFFFFFFF, value >> 32, 1
+                product = value * hi
+                if product & ((1 << bits) - 1) >= threshold:
+                    break
+            drawn = product >> bits
+        if used == len(words):
+            words += bit_generator.random_raw(PLAN_WORDS).tolist()
+        draws.append((words[used] >> 11) * 2.0**-53)
+        used += 1
+        rounds.append(drawn)
+        ends.append((used, has, half))
+        spent += drawn + 1
+        ceiling *= SCHEDULE_GROWTH
+        if ceiling > cap:
+            ceiling = cap
+    return entry, rounds, draws, ends
+
+
+def _place(bit_generator, entry: dict, end: tuple) -> None:
+    """Set the generator to where the scalar draws up to one `_plan` end leave it."""
+    used, has, half = end
+    # random_raw leaves the buffered half alone, so it can be set first
+    bit_generator.state = dict(entry, has_uint32=has, uinteger=half)
+    bit_generator.random_raw(used)
 
 
 def _sweep_restarts(
@@ -237,53 +300,54 @@ def _sweep_restarts(
     start: StateVector,
     advance: Callable[[StateVector, object], StateVector],
 ) -> tuple[list[tuple[int, int]], bool]:
-    """Run a restart schedule on one trajectory; charge and verify its attempts.
+    """Run a restart plan on one trajectory; charge and verify its attempts.
 
     Each attempt restarts from `start`, applies its rounds with `advance`,
     measures, and verifies the outcome with one query.  Neither the round
-    counts nor the measurement draws depend on outcomes, so the plan is
-    drawn up front, and every attempt is a prefix of one trajectory.  A
-    single state is stepped through the attempts in order of round count
-    (its oracle applications go to a sink) and measured against `mask`;
-    attempts after the earliest hit are skipped.  `start` is copied once,
-    and `advance` steps that copy in place.  Then each attempt up to
-    the first hit charges its own rounds plus its verification.  When the
-    hit comes before the end of the plan, the generator is rewound and
-    those attempts' draws replayed, so counters and generator end where
-    independent restarts leave them.  Returns the charged (rounds, index)
-    attempts and whether the last one verified.
+    counts nor the measurement draws depend on outcomes, so `_plan` decodes
+    the whole plan up front, and every attempt is a prefix of one
+    trajectory.  One copy of `start` is stepped in place with `advance` (its
+    oracle applications go to a sink) through the distinct round counts in
+    ascending order.  At each, the attempts still pending, those before the
+    earliest hit so far, are measured from one weight table and checked
+    against `mask`.  The attempts up to the first hit are then charged their
+    summed rounds and one verification each, and the generator is set just
+    past the last of them: where independent restarts, drawing as they go,
+    leave it.  Returns the charged (rounds, index) attempts and whether the
+    last one verified.
     """
-    saved = rng.generator.bit_generator.state
-    plan = [(rounds, rng.random()) for rounds in restart_schedule(rng, cap, budget)]
-
+    bit_generator = rng.generator.bit_generator
+    entry, rounds, draws, ends = _plan(bit_generator, cap, budget)
+    if not rounds:
+        return [], False
+    by_depth: dict[int, list[int]] = {}
+    for attempt, depth in enumerate(rounds):
+        by_depth.setdefault(depth, []).append(attempt)
+    indices = [0] * len(rounds)
+    first_hit = len(rounds)
     sink = sim._CountingOracle()
-    indices = [0] * len(plan)
-    first_hit = len(plan)
-    state, depth, table = start.copy(), 0, None
-    for attempt in sorted(range(len(plan)), key=lambda a: plan[a][0]):
-        if attempt > first_hit:
+    state, depth = start.copy(), 0
+    for target in sorted(by_depth):
+        group = by_depth[target]
+        pending = group[:bisect_left(group, first_hit)]
+        if not pending:  # all after a hit; a deeper attempt may still come before it
             continue
-        rounds, draw = plan[attempt]
-        while depth < rounds:
+        while depth < target:
             state = advance(state, sink)
             depth += 1
-            table = None
-        if table is None:  # attempts of equal round count share one weight table
-            table = sim.born_table(state.amps)
-        indices[attempt] = table.sample(draw)
-        if mask[indices[attempt]]:
-            first_hit = attempt
+        picked = sim.born_table(state.amps).sample_many([draws[a] for a in pending])
+        for attempt, index in zip(pending, picked):
+            indices[attempt] = index
+            if mask[index]:
+                first_hit = attempt
+                break
 
-    attempts = [(rounds, index) for (rounds, _), index in zip(plan[: first_hit + 1], indices)]
-    if len(attempts) < len(plan):  # leave the generator just past the last charged attempt
-        rng.generator.bit_generator.state = saved
-        for _ in itertools.islice(restart_schedule(rng, cap, budget), len(attempts)):
-            rng.random()
-    verified = False
-    for rounds, index in attempts:
-        oracle.charge(rounds)
-        verified = bool(oracle.query(index))
-    return attempts, verified
+    charged = min(first_hit + 1, len(rounds))
+    attempts = list(zip(rounds[:charged], indices[:charged]))
+    _place(bit_generator, entry, ends[charged - 1])
+    oracle.charge(sum(rounds[:charged]))
+    oracle.charge(charged)  # one verification query per attempt
+    return attempts, bool(mask[attempts[-1][1]])
 
 
 def search_unknown_count(
@@ -301,9 +365,12 @@ def search_unknown_count(
     `min_marked` caps the schedule when a lower bound on the marked count
     is known, so the absent case costs O(sqrt(size/min_marked)).
 
-    The whole schedule is simulated as one sweep along a single round
-    trajectory (see `_sweep_restarts`); each attempt still charges its own
-    rounds and its verification, as if it had restarted from uniform.
+    The whole schedule is decoded up front from the generator's raw words
+    and simulated as one sweep along a single round trajectory (see
+    `_sweep_restarts`); each attempt up to the first verified one still
+    charges its own rounds and its verification, as if it had restarted
+    from uniform.  The generator is left just past the last charged
+    attempt's measurement draw, where restarts drawing as they go leave it.
     """
     if size != oracle.size:
         raise ParameterError("size must match oracle size")

@@ -108,7 +108,10 @@ class SeededRng:
 
     Identical (master_seed, stream_id) pairs reproduce the same draw
     sequence; distinct stream ids are statistically independent, so
-    concurrent trials never share generator state.
+    concurrent trials never share generator state.  `generator`, a PCG64
+    `Generator`, is built on first use, so a parent that is only split
+    never pays for one; `split` builds its child's at once, since a child
+    is split off to be drawn from.
     """
 
     def __init__(self, master_seed: int, stream_id: int = 0, _subkey: tuple = ()):
@@ -117,14 +120,25 @@ class SeededRng:
         self.master_seed = int(master_seed)
         self.stream_id = int(stream_id)
         self._subkey = tuple(int(k) for k in _subkey)
+
+    def __getattr__(self, name: str):
+        # called only while `generator` is not yet an instance attribute
+        if name != "generator":
+            raise AttributeError(name)
+        return self._build()
+
+    def _build(self) -> np.random.Generator:
         seq = np.random.SeedSequence(
             self.master_seed, spawn_key=(self.stream_id, *self._subkey)
         )
         self.generator = np.random.default_rng(seq)
+        return self.generator
 
     def split(self, index: int) -> "SeededRng":
         """Independent child stream, deterministic in (self, index)."""
-        return SeededRng(self.master_seed, self.stream_id, self._subkey + (int(index),))
+        child = SeededRng(self.master_seed, self.stream_id, self._subkey + (int(index),))
+        child._build()
+        return child
 
     # Thin passthrough for the draws used throughout the package.
     def random(self, size=None):
@@ -454,6 +468,15 @@ class WeightTable:
         if offset == local.size:  # rounding put the remainder past the block's own sum
             offset = int(np.searchsorted(local, local[-1], side="left"))
         return start + offset
+
+    def sample_many(self, draws: list) -> list:
+        """`sample` of each draw: one search over a one-level table, else one per draw."""
+        if self._amps is None:
+            targets = np.multiply(draws, self.total)
+            picked = np.searchsorted(self.edges, targets, side="right").tolist()
+            if max(picked) < self.edges.size:
+                return picked
+        return [self.sample(draw) for draw in draws]
 
 
 _TINY = np.finfo(np.float64).tiny

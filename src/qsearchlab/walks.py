@@ -770,6 +770,18 @@ class JohnsonChain(MarkovChain):
     def subset_of(self, state: int) -> Tuple[int, ...]:
         return self.states[state]
 
+    def member_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Elements of the M-subsets and of the (M+1)-subsets, one row per state."""
+
+        def build():
+            lower = math.comb(self.element_count, self.subset_size)
+            return tuple(
+                np.array(layer, dtype=np.intp).reshape(len(layer), width)
+                for layer, width in ((self.states[:lower], self.subset_size),
+                                     (self.states[lower:], self.subset_size + 1)))
+
+        return self._cached("members", build)
+
 
 @functools.lru_cache(maxsize=8)
 def _johnson_base(element_count: int, subset_size: int) -> JohnsonChain:
@@ -782,12 +794,11 @@ def johnson_chain(element_count: int, subset_size: int, oracle: ValueOracle) -> 
         raise ParameterError("oracle size must match element count")
     chain = _johnson_base(element_count, subset_size)
     values = oracle.peek_all()
-    marked = [
-        i
-        for i, subset in enumerate(chain.states)
-        if len(set(values[list(subset)].tolist())) < len(subset)
-    ]
-    return chain.with_marked(marked)
+    collides = []
+    for members in chain.member_tables():  # a sorted row holds a collision next to itself
+        held = np.sort(values[members], axis=1)
+        collides.append((held[:, 1:] == held[:, :-1]).any(axis=1))
+    return chain.with_marked(np.flatnonzero(np.concatenate(collides)).tolist())
 
 
 def collision_vertex_probability(element_count: int, subset_size: int) -> Fraction:

@@ -256,25 +256,34 @@ def test_unknown_count_search_respects_query_cap():
     assert hit is None or hit == 7
 
 
-def _plain_schedule(rng, cap, budget):
+def _plain_schedule(rng, cap, budget, states=None):
     # the restart schedule written out as one loop, with the caller's
-    # measurement draw after every round count
+    # measurement draw after every round count; `states` collects the
+    # generator state before the first attempt and after each one
     drawn = []
     ceiling, spent = 1.0, 0
+    if states is not None:
+        states.append(rng.generator.bit_generator.state)
     while spent < budget:
         rounds = int(rng.generator.integers(0, math.ceil(ceiling)))
         spent += rounds + 1
         drawn.append((rounds, rng.random()))
+        if states is not None:
+            states.append(rng.generator.bit_generator.state)
         ceiling = min(grover.SCHEDULE_GROWTH * ceiling, max(cap, 1.0))
     return drawn
+
+
+def _decoded(rng, cap, budget):
+    _, rounds, draws, _ = grover._plan(rng.generator.bit_generator, cap, budget)
+    return list(zip(rounds, draws))
 
 
 @pytest.mark.parametrize("cap", [1.0, 4.5, 32.0])
 def test_restart_schedule_matches_the_plain_loop(cap):
     budget = grover.unknown_count_budget(cap)
     for seed in range(5):
-        rng = SeededRng(77, seed)
-        drawn = [(rounds, rng.random()) for rounds in grover.restart_schedule(rng, cap, budget)]
+        drawn = _decoded(SeededRng(77, seed), cap, budget)
         assert drawn == _plain_schedule(SeededRng(77, seed), cap, budget)
         assert max(rounds for rounds, _ in drawn) < math.ceil(cap)
         assert sum(rounds + 1 for rounds, _ in drawn) >= budget
@@ -284,7 +293,91 @@ def test_unknown_count_budget_values():
     assert grover.unknown_count_budget(1.0) == 21
     assert grover.unknown_count_budget(4.5) == 53
     assert grover.unknown_count_budget(math.sqrt(1024)) == 300
-    assert list(grover.restart_schedule(SeededRng(0), 8.0, 0)) == []
+    assert _decoded(SeededRng(0), 8.0, 0) == []
+
+
+def _assert_plan_is_the_scalar_draws(rng, reference, cap, budget):
+    # `rng` and `reference` start in the same state; `reference` draws the
+    # plan with scalar numpy calls, and `rng` is placed after every prefix
+    bit_generator = rng.generator.bit_generator
+    entry, rounds, draws, ends = grover._plan(bit_generator, cap, budget)
+    states = []
+    assert list(zip(rounds, draws)) == _plain_schedule(reference, cap, budget, states)
+    scalar = np.random.Generator(np.random.PCG64())
+    for prefix, state in enumerate(states):
+        if prefix:
+            grover._place(bit_generator, entry, ends[prefix - 1])
+        else:
+            bit_generator.state = entry
+        assert bit_generator.state == state
+        scalar.bit_generator.state = state
+        assert rng.random() == scalar.random()
+    return ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    cap=st.one_of(st.integers(1, 300).map(float), st.floats(1.0, 300.0)),
+    budget=st.one_of(st.none(), st.integers(0, 3000)),
+    prior=st.sampled_from([None, "choice", "integers"]),
+    bound=st.integers(2, 10**6),
+)
+def test_plan_decodes_the_scalar_draws(seed, cap, budget, prior, bound):
+    if budget is None:
+        budget = grover.unknown_count_budget(cap)
+    rng, reference = SeededRng(seed, 3), SeededRng(seed, 3)
+    if prior is not None:  # leaves a buffered uint32 half, as find_minimum's first draw does
+        for gen in (rng.generator, reference.generator):
+            if prior == "choice":
+                gen.choice(bound)
+            else:
+                gen.integers(0, bound)
+        assert rng.generator.bit_generator.state["has_uint32"] == 1
+    _assert_plan_is_the_scalar_draws(rng, reference, cap, budget)
+
+
+def test_plan_decodes_a_forced_lemire_rejection():
+    # PCG64 steps its 128-bit state, then outputs rotr(high ^ low, high >> 58)
+    # of it, so a state with equal halves and top 6 bits 0 outputs the word 0.
+    # integers(0, 7) rejects both of that word's uint32 halves: Lemire's
+    # threshold is 2**32 % 7 = 4.  With cap 7, every attempt from the
+    # eleventh on draws below 7; the zero word goes where the first of them
+    # to read a fresh word reads it.
+    cap, budget = 7.0, grover.unknown_count_budget(7.0)
+    _, rounds, _, ends = grover._plan(SeededRng(5).generator.bit_generator, cap, budget)
+    attempt = next(a for a in range(10, len(rounds)) if not ends[a - 1][1])
+    position = ends[attempt - 1][0]
+    half = 0x0123456789ABCDEF  # top 6 bits 0
+    rng, reference = SeededRng(5), SeededRng(5)
+    for gen in (rng.generator, reference.generator):
+        state = gen.bit_generator.state
+        state["state"]["state"] = half << 64 | half
+        gen.bit_generator.state = state
+        gen.bit_generator.advance(2**128 - 1 - position)
+    assert reference.generator.bit_generator.random_raw(position + 1)[-1] == 0
+    reference.generator.bit_generator.advance(2**128 - 1 - position)
+    ends = _assert_plan_is_the_scalar_draws(rng, reference, cap, budget)
+    # three words: the zero word (both halves rejected), the next word's low
+    # half, and the measurement draw's word
+    assert ends[attempt][0] - ends[attempt - 1][0] == 3
+
+
+def test_plan_draws_past_32_bits_as_numpy_does():
+    # ceilings past 2**32 draw from whole words: numpy's 64-bit Lemire
+    for seed in range(3):
+        rng, reference = SeededRng(seed, 9), SeededRng(seed, 9)
+        _assert_plan_is_the_scalar_draws(rng, reference, 1e12, 10**11)
+    with pytest.raises(ParameterError):
+        grover._plan(SeededRng(0).generator.bit_generator, 1e20, 10**21)
+    with pytest.raises(ValueError):
+        _plain_schedule(SeededRng(0), 1e20, 10**21)
+
+
+def test_seeded_streams_are_pcg64():
+    # grover._plan decodes raw PCG64 words
+    for rng in (SeededRng(0), SeededRng(3, 1).split(2)):
+        assert type(rng.generator.bit_generator) is np.random.PCG64
 
 
 def _plain_unknown_count(oracle, size, rng, min_marked=None, max_queries=None):
@@ -337,6 +430,18 @@ def test_sweep_matches_plain_restart_loop(case, seed, min_marked, max_queries):
         hit = run(oracle, size, rng, min_marked=min_marked, max_queries=max_queries)
         outcomes.append((hit, oracle.query_count, base.query_count, rng.random()))
     assert outcomes[0] == outcomes[1]
+
+
+def test_sweep_skips_a_depth_without_pending_attempts():
+    # At this seed the sweep sees its first hit at attempt 8 (one round);
+    # two rounds hold only later attempts, and attempt 7 (three rounds) hits
+    # before it.  Stopping at the empty depth would charge 14 queries, not 12.
+    outcomes = []
+    for run in (search_unknown_count, _plain_unknown_count):
+        oracle, rng = _planted_oracle(16, [0]), SeededRng(39, 4)
+        outcomes.append((run(oracle, 16, rng), oracle.query_count, rng.random()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:2] == (0, 12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -56,6 +56,17 @@ def test_rng_split_deterministic_and_independent():
     assert np.array_equal(fresh.generator.random(4), SeededRng(7, 0).generator.random(4))
 
 
+def test_rng_builds_its_generator_on_first_use():
+    parent = SeededRng(7, 0)
+    child = parent.split(5)
+    assert "generator" not in vars(parent)
+    for rng, key in ((child, (0, 5)), (parent, (0,))):
+        want = np.random.default_rng(np.random.SeedSequence(7, spawn_key=key)).random(4)
+        assert np.array_equal(rng.generator.random(4), want)
+    with pytest.raises(AttributeError):
+        parent.missing
+
+
 def test_rng_rejects_negative_identifiers():
     with pytest.raises(ParameterError):
         SeededRng(-1)
@@ -626,6 +637,8 @@ def test_weight_table_never_returns_a_zero_weight_index():
     assert tiny * tiny == 5e-324 and top * 5e-324 == 5e-324
     assert _sample([0.0, tiny, 0.0], top) == 1
     assert _sample([0.0, tiny * 1j, 0.0], top) == 1
+    # sample_many falls back to one sample per draw when a draw lands there
+    assert WeightTable(np.array([0.0, tiny, 0.0])).sample_many([0.0, top, 0.5]) == [1, 1, 1]
 
 
 def test_born_cumulative_is_kind_blind_and_checks_the_norm():
@@ -693,6 +706,7 @@ def test_weight_table_matches_one_sequential_running_sum(size, shape, seed, comp
         target = float(draw) * edges[-1]
         if np.abs(edges - target).min() > 1e-12 * edges[-1]:
             assert index == expected
+    assert table.sample_many(draws.tolist()) == [table.sample(float(draw)) for draw in draws]
     if shape != "subnormal":
         with pytest.raises(NormalizationError):
             born_table(amps * (1.0 + 1e-5))

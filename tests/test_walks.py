@@ -927,6 +927,30 @@ def test_johnson_chain_marks_collision_vertices():
     assert distinct.marked == frozenset()
 
 
+def _collision_states(chain, values):
+    # reference: a Python set per subset
+    return frozenset(
+        i
+        for i, subset in enumerate(chain.states)
+        if len(set(values[list(subset)].tolist())) < len(subset)
+    )
+
+
+@pytest.mark.parametrize("element_count", range(4, 13))
+def test_johnson_chain_marks_match_the_set_reference(element_count):
+    gen = SeededRng(4848, element_count).generator
+    distinct = gen.permutation(element_count)
+    one_pair = distinct.copy()
+    one_pair[gen.choice(element_count, size=2, replace=False)] = -1
+    several = gen.integers(0, element_count // 2, size=element_count)
+    subset_sizes = {element_count // 2, math.ceil(element_count ** (2.0 / 3.0)), element_count - 1}
+    for subset_size in sorted(subset_sizes):
+        for values in (distinct, one_pair, several):
+            chain = johnson_chain(element_count, subset_size, ValueOracle(values))
+            assert chain.marked == _collision_states(chain, values)
+            assert np.array_equal(chain.marked_mask, sim.marked_mask(sorted(chain.marked), chain.size))
+
+
 @given(st.integers(min_value=2, max_value=9).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n))))
 @settings(max_examples=40, deadline=None)
