@@ -72,9 +72,9 @@ NORM_DRIFT_LIMIT = 1e-9
 # Measurement and StateVector construction refuse states whose squared norm
 # is further than this from 1.
 MEASURE_NORM_TOL = 1e-6
-# The one byte budget for states, trajectories and chain matrices, counted
-# at 16 B per entry (one complex128 amplitude, or a float64 matrix entry and
-# its copy): 2^24 entries.
+# The one byte budget for states, trajectories, chains and dense matrices,
+# counted at 16 B per entry (a complex128 amplitude, a float64 matrix entry
+# and its LAPACK copy, or a sixth of a chain edge): 2^24 entries.
 STATE_BYTE_CAP = 256 * 2**20
 # Weight tables of at most ONE_LEVEL_MAX entries are one sequential running
 # sum, which is latency-bound at about 3 ns an entry; larger ones use blocks
@@ -212,7 +212,7 @@ def check_state_size(dimension: int) -> None:
     """Raise SizeCapError if `dimension` entries at 16 B would pass STATE_BYTE_CAP.
 
     The entries are a state's amplitudes, a trajectory's edge amplitudes, a
-    chain matrix's size * size entries or a bench value table.
+    chain's edges, a dense P for LAPACK or a bench value table.
     """
     if dimension < 1:
         raise ParameterError(f"dimension must be >= 1, got {dimension}")
@@ -332,7 +332,7 @@ class ValueOracle(_CountingOracle):
 
 def marked_mask(marked: Union[np.ndarray, Iterable[int]], size: int) -> np.ndarray:
     """Fresh boolean mask of length `size` from a boolean mask or marked indices."""
-    arr = np.asarray(marked)
+    arr = np.asarray(list(marked) if isinstance(marked, (set, frozenset)) else marked)
     mask = np.zeros(size, dtype=bool)
     if arr.dtype == bool:
         if arr.size != size:

@@ -18,10 +18,10 @@ search every shot restarts from the same stationary state, so each shot is
 a prefix of one deterministic trajectory; the search computes that
 trajectory once, as far as its longest shot, and measures the prefix.
 
-Chains are dense size x size matrices.  The cycle and torus chains are
-built from one neighbour table by `_regular_chain`; every chain
-matrix, like every trajectory, passes sim.check_state_size before it is
-allocated, and subset chains count their states before listing them.
+A chain stores only its edges, with P per edge.  Each builder counts what
+it will allocate against sim.check_state_size first, and subset chains
+count before listing any subset.  A dense P or block of it is built only
+for LAPACK's eigvalsh and solve, by MarkovChain.dense after its own check.
 
 The classical hitting walk reads one table per chain: each row's running
 sums of P at its edge columns.  Trials walk one after another in a scalar
@@ -31,11 +31,11 @@ loop that bisects a row per step.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Tuple
 
 import numpy as np
@@ -45,6 +45,7 @@ from .sim import (
     BitOracle,
     ParameterError,
     SeededRng,
+    SizeCapError,
     StateVector,
     ValueOracle,
 )
@@ -81,8 +82,11 @@ __all__ = [
     "ed_walk",
 ]
 
-# Chain matrices must be symmetric and row-stochastic to this precision.
+# Chain transitions must be symmetric and row-stochastic to this precision.
 CHAIN_CONSTRUCTION_TOL = 1e-12
+# Cap entries of 16 B that a chain edge counts for: a built chain holds about
+# 45 B an edge, and building one peaks near 96 B.
+EDGE_CAP_ENTRIES = 6
 # Hitting solves kept per chain structure.  Base chains are cached for the
 # life of the process and every trial may mark a new set, so the oldest
 # solve is dropped beyond this many.
@@ -282,15 +286,15 @@ def grid_classical_search(grid: TorusGrid, oracle: BitOracle) -> ScanResult:
 
 @dataclass(frozen=True)
 class ChainEdges:
-    """Nonzero transitions of a chain in row-major order.
+    """Transitions of a chain in row-major order, the chain's only copy of P.
 
-    `root` holds sqrt(P) on each edge, row x owns edges starts[x] up to
-    starts[x + 1], and `transpose[e]` is the edge (y, x) of edge e = (x, y),
-    which exists because P is symmetric.
+    Edge e = (x, y) = (rows[e], cols[e]) carries P in `p` and sqrt(P) in `root`;
+    row x owns edges starts[x] up to starts[x + 1], and transpose[e] is edge (y, x).
     """
 
     rows: np.ndarray
     cols: np.ndarray
+    p: np.ndarray
     root: np.ndarray
     starts: np.ndarray
     transpose: np.ndarray
@@ -301,59 +305,68 @@ class ChainEdges:
 
 
 class MarkovChain:
-    """Symmetric row-stochastic chain with a marked subset.
+    """Symmetric row-stochastic chain with a marked subset, held as its edges.
 
-    The uniform distribution is stationary for any symmetric stochastic
-    matrix, which keeps start-state preparation and hitting-time baselines
-    simple.
+    `MarkovChain(size, rows, cols, p)` takes the transitions x -> y with
+    probability P in any order and adds up a pair listed twice.  The uniform
+    distribution is stationary for any symmetric stochastic P, which keeps
+    start-state preparation and hitting-time baselines simple.
     """
 
-    def __init__(self, matrix, marked=()):
-        arr = np.array(matrix, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
-            raise ParameterError("chain needs a square matrix of size >= 2")
+    def __init__(self, size: int, rows, cols, p, marked=()):
+        self.size = size = int(size)
+        rows, cols = (np.asarray(a, dtype=np.int64).ravel() for a in (rows, cols))
+        p = np.asarray(p, dtype=np.float64).ravel()
+        if size < 2 or not rows.size == cols.size == p.size:
+            raise ParameterError("chain needs size >= 2 and one row, column and P per transition")
         # each check is written so that a NaN entry fails it
-        if not arr.min() >= 0:
-            raise ParameterError("transition probabilities must be non-negative")
-        row_err = np.abs(arr.sum(axis=1) - 1.0).max()
+        if np.any((rows < 0) | (rows >= size) | (cols < 0) | (cols >= size)) or not np.all(p >= 0):
+            raise ParameterError(f"transitions need states in [0, {size}) and P >= 0")
+        # row-major order; a pair listed twice sums in listing order from 0
+        keys, inverse = np.unique(rows * size + cols, return_inverse=True)
+        p = np.bincount(inverse, weights=p, minlength=keys.size)
+        rows, cols = np.divmod(keys, size)
+        row_err = np.abs(np.bincount(rows, weights=p, minlength=size) - 1.0).max()
         if not row_err <= CHAIN_CONSTRUCTION_TOL:
             raise ParameterError(f"rows must sum to 1 (max error {row_err:.3g})")
-        sym_err = np.abs(arr - arr.T).max()
+        transpose = np.lexsort((rows, cols))
+        if not (np.array_equal(rows[transpose], cols) and np.array_equal(cols[transpose], rows)):
+            raise ParameterError("every listed transition x -> y needs y -> x listed too")
+        sym_err = np.abs(p - p[transpose]).max()
         if not sym_err <= CHAIN_CONSTRUCTION_TOL:
-            raise ParameterError(f"matrix must be symmetric (max error {sym_err:.3g})")
-        arr.setflags(write=False)
-        self.matrix = arr
-        self.size = arr.shape[0]
+            raise ParameterError(f"P must be symmetric (max error {sym_err:.3g})")
+        self.edges = ChainEdges(rows, cols, p, np.sqrt(p), np.searchsorted(rows, np.arange(size)),
+                                transpose)
+        for arr in vars(self.edges).values():
+            arr.setflags(write=False)
         self._mark(marked)
-        # gap, edges and hitting table depend on the matrix alone; with_marked
-        # clones share this dict, and share hitting solves keyed by marked set
+        # with_marked clones share the gap, the transition table and hitting solves
         self._structure: dict = {}
         self._hitting_cache: dict = {}
 
     def _mark(self, marked) -> None:
-        self.marked = frozenset(int(i) for i in marked)
-        self.marked_mask = sim.marked_mask(sorted(self.marked), self.size)
+        self.marked_mask = sim.marked_mask(marked, self.size)
         self.marked_mask.setflags(write=False)
+        self.marked = frozenset(np.flatnonzero(self.marked_mask).tolist())
 
-    def _cached(self, key: str, build):
-        value = self._structure.get(key)
-        if value is None:
-            value = self._structure[key] = build()
-        return value
-
-    @property
-    def marked_fraction(self) -> float:
-        return len(self.marked) / self.size
+    def dense(self, keep: Optional[np.ndarray] = None) -> np.ndarray:
+        """P, or its block on the states where mask `keep` holds, fresh for LAPACK; size-checked."""
+        keep = np.ones(self.size, dtype=bool) if keep is None else keep
+        at = np.cumsum(keep) - 1  # a kept state's row in the block
+        sim.check_state_size(int(at[-1] + 1) ** 2)
+        rows, cols = self.edges.rows, self.edges.cols
+        inner = keep[rows] & keep[cols]
+        block = np.zeros((at[-1] + 1, at[-1] + 1))
+        block[at[rows[inner]], at[cols[inner]]] = self.edges.p[inner]
+        return block
 
     @property
     def spectral_gap(self) -> float:
         """Gap between the top two eigenvalues (top is 1 by stochasticity)."""
-
-        def build():
-            eigenvalues = np.linalg.eigvalsh(self.matrix)
-            return float(eigenvalues[-1] - eigenvalues[-2])
-
-        return self._cached("gap", build)
+        if "gap" not in self._structure:
+            eigenvalues = np.linalg.eigvalsh(self.dense())
+            self._structure["gap"] = float(eigenvalues[-1] - eigenvalues[-2])
+        return self._structure["gap"]
 
     def with_marked(self, marked) -> "MarkovChain":
         """Same transition structure, different marked set; caches carry over."""
@@ -361,22 +374,6 @@ class MarkovChain:
         clone.__dict__.update(self.__dict__)
         clone._mark(marked)
         return clone
-
-    def edges(self) -> ChainEdges:
-        """Nonzero transitions, built once per transition structure."""
-
-        def build():
-            # P is symmetric only to a tolerance, so take the pattern of P + P^T
-            # to keep the transpose a permutation of the edges
-            rows, cols = np.nonzero(self.matrix + self.matrix.T)
-            root = np.sqrt(self.matrix[rows, cols])
-            starts = np.searchsorted(rows, np.arange(self.size))
-            transpose = np.lexsort((rows, cols))
-            for arr in (rows, cols, root, starts, transpose):
-                arr.setflags(write=False)
-            return ChainEdges(rows, cols, root, starts, transpose)
-
-        return self._cached("edges", build)
 
     def transition_table(self) -> Tuple[np.ndarray, np.ndarray]:
         """Each row's running sums of P at its edge columns, and those columns.
@@ -389,15 +386,14 @@ class MarkovChain:
         rounding leaves the row's total at or below u, that is the row's
         last neighbour, as if its last interval ran on to 1.
         """
-
-        def build():
-            edges = self.edges()
+        if "transitions" not in self._structure:
+            edges = self.edges
             degrees = np.diff(edges.starts, append=edges.count)
             width = int(degrees.max()) + 1
             sim.check_state_size(self.size * width)  # 8 B each for a sum and a column
             slots = np.arange(edges.count) - edges.starts[edges.rows]
             sums = np.zeros((self.size, width))
-            sums[edges.rows, slots] = self.matrix[edges.rows, edges.cols]
+            sums[edges.rows, slots] = edges.p
             np.cumsum(sums, axis=1, out=sums)
             sums[np.arange(width) >= degrees[:, None]] = np.inf
             last = edges.cols[edges.starts + degrees - 1]
@@ -405,30 +401,26 @@ class MarkovChain:
             cols[edges.rows, slots] = edges.cols
             for arr in (sums, cols):
                 arr.setflags(write=False)
-            return sums, cols
+            self._structure["transitions"] = sums, cols
+        return self._structure["transitions"]
 
-        return self._cached("transitions", build)
 
-
-def _regular_chain(size: int, neighbours) -> MarkovChain:
+def _regular_chain(size: int, k: int, neighbours) -> MarkovChain:
     """Chain stepping to each of a state's k listed neighbours with probability 1/k.
 
     `neighbours()` builds the (size, k) neighbour table; it runs only after
-    the size * size matrix has passed sim.check_state_size, whose 16 B per
-    entry covers the matrix and the copy MarkovChain makes of it.  A
-    neighbour listed twice gets 2/k.
+    the size * k edges have passed sim.check_state_size.  A neighbour listed
+    twice gets 2/k.
     """
-    sim.check_state_size(size * size)
-    table = neighbours()
-    matrix = np.zeros((size, size))
-    np.add.at(matrix, (np.arange(size)[:, None], table), 1.0 / table.shape[1])
-    return MarkovChain(matrix)
+    sim.check_state_size(EDGE_CAP_ENTRIES * size * k)
+    return MarkovChain(size, np.repeat(np.arange(size), k), neighbours(),
+                       np.full(size * k, 1.0 / k))
 
 
 @functools.lru_cache(maxsize=32)
 def _cycle_base(size: int) -> MarkovChain:
     return _regular_chain(
-        size, lambda: (np.arange(size)[:, None] + np.array([1, -1])) % size)
+        size, 2, lambda: (np.arange(size)[:, None] + np.array([1, -1])) % size)
 
 
 def cycle_chain(size: int, marked=()) -> MarkovChain:
@@ -442,7 +434,7 @@ def cycle_chain(size: int, marked=()) -> MarkovChain:
 def _torus_base(side: int, dimensions: int) -> MarkovChain:
     grid = TorusGrid(side, dimensions)
     k = grid.direction_count
-    return _regular_chain(grid.cells, lambda: grid.shift_map().reshape(grid.cells, k) // k)
+    return _regular_chain(grid.cells, k, lambda: grid.shift_map().reshape(grid.cells, k) // k)
 
 
 def torus_chain(side: int, dimensions: int = 2, marked=()) -> MarkovChain:
@@ -452,12 +444,12 @@ def torus_chain(side: int, dimensions: int = 2, marked=()) -> MarkovChain:
 
 def stationary_edge_state(chain: MarkovChain) -> np.ndarray:
     """Start state sqrt(P[x, y] / size), one amplitude per edge of the chain."""
-    return chain.edges().root / math.sqrt(chain.size)
+    return chain.edges.root / math.sqrt(chain.size)
 
 
 def _edge_amplitudes(chain: MarkovChain, edge_state) -> np.ndarray:
     psi = np.asarray(edge_state)
-    count = chain.edges().count
+    count = chain.edges.count
     if psi.shape != (count,):
         raise ParameterError(
             f"edge state must have shape ({count},), one amplitude per edge; got {psi.shape}")
@@ -490,7 +482,7 @@ def szegedy_step(chain: MarkovChain, edge_state: np.ndarray) -> np.ndarray:
     passes over the edges.  The result is float64 for real input and
     complex128 for complex input.
     """
-    edges = chain.edges()
+    edges = chain.edges
     psi = _edge_amplitudes(chain, edge_state)
     psi = np.array(psi, dtype=np.complex128 if np.iscomplexobj(psi) else np.float64)
     if chain.marked:
@@ -509,7 +501,7 @@ def marked_pair_probability(chain: MarkovChain, edge_state: np.ndarray) -> float
     sim.check_norm(total, "edge state")
     if not chain.marked:
         return 0.0
-    edges = chain.edges()
+    edges = chain.edges
     keep = chain.marked_mask[edges.rows] | chain.marked_mask[edges.cols]
     return float(p[keep].sum() / total)
 
@@ -518,7 +510,7 @@ def measure_edge(chain: MarkovChain, edge_state: np.ndarray, rng: SeededRng) -> 
     """Sample an ordered pair (x, y) from |psi[(x, y)]|^2; raises if the norm has drifted."""
     psi = _edge_amplitudes(chain, edge_state)
     edge = sim.born_table(psi).sample(rng.random())
-    edges = chain.edges()
+    edges = chain.edges
     return int(edges.rows[edge]), int(edges.cols[edge])
 
 
@@ -547,7 +539,7 @@ def recommended_step_budget(chain: MarkovChain) -> int:
     """Walk-step budget scaling as 1/sqrt(marked fraction times spectral gap)."""
     if not chain.marked:
         raise ParameterError("budget heuristic needs a non-empty marked set")
-    product = chain.marked_fraction * max(chain.spectral_gap, 1e-12)
+    product = len(chain.marked) / chain.size * max(chain.spectral_gap, 1e-12)
     return max(1, math.ceil(SZEGEDY_BUDGET_FACTOR / math.sqrt(product)))
 
 
@@ -591,7 +583,7 @@ def szegedy_find_marked(
             shot_cap = default_shot_cap(chain)
         elif shot_cap < 1:
             raise ParameterError("shot_cap must be >= 1")
-        sim.check_state_size((min(shot_cap, step_budget) + 1) * chain.edges().count)
+        sim.check_state_size((min(shot_cap, step_budget) + 1) * chain.edges.count)
         trajectory = [stationary_edge_state(chain)]
     marked = chain.marked
     while hit is None and steps_used < step_budget:
@@ -619,7 +611,7 @@ def classical_hitting(chain: MarkovChain, rng: SeededRng, trials: int) -> float:
     a time.  A step draws u and moves to the column of the first running
     sum above u in its row of chain.transition_table(), found by bisection.
     The generator is left just past the uniforms used, as if they had been
-    drawn one per step.  Raises RuntimeError once the trials' steps pass
+    drawn one per step.  Raises SizeCapError once the trials' steps pass
     HITTING_STEP_GUARD.
     """
     if not chain.marked:
@@ -643,13 +635,13 @@ def classical_hitting(chain: MarkovChain, rng: SeededRng, trials: int) -> float:
                     break
             else:
                 if total > HITTING_STEP_GUARD:
-                    raise RuntimeError("hitting-time simulation exceeded the step guard")
+                    raise SizeCapError("hitting-time simulation exceeded the step guard")
                 saved = gen.bit_generator.state
                 chunk = min(HITTING_DRAW_CHUNK, HITTING_STEP_GUARD + 1 - total)
                 draws = iter(gen.random(chunk).tolist())
                 drawn = total + chunk
         if total > HITTING_STEP_GUARD:
-            raise RuntimeError("hitting-time simulation exceeded the step guard")
+            raise SizeCapError("hitting-time simulation exceeded the step guard")
     if total < drawn:
         gen.bit_generator.state = saved  # and redraw only the uniforms used
         gen.random(chunk - (drawn - total))
@@ -664,15 +656,15 @@ def exact_hitting_mean(chain: MarkovChain) -> float:
     cached = cache.get(chain.marked)
     if cached is not None:
         return cached
-    unmarked = np.asarray(sorted(set(range(chain.size)) - chain.marked), dtype=np.int64)
-    if unmarked.size == 0:
+    unmarked = chain.size - len(chain.marked)
+    if unmarked == 0:
         mean = 0.0
     else:
         # I - Q built in place: 0 - q, then + 1 on the diagonal, round as eye - Q
-        system = chain.matrix[np.ix_(unmarked, unmarked)]
+        system = chain.dense(~chain.marked_mask)
         np.subtract(0.0, system, out=system)
-        system.flat[:: unmarked.size + 1] += 1.0
-        h = np.linalg.solve(system, np.ones(unmarked.size))
+        system.flat[:: unmarked + 1] += 1.0
+        h = np.linalg.solve(system, np.ones(unmarked))
         mean = float(h.sum() / chain.size)
     if len(cache) >= HITTING_CACHE_ENTRIES:
         del cache[next(iter(cache))]
@@ -727,60 +719,67 @@ def default_shot_cap(chain: MarkovChain) -> int:
     return max(1, math.ceil(math.sqrt(max(1.0, exact_hitting_mean(chain)))))
 
 
-def _johnson_structure(element_count: int, subset_size: int):
-    count = math.comb(element_count, subset_size) + math.comb(element_count, subset_size + 1)
-    sim.check_state_size(count * count)  # before any subset is listed
-    lower = list(combinations(range(element_count), subset_size))
-    upper = list(combinations(range(element_count), subset_size + 1))
-    states = lower + upper
-    index = {s: i for i, s in enumerate(states)}
-    degree = max(element_count - subset_size, subset_size + 1)
-    matrix = np.zeros((count, count))
-    for i, subset in enumerate(lower):
-        members = set(subset)
-        for extra in range(element_count):
-            if extra in members:
-                continue
-            j = index[tuple(sorted(subset + (extra,)))]
-            matrix[i, j] = matrix[j, i] = 1.0 / degree
-    for i in range(count):
-        matrix[i, i] = 1.0 - matrix[i].sum()
-    return tuple(states), matrix
+def _subsets(element_count: int, width: int) -> np.ndarray:
+    """The width-subsets of range(element_count), one per row, in lexicographic order."""
+    count = math.comb(element_count, width)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(element_count), width))
+    return np.fromiter(flat, dtype=np.intp, count=count * width).reshape(count, width)
+
+
+def _ranks_without_one(members: np.ndarray, element_count: int) -> np.ndarray:
+    """Lexicographic rank of row r of `members` without its i-th element, at [r, i].
+
+    The rows are sorted w-subsets t of range(n), and a (w - 1)-subset c
+    ranks C(n, w - 1) - 1 - sum_j C(n - 1 - c_j, w - 1 - j).  Dropping t_i
+    keeps the elements before it in place and moves the later ones down
+    one, so a row's ranks are a prefix sum of kept terms and a suffix sum of
+    moved ones.  Every term is C(b + d, b) with b <= w and -1 <= d <= n - w.
+    """
+    n, w = element_count, members.shape[1]
+    binom = np.zeros((w + 1, n - w + 2), dtype=np.int64)  # [b, d + 1] = C(b + d, b)
+    binom[0, 1:] = 1
+    for b in range(1, w + 1):  # the hockey-stick sums of the row above
+        np.cumsum(binom[b - 1], out=binom[b])
+    i = np.arange(w)
+    kept = binom[w - 1 - i, n - w + 1 - (members - i)]
+    moved = binom[w - i, n - w - (members - i)]
+    return (math.comb(n, w - 1) - 1 - np.cumsum(kept, axis=1) + kept
+            - moved.sum(axis=1, keepdims=True) + np.cumsum(moved, axis=1))
 
 
 class JohnsonChain(MarkovChain):
     """Bipartite add/remove-one-element chain on M and M+1 subsets.
 
-    Edge weights are flattened to 1/max-degree with lazy self-loops picking
-    up the remainder, which keeps the matrix symmetric and stochastic even
-    though the two layers have different degrees.
+    States are the M-subsets, then the (M+1)-subsets, each layer in
+    lexicographic order with a state's elements in its row of `members`.
+    Every move has P = 1/degree for the larger layer degree, and a state's
+    self-loop takes the rest, (degree - moves)/degree, so P is symmetric
+    and stochastic; a zero self-loop is not listed.
     """
 
     def __init__(self, element_count: int, subset_size: int, marked=()):
-        if not 1 <= subset_size < element_count:
-            raise ParameterError(
-                f"subset size {subset_size} must be in [1, {element_count - 1}]"
-            )
-        states, matrix = _johnson_structure(element_count, subset_size)
-        super().__init__(matrix, marked)
-        self.element_count = element_count
-        self.subset_size = subset_size
-        self.states = states
+        n, m = element_count, subset_size
+        if not 1 <= m < n:
+            raise ParameterError(f"subset size {m} must be in [1, {n - 1}]")
+        lower, upper = math.comb(n, m), math.comb(n, m + 1)
+        degree = max(n - m, m + 1)
+        looped = lower * (n - m < degree) + upper * (m + 1 < degree)
+        # both directions of every move, the self-loops and the member tables
+        sim.check_state_size(EDGE_CAP_ENTRIES * (2 * upper * (m + 1) + looped)
+                             + upper * (m + 1) + lower * m)
+        self.members = (_subsets(n, m), _subsets(n, m + 1))
+        down = _ranks_without_one(self.members[1], n).ravel()
+        up = np.repeat(np.arange(lower, lower + upper), m + 1)
+        moves = np.repeat([n - m, m + 1], [lower, upper])
+        loops = np.flatnonzero(moves < degree)
+        p = np.full(2 * down.size + loops.size, 1.0 / degree)
+        p[2 * down.size:] = (degree - moves[loops]) / degree
+        super().__init__(lower + upper, np.concatenate([down, up, loops]),
+                         np.concatenate([up, down, loops]), p, marked)
 
     def subset_of(self, state: int) -> Tuple[int, ...]:
-        return self.states[state]
-
-    def member_tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Elements of the M-subsets and of the (M+1)-subsets, one row per state."""
-
-        def build():
-            lower = math.comb(self.element_count, self.subset_size)
-            return tuple(
-                np.array(layer, dtype=np.intp).reshape(len(layer), width)
-                for layer, width in ((self.states[:lower], self.subset_size),
-                                     (self.states[lower:], self.subset_size + 1)))
-
-        return self._cached("members", build)
+        lower, upper = self.members
+        return tuple((lower[state] if state < len(lower) else upper[state - len(lower)]).tolist())
 
 
 @functools.lru_cache(maxsize=8)
@@ -795,10 +794,10 @@ def johnson_chain(element_count: int, subset_size: int, oracle: ValueOracle) -> 
     chain = _johnson_base(element_count, subset_size)
     values = oracle.peek_all()
     collides = []
-    for members in chain.member_tables():  # a sorted row holds a collision next to itself
+    for members in chain.members:  # a sorted row holds a collision next to itself
         held = np.sort(values[members], axis=1)
         collides.append((held[:, 1:] == held[:, :-1]).any(axis=1))
-    return chain.with_marked(np.flatnonzero(np.concatenate(collides)).tolist())
+    return chain.with_marked(np.concatenate(collides))
 
 
 def collision_vertex_probability(element_count: int, subset_size: int) -> Fraction:

@@ -1,6 +1,7 @@
 """Benchmark harness tests: config parsing, record plumbing, fits, CLI."""
 
 import concurrent.futures
+import contextlib
 import hashlib
 import importlib
 import json
@@ -219,6 +220,44 @@ def test_golden_sat_records():
     assert _stripped_digest(lines) == SAT_RECORDS_SHA256
 
 
+# recommended_step_budget and default_shot_cap rest on the eigvalsh gap and
+# the hitting solve, and a ceiling moves with one ulp of either; these are the
+# values of the dense solvers, for a walk-szegedy-* chain marked at any state
+# and for the chains of the golden ed-walk run.
+SZEGEDY_SCHEDULES = {
+    ("walk-szegedy-cycle", 16): (87, 7), ("walk-szegedy-cycle", 24): (160, 10),
+    ("walk-szegedy-cycle", 32): (245, 14), ("walk-szegedy-cycle", 48): (450, 20),
+    ("walk-szegedy-cycle", 64): (692, 27), ("walk-szegedy-torus", 16): (34, 5),
+    ("walk-szegedy-torus", 36): (73, 7), ("walk-szegedy-torus", 64): (126, 10),
+    ("walk-szegedy-torus", 100): (195, 13),
+}
+ED_WALK_SCHEDULES = [(6, 20, 2)] * 3 + [(8, 26, 4)] * 3 + [(10, 29, 4)] * 3 + [(12, 31, 4)] * 3
+
+
+def test_walk_schedules_are_pinned(monkeypatch):
+    assert set(SZEGEDY_SCHEDULES) == {
+        (name, size) for name in ("walk-szegedy-cycle", "walk-szegedy-torus")
+        for size in bench.EXPERIMENTS[name].default_sizes}
+    for (name, size), schedule in SZEGEDY_SCHEDULES.items():
+        side = math.isqrt(size)
+        for state in range(size):
+            chain = (walks.cycle_chain(size, {state}) if name.endswith("cycle")
+                     else walks.torus_chain(side, 2, {state}))
+            assert (walks.recommended_step_budget(chain), walks.default_shot_cap(chain)) == schedule
+    seen = []
+    build = walks.johnson_chain
+
+    def recording(element_count, subset_size, oracle):
+        chain = build(element_count, subset_size, oracle)
+        seen.append((element_count, walks.recommended_step_budget(chain),
+                     walks.default_shot_cap(chain)))
+        return chain
+
+    monkeypatch.setattr(walks, "johnson_chain", recording)
+    list(bench.iter_records(ExperimentConfig(experiment="ed-walk", trials=3, seed=0)))
+    assert seen == ED_WALK_SCHEDULES
+
+
 def test_parallel_run_matches_serial():
     cfg = ExperimentConfig(experiment="min-scaling", sizes=(64, 128), trials=3, seed=11)
     serial = [r.without_ms() for r in run_experiment(cfg, jobs=1)]
@@ -398,20 +437,19 @@ def test_oversized_state_fails_before_allocating_with_exit_code_2():
     assert "MemoryError" not in done.stderr
 
 
-# Each instance is just over STATE_BYTE_CAP, so an unguarded build costs a
-# few hundred MB: a dense 4097 x 4097, 4225 x 4225 or 4913 x 4913 chain
-# matrix, the 293,930 listed subsets of Johnson(20, 8), or a 2^24 + 1 or 2^25
-# value table.
+# Each instance is over STATE_BYTE_CAP, so an unguarded build costs a few
+# hundred MB or more: the 4.2 million edges of a 2^21-state cycle or the 3.2
+# million of Johnson(20, 8), 290-370 MB while they are built, the 1.2 billion
+# edges of Johnson(30, 10), or a 2^24 + 1 or 2^25 value table.
 # The SAT cases: 2^34 variables would first ask for 128 GiB, one past the
 # variable cap would run for minutes a trial, density 1e7 asks for 3e9
 # clause entries, and 300 repair walks over 2^16 variables would pre-draw
 # 5.9e7 literal picks.  The profiles: a 2^40-amplitude Grover state, and
 # 2^40 + 1 recorded rounds or steps, 8 TiB of float64 each.
 @pytest.mark.parametrize("build", [
-    lambda: walks.cycle_chain(4097),
-    lambda: walks.torus_chain(65, 2),
-    lambda: walks.torus_chain(17, 3),
+    lambda: walks.cycle_chain(2**21),
     lambda: walks.JohnsonChain(20, 8),
+    lambda: walks.JohnsonChain(30, 10),
     lambda: bench.EXPERIMENTS["min-scaling"].runner(2**24 + 1, SeededRng(0), {}),
     lambda: bench.EXPERIMENTS["local-min"].runner(2**25, SeededRng(0), {}),
     lambda: bench.EXPERIMENTS["sat-schoening"].runner(2**34, SeededRng(0), {}),
@@ -423,19 +461,53 @@ def test_oversized_state_fails_before_allocating_with_exit_code_2():
     lambda: grover.success_profile(4, 1, 2**40),
     lambda: walks.grid_walk_probability_profile(walks.TorusGrid(2, 2), [0], 2**40),
     lambda: walks.expected_steps_to_success(walks.cycle_chain(8, {0}), shot_cap=2**40),
-], ids=["cycle-4097", "torus-65x65", "torus-17x17x17", "johnson-20-8",
-        "min-scaling-2^24+1", "local-min-2^25", "sat-schoening-2^34", "planted-over-cap",
-        "planted-dense", "estimate-picks-over-cap", "success-profile-2^40-state",
+], ids=["cycle-2^21", "johnson-20-8", "johnson-30-10", "min-scaling-2^24+1", "local-min-2^25",
+        "sat-schoening-2^34", "planted-over-cap", "planted-dense", "estimate-picks-over-cap", "success-profile-2^40-state",
         "success-profile-2^40-rounds", "grid-profile-2^40-steps", "expected-steps-2^40-cap"])
 def test_oversized_instances_are_refused_before_allocating(build):
+    with _peak_bytes() as peak, pytest.raises(SizeCapError):
+        build()
+    assert peak[0] < 2**20
+
+
+@contextlib.contextmanager
+def _peak_bytes():
+    """Trace the allocations of the block; the yielded list receives their peak in bytes."""
+    peak = []
     tracemalloc.start()
     try:
-        with pytest.raises(SizeCapError):
-            build()
-        peak = tracemalloc.get_traced_memory()[1]
+        yield peak
     finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    assert peak < 2**20
+
+
+# Chains just past the 4096 states whose dense P fits the cap, built past the
+# lru caches so that the peak is the build's.  Their edges take a few MB,
+# against 134-331 MB for a dense P; what is refused is the size x size work,
+# so walk-szegedy-* and ed-walk still exit 2 at the gap.
+@pytest.mark.parametrize("build", [
+    lambda: walks._cycle_base.__wrapped__(4097),
+    lambda: walks._torus_base.__wrapped__(65, 2),
+    lambda: walks._torus_base.__wrapped__(17, 3),
+    lambda: walks.JohnsonChain(14, 6),
+], ids=["cycle-4097", "torus-65x65", "torus-17x17x17", "johnson-14-6"])
+def test_oversized_chains_build_from_edges_and_refuse_the_dense_gap(build):
+    with _peak_bytes() as peak:
+        chain = build()
+    assert peak[0] < 8 * 2**20
+    with _peak_bytes() as peak, pytest.raises(SizeCapError):
+        chain.spectral_gap
+    assert peak[0] < 2**20
+
+
+def test_hitting_solve_refuses_an_unmarked_block_over_the_cap():
+    # one marked state of 4097 leaves a 4096 x 4096 block, at the cap
+    for chain in (walks.cycle_chain(4098, {0}), walks.torus_chain(65, 2, {7}),
+                  walks.JohnsonChain(14, 6, marked=[0, 1])):
+        with _peak_bytes() as peak, pytest.raises(SizeCapError):
+            walks.exact_hitting_mean(chain)
+        assert peak[0] < 2**20
 
 
 def test_oversized_szegedy_cycle_exits_2(capsys):
@@ -446,6 +518,13 @@ def test_oversized_szegedy_cycle_exits_2(capsys):
 def test_oversized_sat_schoening_exits_2(capsys):
     assert main(["run", "-e", "sat-schoening", "--sizes", str(2**34)]) == 2
     assert "exceed the desk-scale cap" in capsys.readouterr().err
+
+
+def test_hitting_step_guard_exits_2(capsys, monkeypatch):
+    # a cycle past about 17,000 states reaches the real guard on its own
+    monkeypatch.setattr(walks, "HITTING_STEP_GUARD", 1000)
+    assert main(["run", "-e", "classical-hitting-cycle", "--sizes", "1024", "--seed", "0"]) == 2
+    assert "step guard" in capsys.readouterr().err
 
 
 def test_cli_selftest_passes(capsys):

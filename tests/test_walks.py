@@ -54,9 +54,16 @@ from qsearchlab.walks import (
 )
 
 
+def _dense_chain(matrix, marked=()) -> MarkovChain:
+    """Chain from a dense P, listing the pairs where P or P^T is nonzero."""
+    arr = np.asarray(matrix, dtype=np.float64)
+    rows, cols = np.nonzero((arr != 0) | (arr.T != 0))
+    return MarkovChain(arr.shape[0], rows, cols, arr[rows, cols], marked)
+
+
 def _complete_chain(size: int, marked=()) -> MarkovChain:
     """Uniform walk on the complete graph, without self-loops."""
-    return MarkovChain((np.ones((size, size)) - np.eye(size)) / (size - 1), marked)
+    return _dense_chain((np.ones((size, size)) - np.eye(size)) / (size - 1), marked)
 
 
 # ------------------------------------------------------------ torus geometry
@@ -323,20 +330,44 @@ def test_classical_scan_costs_one_query_per_cell():
 
 def test_chain_validation():
     with pytest.raises(ParameterError):
-        MarkovChain(np.array([[0.5, 0.5], [0.9, 0.2]]))  # bad row sum
+        _dense_chain(np.array([[0.5, 0.5], [0.9, 0.2]]))  # bad row sum
     with pytest.raises(ParameterError):
-        MarkovChain(np.array([[0.0, 1.0], [0.4, 0.6]]))  # asymmetric
+        _dense_chain(np.array([[0.0, 1.0], [0.4, 0.6]]))  # asymmetric
     with pytest.raises(ParameterError):
-        MarkovChain(np.array([[1.0]]))
+        _dense_chain(np.array([[1.0]]))
     with pytest.raises(ParameterError):
-        MarkovChain(np.array([[1.2, -0.2], [-0.2, 1.2]]))
+        _dense_chain(np.array([[1.2, -0.2], [-0.2, 1.2]]))
     for bad in (np.nan, np.inf):
         for matrix in ([[bad, 0.5], [0.5, 0.5]], [[0.5, bad], [bad, 0.5]],
                        [[bad, bad], [bad, bad]]):
             with pytest.raises(ParameterError):
-                MarkovChain(np.array(matrix))
+                _dense_chain(np.array(matrix))
     with pytest.raises(IndexError):
         cycle_chain(4, marked={4})
+    for size, rows, cols, p in (
+        (3, [0, 1, 2], [1, 2, 0], [1.0, 1.0, 1.0]),  # rows sum to 1, but 0 -> 1 lacks 1 -> 0
+        (3, [0, 1, 2], [1, 0, 3], [1.0, 1.0, 1.0]),  # a state out of range
+        (2, [0, 1, -1], [1, 0, 0], [1.0, 1.0, 0.0]),
+        (2, [0, 1], [1, 0], [1.0]),  # a transition without its P
+        (2, [0, 0, 1], [1, 1, 0], [0.5, 0.4, 1.0]),  # a pair listed twice sums to 0.9
+    ):
+        with pytest.raises(ParameterError):
+            MarkovChain(size, rows, cols, p)
+
+
+def test_chain_edges_take_any_order_and_sum_a_pair_listed_twice():
+    reference = cycle_chain(5).edges
+    order = np.random.default_rng(4).permutation(reference.count)
+    # every P = 0.5 listed twice as 0.25, which sums exactly
+    rows = np.concatenate([reference.rows[order]] * 2)
+    cols = np.concatenate([reference.cols[order]] * 2)
+    chain = MarkovChain(5, rows, cols, np.full(rows.size, 0.25), marked=[2])
+    for name in ("rows", "cols", "p", "root", "starts", "transpose"):
+        assert np.array_equal(getattr(chain.edges, name), getattr(reference, name)), name
+    assert chain.marked == frozenset({2})
+    # a pair listed with P = 0 stays an edge
+    zero = MarkovChain(2, [0, 1, 0, 1], [1, 0, 0, 1], [1.0, 1.0, 0.0, 0.0])
+    assert zero.edges.count == 4 and zero.edges.p.tolist() == [0.0, 1.0, 1.0, 0.0]
 
 
 def test_spectral_gap_closed_forms():
@@ -365,7 +396,7 @@ def test_cached_chain_gaps_are_bit_equal_to_fresh_eigvalsh():
 
     for size in (4, 5, 16, 128):
         fresh = _loop_matrix(size, lambda i: (((i + 1) % size, 0.5), ((i - 1) % size, 0.5)))
-        assert np.array_equal(cycle_chain(size, marked={0}).matrix, fresh)
+        assert np.array_equal(cycle_chain(size, marked={0}).dense(), fresh)
         assert cycle_chain(size, marked={1}).spectral_gap == gap(fresh)
         assert cycle_chain(size).spectral_gap == gap(fresh)
     for side, dims in ((2, 2), (6, 2), (10, 2), (3, 3)):
@@ -373,20 +404,84 @@ def test_cached_chain_gaps_are_bit_equal_to_fresh_eigvalsh():
         step = 1.0 / grid.direction_count
         fresh = _loop_matrix(grid.cells, lambda c: [
             (_neighbor(grid, c, d), step) for d in range(grid.direction_count)])
-        assert np.array_equal(torus_chain(side, dims).matrix, fresh)
+        assert np.array_equal(torus_chain(side, dims).dense(), fresh)
         assert torus_chain(side, dims, marked={0}).spectral_gap == gap(fresh)
     # eigvalsh, not the closed form 1 - cos(2*pi/4), which rounds below 1
     assert cycle_chain(4).spectral_gap == 1.0
+
+
+def _dense_regular_chain(size: int, table: np.ndarray) -> np.ndarray:
+    """Reference: the dense builder of regular chains, 1/k added per listed neighbour."""
+    matrix = np.zeros((size, size))
+    np.add.at(matrix, (np.arange(size)[:, None], table), 1.0 / table.shape[1])
+    return matrix
+
+
+def _dense_johnson_structure(element_count: int, subset_size: int):
+    """Reference: the subsets in state order and a dense P whose self-loops
+    are 1 - the row sum, which rounds to about -1e-16 or +1e-16 where the
+    moves fill a row."""
+    lower = list(combinations(range(element_count), subset_size))
+    upper = list(combinations(range(element_count), subset_size + 1))
+    states = lower + upper
+    index = {s: i for i, s in enumerate(states)}
+    degree = max(element_count - subset_size, subset_size + 1)
+    matrix = np.zeros((len(states), len(states)))
+    for i, subset in enumerate(lower):
+        members = set(subset)
+        for extra in range(element_count):
+            if extra in members:
+                continue
+            j = index[tuple(sorted(subset + (extra,)))]
+            matrix[i, j] = matrix[j, i] = 1.0 / degree
+    for i in range(len(states)):
+        matrix[i, i] = 1.0 - matrix[i].sum()
+    return states, matrix
+
+
+def _assert_edges_are_the_pattern_of(chain: MarkovChain, matrix: np.ndarray):
+    rows, cols = np.nonzero(matrix)
+    edges = chain.edges
+    assert np.array_equal(edges.rows, rows) and np.array_equal(edges.cols, cols)
+    assert np.array_equal(edges.p, matrix[rows, cols])
+
+
+def test_regular_chain_edges_are_bit_equal_to_the_dense_builder():
+    for size in list(range(3, 40)) + [64, 1000]:
+        table = (np.arange(size)[:, None] + np.array([1, -1])) % size
+        _assert_edges_are_the_pattern_of(cycle_chain(size), _dense_regular_chain(size, table))
+    # on side 2 the two directions of an axis reach the same cell, which gets 2/k
+    for side, dims in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 3), (10, 2), (7, 3)):
+        grid = TorusGrid(side, dims)
+        k = grid.direction_count
+        table = grid.shift_map().reshape(grid.cells, k) // k
+        _assert_edges_are_the_pattern_of(
+            torus_chain(side, dims), _dense_regular_chain(grid.cells, table))
+
+
+@pytest.mark.parametrize("element_count", range(2, 13))
+def test_johnson_edges_match_the_dense_builder_but_for_exact_self_loops(element_count):
+    for subset_size in range(1, element_count):
+        states, matrix = _dense_johnson_structure(element_count, subset_size)
+        chain = JohnsonChain(element_count, subset_size)
+        assert [chain.subset_of(s) for s in range(chain.size)] == states
+        degree = max(element_count - subset_size, subset_size + 1)
+        lower = math.comb(element_count, subset_size)
+        moves = np.repeat([element_count - subset_size, subset_size + 1],
+                          [lower, chain.size - lower])
+        loops = (degree - moves) / degree
+        assert np.abs(np.diag(matrix) - loops).max() <= 1e-15
+        np.fill_diagonal(matrix, loops)  # exact, and a zero loop is no edge
+        _assert_edges_are_the_pattern_of(chain, matrix)
 
 
 def test_with_marked_shares_structure_and_cache():
     chain = cycle_chain(12, marked={0})
     exact_hitting_mean(chain)
     clone = chain.with_marked({3})
-    assert clone.matrix is chain.matrix
     assert frozenset({0}) in clone._hitting_cache
-    assert clone.edges() is chain.edges()
-    assert cycle_chain(12, marked={5}).matrix is chain.matrix
+    assert clone.edges is chain.edges
+    assert cycle_chain(12, marked={5}).edges is chain.edges
     assert clone.marked_mask.tolist() == [i == 3 for i in range(12)]
     # a cached base chain outlives every trial, so its solves stay bounded
     for bits in range(1, walks.HITTING_CACHE_ENTRIES + 20):
@@ -401,7 +496,7 @@ def test_with_marked_shares_structure_and_cache():
 def _dense_szegedy_step(chain: MarkovChain) -> np.ndarray:
     """Independent dense operator: marked flip, row and column reflections."""
     size = chain.size
-    root = np.sqrt(chain.matrix)
+    root = np.sqrt(chain.dense())
     dim = size * size
     proj_rows = np.zeros((dim, dim))
     for x in range(size):
@@ -421,7 +516,7 @@ def _dense_szegedy_step(chain: MarkovChain) -> np.ndarray:
 
 def _widen(chain: MarkovChain, edge_state: np.ndarray) -> np.ndarray:
     """Scatter edge amplitudes into the dense (size, size) pair array."""
-    edges = chain.edges()
+    edges = chain.edges
     dense = np.zeros((chain.size, chain.size), dtype=np.complex128)
     dense[edges.rows, edges.cols] = edge_state
     return dense
@@ -430,7 +525,7 @@ def _widen(chain: MarkovChain, edge_state: np.ndarray) -> np.ndarray:
 def _assert_step_matches_dense(chain: MarkovChain, rng: SeededRng, tol: float = 1e-12):
     dense = _dense_szegedy_step(chain)
     assert np.abs(dense @ dense.T - np.eye(dense.shape[0])).max() < tol
-    count = chain.edges().count
+    count = chain.edges.count
     raw = rng.generator.normal(size=count) + 1j * rng.generator.normal(size=count)
     raw = raw / np.linalg.norm(raw)
     stepped = szegedy_step(chain, raw)
@@ -467,7 +562,7 @@ def _small_chains(draw):
     matrix = weights / max(1.0, weights.sum(axis=1).max())
     np.fill_diagonal(matrix, np.maximum(0.0, 1.0 - matrix.sum(axis=1)))
     marked = draw(st.sets(st.integers(min_value=0, max_value=size - 1)))
-    return MarkovChain(matrix, marked), draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return _dense_chain(matrix, marked), draw(st.integers(min_value=0, max_value=2**32 - 1))
 
 
 @given(_small_chains())
@@ -500,7 +595,7 @@ def test_real_szegedy_step_equals_complex_step(case):
     chain, seed = case
     start = stationary_edge_state(chain)
     assert start.dtype == np.float64
-    raw = np.random.default_rng(seed).normal(size=chain.edges().count)
+    raw = np.random.default_rng(seed).normal(size=chain.edges.count)
     for psi in (start, raw / np.linalg.norm(raw)):
         reference = psi.astype(np.complex128)
         for _ in range(3):
@@ -521,8 +616,8 @@ def test_stationary_state_is_fixed_without_marks():
 def test_marked_pair_probability_brute_force():
     rng = SeededRng(32)
     chain = cycle_chain(6, marked={0, 4})
-    edges = chain.edges()
-    raw = rng.generator.normal(size=(6, 6)) * (chain.matrix > 0)
+    edges = chain.edges
+    raw = rng.generator.normal(size=(6, 6)) * (chain.dense() > 0)
     raw = raw / np.linalg.norm(raw)
     p = np.abs(raw) ** 2
     # independent route: complement of the fully unmarked pairs
@@ -544,7 +639,7 @@ def test_marked_pair_probability_refuses_a_drifted_norm():
     # inside the tolerance the marked mass is still divided by the total
     near = psi * np.sqrt(1 + 5e-7)
     weights = np.abs(near) ** 2
-    edges = chain.edges()
+    edges = chain.edges
     keep = chain.marked_mask[edges.rows] | chain.marked_mask[edges.cols]
     assert marked_pair_probability(chain, near) == float(weights[keep].sum() / weights.sum())
 
@@ -571,7 +666,7 @@ def test_torus_profile_amplifies():
 
 def test_measure_edge_distribution():
     chain = cycle_chain(4, marked={0})
-    edges = chain.edges()
+    edges = chain.edges
     dense = np.zeros((4, 4), dtype=complex)
     dense[0, 1] = math.sqrt(0.25)
     dense[2, 3] = math.sqrt(0.75)
@@ -615,7 +710,8 @@ def _dense_hitting(chain, rng, trials, guard):
     """Reference: trial after trial, one draw per step, over the dense row
     cumsum of P.  A draw at or above a row's total moves to the row's last
     neighbour in the pattern of P + P^T."""
-    cumsum = np.cumsum(chain.matrix, axis=1)
+    matrix = chain.dense()
+    cumsum = np.cumsum(matrix, axis=1)
     gen = rng.generator
     total = 0
     for state in gen.integers(0, chain.size, size=trials):
@@ -623,10 +719,10 @@ def _dense_hitting(chain, rng, trials, guard):
             row = state
             state = int((cumsum[row] <= gen.random()).sum())
             if state == chain.size:
-                state = int(np.flatnonzero(chain.matrix[row] + chain.matrix[:, row])[-1])
+                state = int(np.flatnonzero(matrix[row] + matrix[:, row])[-1])
             total += 1
             if total > guard:
-                raise RuntimeError("hitting-time simulation exceeded the step guard")
+                raise SizeCapError("hitting-time simulation exceeded the step guard")
     return total / trials
 
 
@@ -638,7 +734,7 @@ def _asymmetric_chain():
         matrix[x, (x + 1) % 5] = matrix[x, (x - 1) % 5] = 0.5
     matrix[2, 0] = 5e-13
     matrix[2, 1] -= 5e-13
-    return MarkovChain(matrix, marked={4})
+    return _dense_chain(matrix, marked={4})
 
 
 def _irregular_chain():
@@ -649,7 +745,7 @@ def _irregular_chain():
     for x in range(7):
         matrix[x, (x + 1) % 7] = matrix[(x + 1) % 7, x] = weights[x]
     matrix[np.diag_indices(7)] = 1.0 - matrix.sum(axis=1)
-    return MarkovChain(matrix, marked={3})
+    return _dense_chain(matrix, marked={3})
 
 
 def _hitting_chains():
@@ -667,8 +763,8 @@ def _hitting_chains():
 def test_transition_table_matches_dense_row_cumsum():
     for chain in _hitting_chains():
         sums, cols = chain.transition_table()
-        cumsum = np.cumsum(chain.matrix, axis=1)
-        edges = chain.edges()
+        cumsum = np.cumsum(chain.dense(), axis=1)
+        edges = chain.edges
         for x in range(chain.size):
             row_cols = edges.cols[edges.rows == x]
             degree = row_cols.size
@@ -676,7 +772,7 @@ def test_transition_table_matches_dense_row_cumsum():
             assert np.array_equal(sums[x, :degree], cumsum[x, row_cols])
             assert np.all(sums[x, degree:] == np.inf)
             assert np.all(cols[x, degree:] == row_cols[-1])
-    assert _asymmetric_chain().matrix[0, 2] == 0.0  # a pattern edge with P = 0
+    assert _asymmetric_chain().dense()[0, 2] == 0.0  # a pattern edge with P = 0
 
 
 def test_scalar_hitting_matches_dense_reference_and_leaves_generator_in_step():
@@ -720,10 +816,10 @@ def test_scripted_draws_move_where_the_dense_count_does():
     # above that total moves to the row's last neighbour 2, never to the
     # non-neighbour 3, and the same draw then moves from 2 to 3
     h, c = 0.5 - 2e-13, 0.5 + 2e-13
-    fallback = MarkovChain([[0, h, h, 0], [h, 0, 0, c], [h, 0, 0, c], [0, c, c, 0]],
-                           marked={3})
+    fallback = _dense_chain([[0, h, h, 0], [h, 0, 0, c], [h, 0, 0, c], [0, c, c, 0]],
+                            marked={3})
     sums, cols = fallback.transition_table()
-    assert sums[0, 1] < 1.0 - 1e-13 and fallback.matrix[0, 3] == 0.0
+    assert sums[0, 1] < 1.0 - 1e-13 and fallback.dense()[0, 3] == 0.0
     assert list(cols[0]) == [1, 2, 2]
     # row 0 of cycle(4) has sums 0.5 at column 1 and 1.0 at column 3; the
     # dense count of sums <= 0.5 is 3, so a draw of exactly 0.5 moves to 3
@@ -743,16 +839,16 @@ def test_hitting_step_guard_raises_on_both_paths(monkeypatch):
     matrix[3, 3] = 1.0
     for x in range(3):
         matrix[x, (x + 1) % 3] = matrix[x, (x - 1) % 3] = 0.5
-    chain = MarkovChain(matrix, marked={3})
+    chain = _dense_chain(matrix, marked={3})
     guard = walks.HITTING_DRAW_CHUNK + 905  # one full chunk and one partial
     monkeypatch.setattr(walks, "HITTING_STEP_GUARD", guard)
     seed = next(s for s in range(100)
                 if SeededRng(s).generator.integers(0, 4, size=1)[0] != 3)
     for trials in (1, 4):
         rng, reference = SeededRng(seed), SeededRng(seed)
-        with pytest.raises(RuntimeError, match="step guard"):
+        with pytest.raises(SizeCapError, match="step guard"):
             classical_hitting(chain, rng, trials)
-        with pytest.raises(RuntimeError, match="step guard"):
+        with pytest.raises(SizeCapError, match="step guard"):
             _dense_hitting(chain, reference, trials, guard)
         assert rng.generator.bit_generator.state == reference.generator.bit_generator.state
 
@@ -760,7 +856,7 @@ def test_hitting_step_guard_raises_on_both_paths(monkeypatch):
 def test_exact_hitting_system_is_bit_equal_to_eye_minus_q():
     for chain in _hitting_chains():
         unmarked = np.asarray(sorted(set(range(chain.size)) - chain.marked))
-        q = chain.matrix[np.ix_(unmarked, unmarked)]
+        q = chain.dense()[np.ix_(unmarked, unmarked)]
         h = np.linalg.solve(np.eye(unmarked.size) - q, np.ones(unmarked.size))
         assert exact_hitting_mean(chain) == float(h.sum() / chain.size)
 
@@ -836,7 +932,7 @@ def test_memoized_search_equals_fresh_shots():
 
 def test_trajectory_memory_cap_raises_before_stepping():
     chain = cycle_chain(8, marked={0})
-    edge_bytes = chain.edges().count * 16
+    edge_bytes = chain.edges.count * 16
     shot_cap = sim.STATE_BYTE_CAP // edge_bytes
     with pytest.raises(SizeCapError):
         szegedy_find_marked(chain, WalkCosts(), SeededRng(0), step_budget=10**12,
@@ -904,15 +1000,16 @@ def test_johnson_chain_structure():
     assert chain.size == math.comb(5, 2) + math.comb(5, 3)
     assert len(chain.subset_of(0)) == 2
     assert len(chain.subset_of(chain.size - 1)) == 3
+    matrix = chain.dense()
     for u in range(chain.size):
         for v in range(chain.size):
-            adjacent = chain.matrix[u, v] > 0
+            adjacent = matrix[u, v] > 0
             su, sv = set(chain.subset_of(u)), set(chain.subset_of(v))
             one_step = len(su ^ sv) == 1
             if adjacent:
                 assert one_step or u == v  # lazy self-loops are allowed
             if one_step:
-                assert chain.matrix[u, v] > 0
+                assert matrix[u, v] > 0
 
 
 def test_johnson_chain_marks_collision_vertices():
@@ -929,9 +1026,10 @@ def test_johnson_chain_marks_collision_vertices():
 
 def _collision_states(chain, values):
     # reference: a Python set per subset
+    subsets = [chain.subset_of(i) for i in range(chain.size)]
     return frozenset(
         i
-        for i, subset in enumerate(chain.states)
+        for i, subset in enumerate(subsets)
         if len(set(values[list(subset)].tolist())) < len(subset)
     )
 
@@ -943,12 +1041,14 @@ def test_johnson_chain_marks_match_the_set_reference(element_count):
     one_pair = distinct.copy()
     one_pair[gen.choice(element_count, size=2, replace=False)] = -1
     several = gen.integers(0, element_count // 2, size=element_count)
-    subset_sizes = {element_count // 2, math.ceil(element_count ** (2.0 / 3.0)), element_count - 1}
-    for subset_size in sorted(subset_sizes):
+    for subset_size in range(1, element_count):
+        degree = max(element_count - subset_size, subset_size + 1)
         for values in (distinct, one_pair, several):
             chain = johnson_chain(element_count, subset_size, ValueOracle(values))
             assert chain.marked == _collision_states(chain, values)
             assert np.array_equal(chain.marked_mask, sim.marked_mask(sorted(chain.marked), chain.size))
+            # no self-loop is left at the rounding error of 1 - row sum
+            assert chain.edges.p.min() >= 1.0 / degree
 
 
 @given(st.integers(min_value=2, max_value=9).flatmap(
