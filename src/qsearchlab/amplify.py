@@ -173,7 +173,7 @@ def amplitude_amplify(
     """
     dimension = prep.dimension
     mask = sim.marked_mask(params.good, dimension)
-    good_idx = np.flatnonzero(mask)
+    good_idx = sim._as_index_array(np.flatnonzero(mask), dimension)  # checked once
     counter = BitOracle(mask)
     start = StateVector._wrap(prep.start)  # read-only: stepped on a copy
 

@@ -8,6 +8,7 @@ must strip it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -193,7 +194,9 @@ def _trial_sat_schoening(size, rng, params):
     return queries, steps, report.conclusive
 
 
+@functools.lru_cache(maxsize=32)
 def _grid_for(size: int, dimensions: int) -> walks.TorusGrid:
+    """The one grid of each volume, shared by its trials; its index arrays are read-only."""
     side = round(size ** (1.0 / dimensions))
     if side**dimensions != size:
         raise ParameterError(

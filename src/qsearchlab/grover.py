@@ -145,7 +145,7 @@ def success_profile(size: int, marked_count: int, max_rounds: int) -> np.ndarray
 
 
 def _run_rounds(state: StateVector, marked: np.ndarray, oracle, rounds: int) -> StateVector:
-    """Step `state` through `rounds` Grover rounds in place."""
+    """Step `state` through `rounds` Grover rounds in place; check `marked` once per search."""
     for _ in range(rounds):
         sim.apply_diffusion(sim.apply_phase_flip(state, marked, oracle))
     return state
@@ -160,7 +160,7 @@ def search(oracle: BitOracle, params: GroverParams, rng: SeededRng) -> int:
     """
     if params.size != oracle.size:
         raise ParameterError("params.size must match oracle size")
-    marked = oracle.marked_indices()
+    marked = sim._as_index_array(oracle.marked_indices(), oracle.size)
     count = params.marked_count if params.marked_count is not None else int(marked.size)
     rounds = optimal_query_count(params.size, count) if count else 0
     state = _run_rounds(sim.uniform_state(params.size), marked, oracle, rounds)
@@ -198,7 +198,7 @@ def prepared_certain_state(oracle: BitOracle, params: GroverParams) -> StateVect
         raise UnsupportedModeError(
             "certainty search needs the marked count; use search_unknown_count instead"
         )
-    marked = oracle.marked_indices()
+    marked = sim._as_index_array(oracle.marked_indices(), oracle.size)
     if int(marked.size) != params.marked_count:
         raise ParameterError(
             f"marked_count {params.marked_count} does not match oracle ({marked.size})"
@@ -380,7 +380,7 @@ def search_unknown_count(
     budget = unknown_count_budget(cap)
     if max_queries is not None:
         budget = min(budget, max(0, max_queries))
-    marked = oracle.marked_indices()
+    marked = sim._as_index_array(oracle.marked_indices(), oracle.size)
     attempts, found = _sweep_restarts(
         oracle, sim.marked_mask(marked, size), rng, cap, budget, sim.uniform_state(size),
         lambda state, sink: _run_rounds(state, marked, sink, 1),

@@ -346,15 +346,21 @@ def marked_mask(marked: Union[np.ndarray, Iterable[int]], size: int) -> np.ndarr
     return mask
 
 
+class _CheckedIndices(np.ndarray):
+    """Read-only sorted, distinct indices; _as_index_array then range-checks only their ends."""
+
+
 def _as_index_array(marked, dimension: int) -> np.ndarray:
-    if isinstance(marked, (set, frozenset)):
-        marked = sorted(marked)
-    idx = np.asarray(marked, dtype=np.int64).ravel()
-    if idx.size:
+    idx = marked
+    if type(idx) is not _CheckedIndices:
+        idx = np.asarray(sorted(idx) if isinstance(idx, (set, frozenset)) else idx,
+                         dtype=np.int64).ravel()
         if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
             idx = np.unique(idx)  # duplicate entries must not double-flip
-        if idx[0] < 0 or idx[-1] >= dimension:
-            raise IndexError(f"marked index out of range for dimension {dimension}")
+        idx = idx.view(_CheckedIndices)
+        idx.setflags(write=False)
+    if idx.size and (idx[0] < 0 or idx[-1] >= dimension):
+        raise IndexError(f"marked index out of range for dimension {dimension}")
     return idx
 
 

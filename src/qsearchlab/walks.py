@@ -7,7 +7,9 @@ The coined walk lives on (cell, direction) amplitudes over a periodic grid,
 held as a `sim.StateVector` of length cells * directions in (cell,
 direction) row-major order.  A step is a direction-reversing shift and a
 uniform-reflection coin that is negated on marked cells; it bundles a query
-and a move.
+and a move.  Steps run direction-major: grid_walk_step turns the state into
+rows, one per direction across every cell, steps them with one gather and
+whole-row arithmetic, and turns them back once per call.
 
 The chain quantization acts on amplitudes over ordered vertex pairs (x, y),
 but a state is only ever supported on the nonzero transitions of P: the
@@ -113,6 +115,7 @@ class TorusGrid:
         self.cells = self.side**self.dimensions
         self.direction_count = 2 * self.dimensions
         self._shift_map: Optional[np.ndarray] = None
+        self._row_shift: Optional[np.ndarray] = None
         self._scan_order: Optional[np.ndarray] = None
 
     def coordinates(self, cell: int) -> Tuple[int, ...]:
@@ -140,18 +143,26 @@ class TorusGrid:
     def shift_map(self) -> np.ndarray:
         """Flat permutation sending (cell, dir) to (neighbor, reversed dir)."""
         if self._shift_map is None:
-            k = self.direction_count
+            rows = self.row_shift().reshape(self.direction_count, self.cells)
+            self._shift_map = (rows % self.cells * self.direction_count + rows // self.cells).T.ravel()
+            self._shift_map.setflags(write=False)  # a grid may be shared between searches
+        return self._shift_map
+
+    def row_shift(self) -> np.ndarray:
+        """shift_map for direction-major amplitudes, where d * cells + c is (c, d)."""
+        if self._row_shift is None:
             cells = np.arange(self.cells, dtype=np.int64)
-            target = np.empty((self.cells, k), dtype=np.int64)
+            target = np.empty((self.direction_count, self.cells), dtype=np.int64)
             for axis in range(self.dimensions):
                 stride = self.side**axis
                 coord = (cells // stride) % self.side
                 for sign, delta in ((0, 1), (1, -1)):
                     direction = 2 * axis + sign
                     neighbor = cells + ((coord + delta) % self.side - coord) * stride
-                    target[:, direction] = neighbor * k + self.reverse(direction)
-            self._shift_map = target.reshape(-1)
-        return self._shift_map
+                    target[direction] = self.reverse(direction) * self.cells + neighbor
+            self._row_shift = target.reshape(-1)
+            self._row_shift.setflags(write=False)
+        return self._row_shift
 
     def scan_order(self) -> np.ndarray:
         """Boustrophedon visiting order; consecutive cells are adjacent.
@@ -166,6 +177,7 @@ class TorusGrid:
                 blocks[1::2] = blocks[1::2, ::-1]
                 order = (blocks + self.side**axis * np.arange(self.side)[:, None]).ravel()
             self._scan_order = order
+            self._scan_order.setflags(write=False)
         return self._scan_order
 
 
@@ -188,33 +200,39 @@ def localized_coined_state(grid: TorusGrid, cell: int) -> StateVector:
     return StateVector._wrap(amps)
 
 
-def grid_walk_step(grid: TorusGrid, state: StateVector, marked) -> StateVector:
-    """One bundled walk step: direction-reversing shift, then the coin.
+def grid_walk_step(grid: TorusGrid, state: StateVector, marked, steps: int = 1) -> StateVector:
+    """`steps` bundled walk steps, each a direction-reversing shift, then the coin.
 
     Unmarked cells get the uniform-reflection coin (2*mean - amp across the
     cell's directions); marked cells get the negated identity coin.  The
-    result is a new state of the input's kind.
+    marked cells are checked once, the state turns direction-major once, and
+    the result is a new state of the input's kind; `state` is left as it is.
     """
     k = grid.direction_count
     if state.dimension != grid.cells * k:
         raise ParameterError(
             f"coined state must have {grid.cells * k} amplitudes, got {state.dimension}")
+    if steps < 0:
+        raise ParameterError("steps must be >= 0")
     marked_idx = sim._as_index_array(marked, grid.cells)
-    # the shift is an involution, so gathering through it equals scattering
-    out = state.amps[grid.shift_map()]
-    cells = out.reshape(grid.cells, k)
-    # 2 * mean with the arithmetic of numpy's complex mean, which sums a row
-    # two pairs first and divides by k as a product with 1/k: real and
-    # complex states then step alike, bit for bit
-    twice_means = cells[:, 0] + cells[:, 1]
-    twice_means += cells[:, 2] + cells[:, 3]
-    for direction in range(4, k):
-        twice_means += cells[:, direction]
-    twice_means *= 1.0 / k
-    twice_means *= 2.0
-    twice_means[marked_idx] = 0.0  # 0 - amp is the negated identity coin
-    np.subtract(twice_means[:, None], cells, out=cells)
-    return StateVector._wrap(out)
+    shift = grid.row_shift()
+    rows = state.amps.reshape(grid.cells, k).T.copy()  # row d is direction d of every cell
+    for _ in range(steps):
+        # the shift is an involution, so gathering through it equals scattering
+        rows = rows.reshape(-1)[shift].reshape(k, grid.cells)
+        # 2 * mean with the arithmetic of numpy's complex mean, which sums a cell
+        # two pairs first and divides by k as a product with 1/k: real and
+        # complex states then step alike, bit for bit (one product with 2/k
+        # would round apart where a sum is subnormal)
+        twice_means = rows[0] + rows[1]
+        twice_means += rows[2] + rows[3]
+        for direction in range(4, k):
+            twice_means += rows[direction]
+        twice_means *= 1.0 / k
+        twice_means *= 2.0
+        twice_means[marked_idx] = 0.0  # 0 - amp is the negated identity coin
+        np.subtract(twice_means, rows, out=rows)
+    return StateVector._wrap(rows.T.ravel())
 
 
 def grid_walk_probability_profile(grid: TorusGrid, marked, max_steps: int) -> np.ndarray:
@@ -256,9 +274,7 @@ def grid_walk_search(
         raise ParameterError("step_budget must be >= 1")
     marked_idx = oracle.marked_indices()
     steps = int(rng.generator.integers(1, step_budget + 1))
-    state = uniform_coined_state(grid)
-    for _ in range(steps):
-        state = grid_walk_step(grid, state, marked_idx)
+    state = grid_walk_step(grid, uniform_coined_state(grid), marked_idx, steps)
     oracle.charge(steps)
     cell = sim.measure(state, rng) // grid.direction_count
     return GridWalkResult(cell=cell if oracle.query(cell) else None, steps=steps)
@@ -348,6 +364,7 @@ class MarkovChain:
         self.marked_mask = sim.marked_mask(marked, self.size)
         self.marked_mask.setflags(write=False)
         self.marked = frozenset(np.flatnonzero(self.marked_mask).tolist())
+        self._marked_edges = self.marked_mask[self.edges.rows]  # the rows szegedy_step flips
 
     def dense(self, keep: Optional[np.ndarray] = None) -> np.ndarray:
         """P, or its block on the states where mask `keep` holds, fresh for LAPACK; size-checked."""
@@ -486,12 +503,13 @@ def szegedy_step(chain: MarkovChain, edge_state: np.ndarray) -> np.ndarray:
     psi = _edge_amplitudes(chain, edge_state)
     psi = np.array(psi, dtype=np.complex128 if np.iscomplexobj(psi) else np.float64)
     if chain.marked:
-        np.negative(psi, out=psi, where=chain.marked_mask[edges.rows])
-    row_overlap = _row_sums(edges.root * psi, edges.starts)
-    psi = 2.0 * row_overlap[edges.rows] * edges.root - psi
-    column_overlap = _row_sums((edges.root * psi)[edges.transpose], edges.starts)
-    psi = 2.0 * edges.root * column_overlap[edges.cols] - psi
-    return psi
+        np.negative(psi, out=psi, where=chain._marked_edges)
+    scratch = edges.root * psi
+    overlap = 2.0 * _row_sums(scratch, edges.starts)  # doubling is exact: (2o)[rows] is 2(o[rows])
+    np.subtract(np.multiply(overlap[edges.rows], edges.root, out=scratch), psi, out=psi)
+    overlap = _row_sums(np.multiply(edges.root, psi, out=scratch)[edges.transpose], edges.starts)
+    np.multiply(np.multiply(edges.root, 2.0, out=scratch), overlap[edges.cols], out=scratch)
+    return np.subtract(scratch, psi, out=psi)
 
 
 def marked_pair_probability(chain: MarkovChain, edge_state: np.ndarray) -> float:
@@ -502,7 +520,7 @@ def marked_pair_probability(chain: MarkovChain, edge_state: np.ndarray) -> float
     if not chain.marked:
         return 0.0
     edges = chain.edges
-    keep = chain.marked_mask[edges.rows] | chain.marked_mask[edges.cols]
+    keep = chain._marked_edges | chain.marked_mask[edges.cols]
     return float(p[keep].sum() / total)
 
 

@@ -258,6 +258,23 @@ def test_walk_schedules_are_pinned(monkeypatch):
     assert seen == ED_WALK_SCHEDULES
 
 
+def test_grid_trials_of_one_size_share_one_grid(monkeypatch):
+    grids = []
+    search = walks.grid_walk_search
+
+    def recording(grid, oracle, rng, step_budget):
+        grids.append(grid)
+        return search(grid, oracle, rng, step_budget)
+
+    monkeypatch.setattr(walks, "grid_walk_search", recording)
+    runner = bench.EXPERIMENTS["walk-grid-2d"].runner
+    for trial in range(2):
+        runner(64, SeededRng(3, 0).split(trial), {})
+    runner(256, SeededRng(3, 1).split(0), {})
+    assert grids[0] is grids[1] and grids[2] is not grids[0]
+    assert (grids[0].side, grids[2].side) == (8, 16)
+
+
 def test_parallel_run_matches_serial():
     cfg = ExperimentConfig(experiment="min-scaling", sizes=(64, 128), trials=3, seed=11)
     serial = [r.without_ms() for r in run_experiment(cfg, jobs=1)]

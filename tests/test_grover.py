@@ -478,3 +478,27 @@ def test_sweep_leaves_the_start_state_unmodified(case, seed):
     )
     assert np.array_equal(start.amps, before)
 
+
+def test_searches_sort_check_their_marked_set_once(monkeypatch):
+    # every round flips through the indices the search checked at its start
+    checks = []
+    original = sim._as_index_array
+
+    def counted(marked, dimension):
+        checks.append(type(marked) is not sim._CheckedIndices)
+        return original(marked, dimension)
+
+    monkeypatch.setattr(sim, "_as_index_array", counted)
+    marked = [3, 17, 40]
+    params = GroverParams(size=64, marked_count=3)
+    runs = {
+        "search": lambda oracle: search(oracle, params, SeededRng(5)),
+        "certain": lambda oracle: search_with_certainty(oracle, params, SeededRng(5)),
+        "unknown": lambda oracle: search_unknown_count(oracle, 64, SeededRng(5)),
+    }
+    for name, run in runs.items():
+        checks.clear()
+        oracle = _planted_oracle(64, marked)
+        run(oracle)
+        assert sum(checks) == 1, name
+        assert len(checks) >= 2, name  # the flips went through the checked indices

@@ -251,6 +251,23 @@ def test_phase_flip_sorts_and_dedupes_unsorted_marks():
         apply_phase_flip(state, [-1, 2], oracle)
 
 
+def test_checked_marks_pass_again_with_only_their_ends_range_checked():
+    checked = sim._as_index_array([5, 1, 3, 1], 6)
+    assert checked.tolist() == [1, 3, 5]
+    assert sim._as_index_array(checked, 6) is checked
+    with pytest.raises(ValueError):
+        checked[0] = 2  # read-only: a search flips through it every round
+    with pytest.raises(IndexError):
+        sim._as_index_array(checked, 5)
+    caller = np.array([0, 2], dtype=np.int64)
+    sim._as_index_array(caller, 4)
+    caller[0] = 1  # the caller's own array stays writeable
+    state = _random_state(SeededRng(8), 6)
+    oracle = BitOracle([0, 1, 0, 1, 0, 1])
+    assert np.array_equal(apply_phase_flip(state.copy(), checked, oracle).amps,
+                          apply_phase_flip(state.copy(), [1, 3, 5], oracle).amps)
+
+
 def test_phase_rotation_at_pi_is_the_flip():
     rng = SeededRng(12)
     oracle = BitOracle([1, 0, 0, 1, 0])

@@ -260,6 +260,101 @@ def test_real_grid_step_equals_complex_scatter_step(case):
         assert np.all(reference.imag == 0.0)
 
 
+def _cell_major_step(grid: TorusGrid, amps: np.ndarray, marked) -> np.ndarray:
+    """Reference step on the public (cell, direction) layout: gather, then the coin."""
+    k = grid.direction_count
+    marked_idx = sim._as_index_array(marked, grid.cells)
+    out = amps[grid.shift_map()]
+    cells = out.reshape(grid.cells, k)
+    twice_means = cells[:, 0] + cells[:, 1]
+    twice_means += cells[:, 2] + cells[:, 3]
+    for direction in range(4, k):
+        twice_means += cells[:, direction]
+    twice_means *= 1.0 / k
+    twice_means *= 2.0
+    twice_means[marked_idx] = 0.0
+    np.subtract(twice_means[:, None], cells, out=cells)
+    return out
+
+
+@st.composite
+def _stepped_grid_cases(draw):
+    grid, _, state = draw(_grid_cases())
+    cells = draw(st.lists(st.integers(0, grid.cells - 1), min_size=2, max_size=6))
+    marked = draw(st.sampled_from(([], sorted(set(cells), reverse=True), cells + cells)))
+    if draw(st.booleans()):
+        state = StateVector(state.amps * np.exp(1j * draw(st.floats(0.0, 6.0))))
+    return grid, marked, state, draw(st.integers(0, 40))
+
+
+@given(_stepped_grid_cases())
+@settings(max_examples=80, deadline=None)
+def test_stepping_many_at_once_equals_cell_major_reference_steps(case):
+    grid, marked, state, steps = case
+    before = state.amps.copy()
+    reference = state.amps.copy()
+    for _ in range(steps):
+        reference = _cell_major_step(grid, reference, marked)
+    stepped = grid_walk_step(grid, state, marked, steps)
+    assert stepped.amps.dtype == state.amps.dtype
+    assert np.array_equal(stepped.amps, reference)
+    assert np.array_equal(state.amps, before)  # the caller's state is left as it was
+    assert stepped.amps is not state.amps
+
+
+def test_grid_walk_step_refuses_negative_steps_and_leaves_the_state():
+    grid = TorusGrid(3, 2)
+    state = localized_coined_state(grid, 4)
+    before = state.amps.copy()
+    with pytest.raises(ParameterError):
+        grid_walk_step(grid, state, [1], steps=-1)
+    assert np.array_equal(grid_walk_step(grid, state, [1], steps=0).amps, before)
+    grid_walk_step(grid, state, [1], steps=5)
+    assert np.array_equal(state.amps, before)
+
+
+def test_grid_walk_search_matches_reference_steps():
+    for side, dims in ((4, 2), (5, 2), (3, 3)):
+        grid = TorusGrid(side, dims)
+        for seed in range(30):
+            bits = np.zeros(grid.cells, dtype=int)
+            bits[SeededRng(seed).generator.integers(0, grid.cells, size=2)] = 1
+            rng, ref_rng = SeededRng(77, seed), SeededRng(77, seed)
+            result = grid_walk_search(grid, BitOracle(bits), rng, step_budget=3 * side)
+            steps = int(ref_rng.generator.integers(1, 3 * side + 1))
+            amps = uniform_coined_state(grid).amps
+            for _ in range(steps):
+                amps = _cell_major_step(grid, amps, np.flatnonzero(bits))
+            cell = sim.measure(StateVector(amps), ref_rng) // grid.direction_count
+            assert result.steps == steps
+            assert result.cell == (cell if bits[cell] else None)
+            assert rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
+
+
+def test_grid_walk_search_checks_its_marks_once(monkeypatch):
+    checks = []
+    original = sim._as_index_array
+    monkeypatch.setattr(sim, "_as_index_array", lambda marked, dimension: (
+        checks.append(type(marked) is not sim._CheckedIndices) or original(marked, dimension)))
+    grid = TorusGrid(4, 2)
+    bits = np.zeros(16, dtype=int)
+    bits[[2, 9]] = 1
+    result = grid_walk_search(grid, BitOracle(bits), SeededRng(4), step_budget=30)
+    assert result.steps > 1 and checks == [True]
+
+
+def test_grid_index_arrays_are_read_only():
+    grid = TorusGrid(4, 3)
+    for table in (grid.shift_map(), grid.scan_order(), grid.row_shift()):
+        with pytest.raises(ValueError):
+            table[0] = 1
+    # gathering direction-major rows is the cell-major gather, transposed
+    amps = np.arange(grid.cells * grid.direction_count, dtype=float)
+    rows = amps.reshape(grid.cells, -1).T.ravel()
+    assert np.array_equal(rows[grid.row_shift()],
+                          amps[grid.shift_map()].reshape(grid.cells, -1).T.ravel())
+
+
 def test_uniform_profile_starts_at_marked_fraction():
     grid = TorusGrid(4, 2)
     profile = grid_walk_probability_profile(grid, {3, 7}, 12)
@@ -604,6 +699,42 @@ def test_real_szegedy_step_equals_complex_step(case):
             assert psi.dtype == np.float64 and reference.dtype == np.complex128
             assert np.array_equal(psi, reference.real)
             assert np.all(reference.imag == 0.0)
+
+
+def _reference_szegedy_step(chain: MarkovChain, psi: np.ndarray) -> np.ndarray:
+    """Reference step: the marked-row flip and both reflections, each into fresh arrays."""
+    edges = chain.edges
+    psi = np.array(psi, dtype=np.complex128 if np.iscomplexobj(psi) else np.float64)
+    if chain.marked:
+        np.negative(psi, out=psi, where=chain.marked_mask[edges.rows])
+    row_overlap = walks._row_sums(edges.root * psi, edges.starts)
+    psi = 2.0 * row_overlap[edges.rows] * edges.root - psi
+    column_overlap = walks._row_sums((edges.root * psi)[edges.transpose], edges.starts)
+    return 2.0 * edges.root * column_overlap[edges.cols] - psi
+
+
+_REFERENCE_CHAINS = [
+    *(pytest.param(lambda size=size: cycle_chain(size), id=f"cycle-{size}") for size in range(3, 65)),
+    *(pytest.param(lambda side=side: torus_chain(side, 2), id=f"torus-{side}") for side in range(2, 11)),
+    *(pytest.param(lambda n=n, m=m: JohnsonChain(n, m), id=f"johnson-{n}-{m}")
+      for n in range(4, 13) for m in sorted({1, n // 2, math.ceil(n ** (2 / 3)), n - 1})),
+]
+
+
+@pytest.mark.parametrize("build", _REFERENCE_CHAINS)
+def test_szegedy_steps_are_bit_equal_to_the_reference(build):
+    chain = build()
+    gen = SeededRng(919, chain.size).generator
+    chain = chain.with_marked(gen.choice(chain.size, size=max(1, chain.size // 10), replace=False))
+    count = chain.edges.count
+    raw = gen.normal(size=count) + 1j * gen.normal(size=count)
+    for start in (stationary_edge_state(chain), raw / np.linalg.norm(raw)):
+        psi = reference = start
+        for _ in range(300):
+            psi = szegedy_step(chain, psi)
+            reference = _reference_szegedy_step(chain, reference)
+        assert psi.dtype == reference.dtype
+        assert np.array_equal(psi, reference)
 
 
 def test_stationary_state_is_fixed_without_marks():
