@@ -6,8 +6,10 @@ set followed by one reflection about s, a -> 2<s|a>s - a, which equals
 A(2|0><0| - I)A^-1 for any unitary A.  The round reads s, which the
 preparation computes once, much as operators read a black box while they
 are built; the charges still count every application of A and A^-1 that
-the round stands for.  With the uniform preparation this reproduces the
-plain search rounds, amplitude for amplitude up to rounding.
+the round stands for.  The reflection is the simulator's pending one
+(`sim._reflect` about s), so a round writes only the good entries of the
+state until its amplitudes are read.  With the uniform preparation this
+reproduces the plain search rounds, amplitude for amplitude up to rounding.
 """
 
 from __future__ import annotations
@@ -148,12 +150,7 @@ def amplification_round(
 ) -> StateVector:
     """One round on `state`: good-set phase flip, then a -> 2<s|a>s - a about s = prep.start."""
     sim.apply_phase_flip(state, good_indices, counter)
-    a, s = state.amps, prep.start
-    # reflect in place; only a complex start reflecting a real state needs a new array
-    twice_overlap = 2.0 * np.vdot(s, a) * s
-    state.amps = np.subtract(twice_overlap, a, out=a if twice_overlap.dtype == a.dtype else None)
-    state._carry = None
-    return state
+    return sim._reflect(state, prep.start)
 
 
 def amplitude_amplify(

@@ -17,13 +17,20 @@ broken contract (a stale carried sum, say) reaches measurement as a
 NormalizationError.  Operators update the state you pass and return that
 same object; `copy()` first to keep it.
 
-So that a Grover round reads the state once, a state may carry `_carry`,
-the sum of its amps.  The diffusion reads a carried sum, or sums the state
-once, and keeps it (a -> 2*mean - a leaves it unchanged); the flip moves a
-carried sum by -2 times the sum of the negated entries.  Construction,
-`copy()`, the rotations, measurement and the walks start with no carry.
-The operators are the only writers of a state's amps: a caller that edits
-amplitudes in place edits a `copy()`.
+A reflection stays pending, so that a Grover or amplification round costs
+O(marked), not O(N).  A state holds a buffer r, a sign sigma = +-1, a
+coefficient beta and an axis w: None for the all-ones vector of the
+diffusion, or an amplification round's start state.  Its amplitudes are
+sigma*r + beta*w.  It may carry `_carry`, the overlap <w|amps>, which a
+reflection about w leaves as it is: `_reflect` only negates sigma and moves
+beta (summing the state once when it carries nothing), and the flip writes
+the marked entries of r alone and moves the carry by -2 times the overlap
+of w with the negated amplitudes.  Reading `amps` writes sigma*r + beta*w
+into r and resets sigma and beta; the carry stays valid.  A reflection
+about another axis first writes the pending one out.  Construction,
+`copy()`, the rotations and the walks start with nothing pending and no
+carry.  The operators are the only writers of a state's amps: a caller that
+edits amplitudes in place edits a `copy()`.
 
 Measurement draws from a `WeightTable` of |amps|^2: one sequential running
 sum up to ONE_LEVEL_MAX amplitudes; above that, a running sum over
@@ -85,6 +92,11 @@ STATE_BYTE_CAP = 256 * 2**20
 # local-min@16384 (sampled states of 1,555 amplitudes) took 3.4 ms against 2.5.
 ONE_LEVEL_MAX = 8192
 BLOCK = 1024
+# A flip sums at most SMALL_SUM marked entries in Python.  numpy's reduction
+# costs about 0.53 us at any length up to 128; a Python sum took 0.07 us for 2
+# entries and 0.18 (real) or 0.39 us (complex) for 16, and is the slower one
+# past about 64 real or 24 complex entries (one BLAS thread, numpy 2.4).
+SMALL_SUM = 16
 
 
 class ParameterError(ValueError):
@@ -154,11 +166,13 @@ class StateVector:
 
     `StateVector(amps)` copies its input, as float64 for real input and
     complex128 for complex input, and settles its norm (see the module
-    docstring).  State builders wrap their own arrays with `_wrap`, and only
-    the operators set `_carry`.
+    docstring).  State builders wrap their own arrays with `_wrap`.  The
+    amplitudes are sign * _r + beta * w, where w is `_axis` (None: the
+    all-ones vector); only the operators set the pending sign, beta, axis
+    and `_carry`, and reading `amps` writes them into `_r`.
     """
 
-    __slots__ = ("amps", "_carry")
+    __slots__ = ("_r", "_sign", "_beta", "_axis", "_carry")
 
     def __init__(self, amps):
         dtype = np.complex128 if np.iscomplexobj(amps) else np.float64
@@ -170,23 +184,39 @@ class StateVector:
         # |sum|a|^2 - 1| ~ 2*|norm - 1| near 1, so compare against twice the limit
         if abs(n2 - 1.0) > 2.0 * NORM_DRIFT_LIMIT:
             arr /= np.sqrt(n2)
-        self.amps = arr
-        self._carry = None
+        self._hold(arr)
 
     @classmethod
     def _wrap(cls, amps: np.ndarray) -> "StateVector":
         """A builder's own 1-D float64 or complex128 array, taken as it is."""
         state = cls.__new__(cls)
-        state.amps = amps
-        state._carry = None
+        state._hold(amps)
         return state
+
+    def _hold(self, amps: np.ndarray) -> None:
+        """Take `amps` as the amplitudes: nothing pending, no carry."""
+        self._r, self._sign, self._beta, self._axis, self._carry = amps, 1.0, 0.0, None, None
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The amplitude buffer, with any pending reflection first written into it."""
+        if self._beta or self._sign < 0:
+            r = self._r
+            offset = self._beta if self._axis is None else self._beta * self._axis
+            if self._sign > 0:
+                np.add(r, offset, out=r)
+            else:
+                np.subtract(offset, r, out=r)
+            self._sign, self._beta = 1.0, 0.0
+        return self._r
 
     @property
     def dimension(self) -> int:
-        return int(self.amps.size)
+        return int(self._r.size)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.amps, self.amps).real))
+        amps = self.amps
+        return float(np.sqrt(np.vdot(amps, amps).real))
 
     def probabilities(self) -> np.ndarray:
         """|amps|^2 over its sum; raises if the norm has drifted."""
@@ -367,14 +397,25 @@ def _as_index_array(marked, dimension: int) -> np.ndarray:
 def apply_phase_flip(state: StateVector, marked, oracle: _CountingOracle) -> StateVector:
     """Negate the marked amplitudes of `state`; charges one oracle query.
 
-    A carried sum moves by -2 times the sum of the negated entries.
+    Only the marked entries of the buffer are written, and a carried
+    <w|amps> moves by -2 times the overlap of w with the negated entries.
     """
-    idx = _as_index_array(marked, state.dimension)
-    amps = state.amps
-    picked = amps[idx]
-    if state._carry is not None:
-        state._carry = state._carry - 2.0 * np.add.reduce(picked)
-    amps[idx] = -picked
+    r, sign, carry = state._r, state._sign, state._carry
+    idx = _as_index_array(marked, r.size)
+    shift = sign * state._beta  # amps = sign * (r + shift * w)
+    picked = r[idx]
+    if state._axis is None:
+        if carry is not None:
+            total = sum(picked.tolist()) if idx.size <= SMALL_SUM else np.add.reduce(picked)
+            carry -= 2.0 * sign * (total + shift * idx.size)
+        r[idx] = -2.0 * shift - picked if shift else -picked
+    else:  # an axis is set together with its carry
+        w = state._axis[idx]
+        unshift = w * -shift
+        picked = picked - unshift  # sign * amps[idx]
+        carry -= 2.0 * sign * np.vdot(w, picked)
+        r[idx] = unshift - picked
+    state._carry = carry
     oracle.charge(1)
     return state
 
@@ -387,23 +428,41 @@ def apply_phase_rotation(
     amps = state.amps.astype(np.complex128)
     amps[idx] = amps[idx] * np.exp(1j * angle)
     oracle.charge(1)
-    state.amps, state._carry = amps, None
+    state._hold(amps)
+    return state
+
+
+def _reflect(state: StateVector, axis) -> StateVector:
+    """Reflect `state` about w = `axis` (None: all ones), a -> 2<w|a>w/<w|w> - a, in O(1).
+
+    A unit `axis` is taken as <w|w> = 1.  The reflection leaves <w|a> as it
+    is, so it flips the pending sign and moves beta from the carried <w|a>,
+    summed once when the state carries none.  A state pending about another
+    axis is first written out.
+    """
+    if state._axis is not axis:
+        amps = state.amps
+        if axis is not None and axis.dtype.kind == "c" and amps.dtype.kind != "c":
+            amps = amps.astype(np.complex128)
+        state._hold(amps)
+        state._axis = axis
+    carry = state._carry
+    if carry is None:  # nothing is pending without a carry
+        r = state._r
+        carry = state._carry = np.add.reduce(r) if axis is None else np.vdot(axis, r)
+    weight = carry / state._r.size if axis is None else carry
+    state._sign = -state._sign
+    state._beta = 2.0 * weight - state._beta
     return state
 
 
 def apply_diffusion(state: StateVector) -> StateVector:
     """Reflect `state` about the uniform superposition: a_i -> 2*mean(a) - a_i.
 
-    The mean comes from the carried amplitude sum, or from one pass over a
-    state that carries no sum, and the state then carries that sum on.
+    The reflection stays pending (see `StateVector`), so a round of flip and
+    diffusion costs O(marked) until the amplitudes are read.
     """
-    carry = state._carry
-    if carry is None:
-        carry = np.add.reduce(state.amps)  # ndarray.sum without its wrapper
-    mean = carry / state.amps.size
-    np.subtract(2.0 * mean, state.amps, out=state.amps)
-    state._carry = carry
-    return state
+    return _reflect(state, None)
 
 
 def apply_diffusion_rotation(state: StateVector, angle: float) -> StateVector:
@@ -412,8 +471,8 @@ def apply_diffusion_rotation(state: StateVector, angle: float) -> StateVector:
     At angle = pi this is the negated standard diffusion; intermediate angles
     give the partial reflections used by the exact-certainty search.
     """
-    mean = state.amps.mean()
-    state.amps, state._carry = state.amps + (np.exp(1j * angle) - 1.0) * mean, None
+    amps = state.amps
+    state._hold(amps + (np.exp(1j * angle) - 1.0) * amps.mean())
     return state
 
 

@@ -6,6 +6,8 @@ witness to their own correctness.  Operators update the state they are
 given, so a test that reads an operator's input afterwards steps a copy().
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -436,7 +438,8 @@ def test_operators_step_and_return_their_input(dimension, data, seed, complex_st
 
 @pytest.mark.parametrize("dimension", [8, 1024])
 def test_owned_rounds_stay_normalized_without_settling(dimension):
-    # no operator renormalizes, so the norm holds by unitarity alone
+    # no operator renormalizes, so the norm holds by unitarity alone, round by
+    # round in the pending form and once the amplitudes are read
     state = uniform_state(dimension)
     amps = state.amps
     oracle = BitOracle(np.isin(np.arange(dimension), [1, dimension - 2]).astype(int))
@@ -444,8 +447,11 @@ def test_owned_rounds_stay_normalized_without_settling(dimension):
     worst = 0.0
     for _ in range(10_000):
         apply_diffusion(apply_phase_flip(state, marked, oracle))
-        worst = max(worst, abs(float(np.sqrt(amps @ amps)) - 1.0))
-    assert state.amps is amps
+        pending = _pending_amps(state)
+        worst = max(worst, abs(float(np.sqrt(pending @ pending)) - 1.0))
+    assert state._r is amps  # the rounds wrote into the state's own buffer
+    assert state.amps is amps  # and so did the read
+    assert abs(float(np.sqrt(amps @ amps)) - 1.0) <= 1e-12
     assert worst <= 1e-12
 
 
@@ -501,24 +507,180 @@ def test_operators_keep_a_drifted_norm_and_measurement_refuses_it():
             measure(state, SeededRng(0))
 
 
-# ------------------------------------------------------- carried amplitude sum
+# ------------------------------------------------------- pending reflections
+# The eager rounds, each a full pass over the amplitudes, are the reference
+# for the pending form sign * r + beta * w that the operators keep.
+
+def _eager_flip(amps: np.ndarray, marked) -> np.ndarray:
+    idx = np.unique(np.asarray(list(marked), dtype=np.int64))
+    amps[idx] = -amps[idx]
+    return amps
+
+
+def _eager_diffusion(amps: np.ndarray) -> np.ndarray:
+    return 2.0 * (np.add.reduce(amps) / amps.size) - amps
+
+
+def _eager_reflection(amps: np.ndarray, start: np.ndarray) -> np.ndarray:
+    return 2.0 * np.vdot(start, amps) * start - amps
+
+
+def _pending_amps(state: StateVector) -> np.ndarray:
+    """A state's amplitudes, computed aside so that nothing is written into it."""
+    axis = 1.0 if state._axis is None else state._axis
+    return state._sign * state._r + state._beta * axis
+
 
 @pytest.mark.parametrize("dimension, rounds", [(8, 10_000), (1024, 10_000), (2**16, 201)])
 def test_carried_sum_rounds_match_a_resumming_reference(dimension, rounds):
     marked = np.array([1, dimension - 2])
     oracle = BitOracle(np.isin(np.arange(dimension), marked).astype(int))
     state = uniform_state(dimension)
-    amps = state.amps
-    reference = amps.copy()
+    reference = state.amps.copy()
     worst = 0.0
     for _ in range(rounds):
         apply_diffusion(apply_phase_flip(state, marked, oracle))
         # the reference re-sums its amplitudes every round
-        reference[marked] = -reference[marked]
-        reference = 2.0 * (np.add.reduce(reference) / dimension) - reference
-        worst = max(worst, float(np.abs(amps - reference).max()))
+        reference = _eager_diffusion(_eager_flip(reference, marked))
+        worst = max(worst, float(np.abs(_pending_amps(state) - reference).max()),
+                    abs(state._carry - np.add.reduce(reference)) / dimension)
     assert state._carry is not None
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("dimension, rounds", [(8, 10_000), (1024, 10_000), (2**16, 201)])
+@pytest.mark.parametrize("kind", ["grover", "amplification"])
+def test_unread_rounds_match_eager_rounds(kind, dimension, rounds):
+    # no amplitude is read until the last round is done
+    marked = sim._as_index_array([1, dimension - 2], dimension)
+    oracle = BitOracle(sim.marked_mask(marked, dimension))
+    prep = amplify.uniform_preparation(dimension)
+    state = StateVector._wrap(prep.start.copy())
+    reference = prep.start.copy()
+    for _ in range(rounds):
+        if kind == "grover":
+            apply_diffusion(apply_phase_flip(state, marked, oracle))
+            reference = _eager_diffusion(_eager_flip(reference, marked))
+        else:
+            amplify.amplification_round(state, prep, marked, oracle)
+            reference = _eager_reflection(_eager_flip(reference, marked), prep.start)
+    assert oracle.query_count == rounds
+    assert np.abs(state.amps - reference).max() <= 1e-12
+
+
+_PENDING_STEPS = ("flip", "diffuse", "amplify", "copy", "read", "rotate", "rotate diffusion",
+                  "measure")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dimension=st.integers(1, 40),
+    data=st.data(),
+    seed=st.integers(0, 2**20),
+    complex_state=st.booleans(),
+    target=st.sampled_from(["uniform", "random", "complex"]),
+)
+def test_pending_state_follows_any_operator_sequence(dimension, data, seed, complex_state, target):
+    make = _random_state if complex_state else _random_real_state
+    state = make(SeededRng(seed, 2), dimension)
+    reference = state.amps.copy()
+    oracle = BitOracle(np.ones(dimension, dtype=int))
+    if target == "uniform":
+        prep = amplify.uniform_preparation(dimension)
+    else:
+        raw = SeededRng(seed, 3).generator.normal(size=dimension)
+        prep = real = amplify._householder_preparation(raw / np.linalg.norm(raw), cost=1)
+        if target == "complex":  # a complex start reflecting a real state makes it complex
+            phases = np.exp(1j * SeededRng(seed, 4).generator.uniform(0.0, 6.0, size=dimension))
+            prep = amplify.StatePreparation(
+                dimension, forward=lambda s: StateVector._wrap(phases * real.forward(s).amps),
+                inverse=real.inverse)
+    steps = data.draw(st.lists(st.sampled_from(_PENDING_STEPS), min_size=1, max_size=30))
+    for number, step in enumerate(steps):
+        # unsorted marks with duplicates
+        marked = data.draw(st.lists(st.integers(0, dimension - 1), max_size=2 * dimension))
+        if step == "flip":
+            apply_phase_flip(state, marked, oracle)
+            reference = _eager_flip(reference, marked)
+        elif step == "diffuse":
+            apply_diffusion(state)
+            reference = _eager_diffusion(reference)
+        elif step == "amplify":
+            amplify.amplification_round(state, prep, marked, oracle)
+            start = prep.start
+            reference = reference.astype(np.result_type(reference, start))
+            reference = _eager_reflection(_eager_flip(reference, marked), start)
+        elif step == "copy":
+            kept, state = state, state.copy()
+            assert state._carry is None and state._axis is None
+            assert np.array_equal(kept.amps, state.amps) and kept.amps is not state.amps
+        elif step == "read":
+            assert np.abs(state.amps - reference).max() <= 1e-12
+            assert state.amps.dtype == reference.dtype
+        elif step == "rotate":
+            apply_phase_rotation(state, marked, 0.73, oracle)
+            reference = reference.astype(np.complex128)
+            reference[np.unique(np.asarray(marked, dtype=np.int64))] *= np.exp(0.73j)
+        elif step == "rotate diffusion":
+            apply_diffusion_rotation(state, 2.1)
+            reference = reference + (np.exp(2.1j) - 1.0) * reference.mean()
+        else:
+            draws = (SeededRng(seed, 5).split(number), SeededRng(seed, 5).split(number))
+            assert measure(state, draws[0]) == measure(StateVector._wrap(reference), draws[1])
+        assert np.abs(_pending_amps(state) - reference).max() <= 1e-12
+        if state._carry is not None:
+            axis = np.ones(dimension) if state._axis is None else state._axis
+            assert abs(state._carry - np.vdot(axis, reference)) <= 1e-12 * dimension
+
+
+@pytest.mark.parametrize("kind", ["grover", "amplification"])
+@pytest.mark.parametrize("interrupt", ["read", "copy"])
+def test_a_read_in_the_middle_of_a_search_leaves_later_rounds_alone(kind, interrupt):
+    dimension = 1024
+    marked = sim._as_index_array([3, 700, 701], dimension)
+    oracle = BitOracle(sim.marked_mask(marked, dimension))
+    prep = amplify.uniform_preparation(dimension)
+
+    def step(state):
+        if kind == "grover":
+            return apply_diffusion(apply_phase_flip(state, marked, oracle))
+        return amplify.amplification_round(state, prep, marked, oracle)
+
+    read, unread = (StateVector._wrap(prep.start.copy()) for _ in range(2))
+    for _ in range(20):
+        step(read)
+        step(unread)
+    states = [read]
+    if interrupt == "copy":
+        states.append(read.copy())  # the copy and the original both go on
+    middle = read.amps.copy()
+    for _ in range(20):
+        for state in states + [unread]:
+            step(state)
+    for state in states:
+        assert np.abs(state.amps - unread.amps).max() <= 1e-12
+    assert np.abs(middle - unread.amps).max() > 0.1  # the rounds went on after the read
+
+
+def test_rounds_allocate_nothing_of_the_state_size():
+    dimension = 2**16
+    marked = sim._as_index_array([1, dimension - 2], dimension)
+    oracle = BitOracle(sim.marked_mask(marked, dimension))
+    prep = amplify.uniform_preparation(dimension)
+    grover_state, amplified = uniform_state(dimension), StateVector._wrap(prep.start.copy())
+    rounds = {
+        "grover": lambda: apply_diffusion(apply_phase_flip(grover_state, marked, oracle)),
+        "amplification": lambda: amplify.amplification_round(amplified, prep, marked, oracle),
+    }
+    for name, step in rounds.items():
+        tracemalloc.start()
+        try:
+            for _ in range(3):  # the first round also sums the state once
+                step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.01 * dimension * 8, (name, peak)
 
 
 _CARRY_STEPS = ("flip", "diffuse", "copy")
@@ -567,14 +729,26 @@ def test_constructed_and_copied_states_carry_nothing():
         carrying().copy(),
         apply_phase_rotation(carrying(), [1], 0.3, oracle),
         apply_diffusion_rotation(carrying(), 0.3),
-        amplify.amplification_round(carrying(), prep, np.array([1]), oracle),
         apply_phase_flip(uniform_state(4), [1], oracle),
     )
-    assert all(state._carry is None for state in built)
-    # stepped in place, a carrying state keeps carrying
+    # each holds its amplitudes as they are: no pending reflection, no axis
+    for state in built:
+        assert state._carry is None and state._axis is None
+        assert (state._sign, state._beta) == (1.0, 0.0)
+    # stepped in place, a carrying state keeps carrying, and a read leaves the
+    # carry as it is
     carried = carrying()
+    assert carried._sign == -1.0  # its reflection is pending
+    carry = carried._carry
+    assert carried.amps.sum() == pytest.approx(carry, abs=1e-15)
+    assert carried._carry == carry and (carried._sign, carried._beta) == (1.0, 0.0)
     assert apply_phase_flip(carried, [2], oracle) is carried and carried._carry is not None
     assert apply_diffusion(carried) is carried and carried._carry is not None
+    # an amplification round carries <s|a> about its start state s instead
+    amplified = amplify.amplification_round(carrying(), prep, np.array([1]), oracle)
+    assert amplified._axis is prep.start
+    assert amplified._carry == pytest.approx(np.vdot(prep.start, amplified.amps), abs=1e-15)
+    assert apply_diffusion(amplified)._axis is None  # another axis: written out first
 
 
 def test_callers_edit_amplitudes_in_place_on_a_copy():
