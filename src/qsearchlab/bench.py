@@ -4,10 +4,14 @@ Every experiment is a pure function of (size, rng, params), so records are
 reproducible from the config alone and independent of worker scheduling.
 The wall-time column is for performance watching only; determinism checks
 must strip it.
+
+`write_records` is the one record writer: `emit` and the CLI write through it.
+Records stream from `iter_records` to `summarize`, which keeps per-size tallies.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import math
@@ -15,7 +19,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +41,7 @@ __all__ = [
     "run_experiment",
     "fit_exponent",
     "mean_cost_points",
+    "write_records",
     "emit",
     "load_records",
     "summarize",
@@ -44,6 +49,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "experiment,size,trial,seed,queries,steps,success,ms"
+MAX_SIZE_COUNT = 10_000  # sizes one parse_sizes call may return
+# trials in flight per worker: keeps each busy, and memory off the trial count
+JOBS_WINDOW_PER_WORKER = 4
 _FORMATS = {"csv": "csv", "jsonl": "jsonl", "json-lines": "jsonl"}
 
 
@@ -60,13 +68,6 @@ def _normalize_format(fmt: str) -> str:
     if normalized is None:
         raise UsageError(f"format must be csv or jsonl, got {fmt!r}")
     return normalized
-
-
-def _check_jobs(jobs: int) -> None:
-    # more workers than cores only oversubscribes the machine
-    limit = os.cpu_count() or 1
-    if not 1 <= jobs <= limit:
-        raise UsageError(f"jobs must be in [1, {limit}] (the cpu count), got {jobs}")
 
 
 @dataclass(frozen=True)
@@ -263,6 +264,7 @@ class Experiment:
     expected_exponent: Optional[float]
     default_sizes: Tuple[int, ...]
     runner: Callable[[int, SeededRng, Mapping[str, float]], Tuple[float, int, bool]]
+    params: Tuple[str, ...] = ()  # the keys the runner reads from its params mapping
 
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -274,6 +276,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             0.5,
             (64, 128, 256, 512, 1024),
             _trial_grover_scaling,
+            params=("marked_count",),
         ),
         Experiment(
             "grover-certain",
@@ -281,6 +284,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             0.5,
             (64, 128, 256, 512, 1024),
             _trial_grover_certain,
+            params=("marked_count",),
         ),
         Experiment(
             "grover-unknown",
@@ -289,6 +293,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             0.5,
             (64, 128, 256, 512, 1024),
             _trial_grover_unknown,
+            params=("marked_count",),
         ),
         Experiment(
             "amplify-uniform",
@@ -320,6 +325,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             0.75,
             (16, 64, 256, 1024),
             _trial_ed_hybrid,
+            params=("single_run_floor",),
         ),
         Experiment(
             "ed-walk",
@@ -328,6 +334,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             None,
             (6, 8, 10, 12),
             _trial_ed_walk,
+            params=("subset_size",),
         ),
         Experiment(
             "sat-schoening",
@@ -336,6 +343,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             None,
             (8, 10, 12),
             _trial_sat_schoening,
+            params=("walk_trials",),
         ),
         Experiment(
             "walk-grid-2d",
@@ -344,6 +352,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             0.6,
             (64, 256, 1024),
             _trial_walk_grid_2d,
+            params=("step_budget",),
         ),
         Experiment(
             "walk-grid-3d",
@@ -351,6 +360,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             0.55,
             (64, 216, 512),
             _trial_walk_grid_3d,
+            params=("step_budget",),
         ),
         Experiment(
             "walk-szegedy-cycle",
@@ -421,12 +431,22 @@ class ExperimentConfig:
             raise UsageError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise UsageError("seed must be non-negative")
-        _check_jobs(self.jobs)
+        limit = os.cpu_count() or 1  # more workers than cores only oversubscribes the machine
+        if not 1 <= self.jobs <= limit:
+            raise UsageError(f"jobs must be in [1, {limit}] (the cpu count), got {self.jobs}")
         object.__setattr__(self, "format", _normalize_format(self.format))
+        known = EXPERIMENTS[self.experiment].params
+        unknown = sorted(set(self.params) - set(known))
+        if unknown:
+            raise UsageError(f"{self.experiment} reads no parameter {unknown}; "
+                             f"valid parameters: {', '.join(known) or 'none'}")
 
 
 def parse_sizes(text: str) -> Tuple[int, ...]:
-    """Comma-separated sizes; a..b:step spans an inclusive arithmetic range."""
+    """Comma-separated sizes; a..b:step spans an inclusive arithmetic range.
+
+    A range is counted before it is expanded: past MAX_SIZE_COUNT it is refused.
+    """
     sizes: set[int] = set()
     for token in text.split(","):
         token = token.strip()
@@ -440,22 +460,25 @@ def parse_sizes(text: str) -> Tuple[int, ...]:
                 step = int(step_text) if step_text else 1
                 if step < 1 or high < low:
                     raise ValueError
-                sizes.update(range(low, high + 1, step))
             else:
-                sizes.add(int(token))
+                low = high = int(token)
+                step = 1
         except ValueError:
             raise UsageError(
                 f"bad size token {token!r}; use N or a..b:step"
             ) from None
+        if len(sizes) + (high - low) // step + 1 > MAX_SIZE_COUNT:
+            raise UsageError(f"more than {MAX_SIZE_COUNT} sizes requested, at {token!r}")
+        sizes.update(range(low, high + 1, step))
     if not sizes:
         raise UsageError("no sizes given")
     return tuple(sorted(sizes))
 
 
-def load_config(path: Union[str, Path], overrides: Optional[Mapping[str, object]] = None) -> ExperimentConfig:
-    """Read key=value lines ('#' comments); unknown keys become runner params."""
-    text = Path(path).read_text(encoding="utf-8")
-    raw: dict[str, str] = {}
+def load_config(path: Union[str, Path, None] = None, overrides: Optional[Mapping[str, object]] = None) -> ExperimentConfig:
+    """Read key=value lines ('#' comments) from path, if any, then overrides; other keys are runner params."""
+    merged: dict[str, object] = {}
+    text = "" if path is None else Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -463,8 +486,7 @@ def load_config(path: Union[str, Path], overrides: Optional[Mapping[str, object]
         if "=" not in body:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {body!r}")
         key, _, value = body.partition("=")
-        raw[key.strip()] = value.strip()
-    merged: dict[str, object] = dict(raw)
+        merged[key.strip()] = value.strip()
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
     params: dict[str, float] = {}
@@ -485,54 +507,53 @@ def load_config(path: Union[str, Path], overrides: Optional[Mapping[str, object]
             except (TypeError, ValueError):
                 raise UsageError(f"parameter {key!r} must be numeric, got {value!r}") from None
     if "experiment" not in kwargs:
-        raise UsageError("config must name an experiment")
+        raise UsageError("name an experiment; valid names: " + ", ".join(experiment_names()))
     return ExperimentConfig(params=params, **kwargs)
 
 
 def _trial_worker(payload):
     name, size_index, size, trial, master_seed, param_items = payload
-    spec = EXPERIMENTS[name]
     rng = SeededRng(master_seed, size_index).split(trial)
+    # the seed column is the first word of the trial generator's own seed sequence
+    seed_value = int(rng.generator.bit_generator.seed_seq.generate_state(1)[0])
     started = time.perf_counter()
-    queries, steps, success = spec.runner(size, rng, dict(param_items))
+    queries, steps, success = EXPERIMENTS[name].runner(size, rng, dict(param_items))
     ms = round((time.perf_counter() - started) * 1000.0, 3)
-    seed_value = int(
-        np.random.SeedSequence(master_seed, spawn_key=(size_index, trial)).generate_state(1)[0]
-    )
     return (name, size, trial, seed_value, float(queries), int(steps), bool(success), ms)
 
 
-def iter_records(config: ExperimentConfig, jobs: Optional[int] = None) -> Iterator[ExperimentRecord]:
+def iter_records(config: ExperimentConfig) -> Iterator[ExperimentRecord]:
     """Yield records in (size, trial) order; order is scheduling-independent.
 
-    A `jobs` override is held to the config's limits: 1 up to the cpu count.
+    Payloads are built as they are due. With config.jobs > 1 at most
+    JOBS_WINDOW_PER_WORKER trials per worker are in flight at a time.
     """
-    jobs = config.jobs if jobs is None else jobs
-    _check_jobs(jobs)
     param_items = tuple(sorted(config.params.items()))
-    payloads = [
+    payloads = (
         (config.experiment, size_index, size, trial, config.seed, param_items)
         for size_index, size in enumerate(config.sizes)
         for trial in range(config.trials)
-    ]
-    if jobs == 1:
-        results = map(_trial_worker, payloads)
-    else:
-        # imported here so that a one-process run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        results = pool.map(_trial_worker, payloads)
-    try:
-        for row in results:
+    )
+    if config.jobs == 1:
+        for row in map(_trial_worker, payloads):
             yield ExperimentRecord(*row)
-    finally:
-        if jobs > 1:
-            pool.shutdown()
+        return
+    # imported here so that a one-process run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    window = JOBS_WINDOW_PER_WORKER * config.jobs
+    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        pending = collections.deque()
+        for payload in payloads:
+            pending.append(pool.submit(_trial_worker, payload))
+            if len(pending) == window:
+                yield ExperimentRecord(*pending.popleft().result())
+        while pending:
+            yield ExperimentRecord(*pending.popleft().result())
 
 
-def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> list[ExperimentRecord]:
-    return list(iter_records(config, jobs))
+def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
+    return list(iter_records(config))
 
 
 # ---------------------------------------------------------------------------
@@ -574,14 +595,27 @@ def record_line(record: ExperimentRecord, fmt: str) -> str:
     raise UsageError(f"format must be csv or jsonl, got {fmt!r}")
 
 
+def write_records(
+    records: Iterable[ExperimentRecord], fmt: str, handle: TextIO
+) -> Iterator[ExperimentRecord]:
+    """Write each record as a flushed line and yield it on; CSV gets the fixed header.
+
+    Nothing is written until the result is iterated.
+    """
+    fmt = _normalize_format(fmt)
+    if fmt == "csv":
+        handle.write(CSV_HEADER + "\n")
+    for record in records:
+        handle.write(record_line(record, fmt) + "\n")
+        handle.flush()
+        yield record
+
+
 def emit(records: Iterable[ExperimentRecord], fmt: str, path: Union[str, Path]) -> None:
     """Write records to path; CSV gets the fixed header, both end in newline."""
-    fmt = _normalize_format(fmt)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        if fmt == "csv":
-            handle.write(CSV_HEADER + "\n")
-        for record in records:
-            handle.write(record_line(record, fmt) + "\n")
+        for _ in write_records(records, fmt, handle):
+            pass
 
 
 def _parse_bool(text: str) -> bool:
@@ -645,21 +679,29 @@ def fit_exponent(points: Iterable[Tuple[float, float]]) -> ScalingFit:
     )
 
 
-def mean_cost_points(records: Sequence[ExperimentRecord]) -> list[Tuple[int, float]]:
-    """Per-size mean queries, sorted by size."""
-    by_size: dict[int, list[float]] = {}
-    for record in records:
-        by_size.setdefault(record.size, []).append(record.queries)
-    return [(size, float(np.mean(by_size[size]))) for size in sorted(by_size)]
+def _tally(keyed: Iterable[Tuple[object, ExperimentRecord]]) -> dict:
+    """One pass over (key, record) pairs: key -> [trials, successes, summed queries]."""
+    tallies: dict = {}
+    for key, record in keyed:
+        tally = tallies.setdefault(key, [0, 0, 0.0])
+        tally[0] += 1
+        tally[1] += record.success
+        tally[2] += record.queries
+    return tallies
 
 
-def summarize(records: Sequence[ExperimentRecord]) -> str:
-    """Per-experiment block: the targeted claim next to the fitted exponent."""
+def mean_cost_points(records: Iterable[ExperimentRecord]) -> list[Tuple[int, float]]:
+    """Per-size mean queries, sorted by size, read in one pass."""
+    tallies = _tally((record.size, record) for record in records)
+    return [(size, total / trials) for size, (trials, _, total) in sorted(tallies.items())]
+
+
+def summarize(records: Iterable[ExperimentRecord]) -> str:
+    """Per-experiment block: the targeted claim next to the fitted exponent, in one pass."""
+    tallies = _tally(((record.experiment, record.size), record) for record in records)
     lines = []
-    names = sorted({r.experiment for r in records})
-    for name in names:
+    for name in sorted({name for name, _ in tallies}):
         spec = EXPERIMENTS.get(name)
-        subset = [r for r in records if r.experiment == name]
         lines.append(f"experiment {name}")
         if spec is not None:
             expected = (
@@ -668,16 +710,14 @@ def summarize(records: Sequence[ExperimentRecord]) -> str:
                 else ""
             )
             lines.append(f"  claim: {spec.claim}{expected}")
-        points = mean_cost_points(subset)
-        trials = {r.size: 0 for r in subset}
-        hits = {r.size: 0 for r in subset}
-        for r in subset:
-            trials[r.size] += 1
-            hits[r.size] += int(r.success)
-        for size, mean_cost in points:
+        points = []
+        for (_, size), (trials, hits, total) in sorted(
+            item for item in tallies.items() if item[0][0] == name
+        ):
+            points.append((size, total / trials))
             lines.append(
-                f"  size {size}: mean queries {mean_cost:.6g} over {trials[size]} trials, "
-                f"success {hits[size]}/{trials[size]}"
+                f"  size {size}: mean queries {total / trials:.6g} over {trials} trials, "
+                f"success {hits}/{trials}"
             )
         if len(points) >= 3 and all(cost > 0 for _, cost in points):
             fit = fit_exponent(points)

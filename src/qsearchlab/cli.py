@@ -6,6 +6,8 @@ Exit codes: 0 success, 2 usage or size errors, 3 selftest threshold failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import sys
 from typing import Optional, Sequence
 
@@ -67,43 +69,21 @@ def _cmd_run(args) -> int:
     flags = {key: getattr(args, key)
              for key in ("sizes", "trials", "seed", "out", "format", "jobs")
              if getattr(args, key) is not None}
-    if args.config is not None:
-        if args.experiment == "all":
+    names = (args.experiment,)
+    if args.experiment == "all":
+        if args.config is not None:
             raise UsageError("'all' cannot be combined with a config file")
-        configs = [bench.load_config(args.config, dict(flags, experiment=args.experiment))]
-    else:
-        if not args.experiment:
-            raise UsageError(
-                "name an experiment with --experiment or a config file; "
-                "valid names: " + ", ".join(bench.experiment_names())
-            )
-        names = (
-            bench.experiment_names()
-            if args.experiment == "all"
-            else (args.experiment,)
-        )
-        if "sizes" in flags:
-            flags["sizes"] = bench.parse_sizes(flags["sizes"])
-        configs = [bench.ExperimentConfig(experiment=name, **flags) for name in names]
-
-    fmt = configs[0].format
+        names = bench.experiment_names()
+    configs = [bench.load_config(args.config, dict(flags, experiment=name)) for name in names]
+    records = itertools.chain.from_iterable(map(bench.iter_records, configs))
     out_path = configs[0].out
-    handle = open(out_path, "w", encoding="utf-8", newline="\n") if out_path else sys.stdout
-    records = []
-    try:
-        if fmt == "csv":
-            handle.write(bench.CSV_HEADER + "\n")
-        for config in configs:
-            for record in bench.iter_records(config):
-                handle.write(bench.record_line(record, fmt) + "\n")
-                if handle is sys.stdout:
-                    handle.flush()
-                records.append(record)
-    finally:
-        if out_path:
-            handle.close()
+    output = (open(out_path, "w", encoding="utf-8", newline="\n") if out_path
+              else contextlib.nullcontext(sys.stdout))
+    with output as handle:
+        # the summary's one pass drives the run; the records pass through the writer
+        summary = bench.summarize(bench.write_records(records, configs[0].format, handle))
     if not args.no_summary:
-        print(bench.summarize(records), file=sys.stderr)
+        print(summary, file=sys.stderr)
     return 0
 
 

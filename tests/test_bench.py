@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -13,6 +14,7 @@ import tracemalloc
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,13 +90,13 @@ def test_load_config_with_overrides(tmp_path):
         "experiment = grover-scaling\n"
         "sizes = 4,16   # small\n"
         "trials = 3\n"
-        "marked = 2\n"
+        "marked_count = 2\n"
     )
     cfg = load_config(path)
     assert cfg.experiment == "grover-scaling"
     assert cfg.sizes == (4, 16)
     assert cfg.trials == 3
-    assert cfg.params == {"marked": 2.0}
+    assert cfg.params == {"marked_count": 2.0}
 
     cfg2 = load_config(path, overrides={"trials": 7, "seed": None})
     assert cfg2.trials == 7
@@ -104,12 +106,51 @@ def test_load_config_with_overrides(tmp_path):
     bad.write_text("experiment grover-scaling\n")
     with pytest.raises(UsageError):
         load_config(bad)
-    bad.write_text("experiment = grover-scaling\nmarked = two\n")
+    bad.write_text("experiment = grover-scaling\nmarked_count = two\n")
     with pytest.raises(UsageError):
         load_config(bad)
     bad.write_text("sizes = 4,16\n")
     with pytest.raises(UsageError):
         load_config(bad)
+    # without a path the overrides alone make the config, as for a flag-only run
+    cfg3 = load_config(None, {"experiment": "walk-grid-2d", "sizes": "64,256", "step_budget": 9})
+    assert (cfg3.experiment, cfg3.sizes, cfg3.params) == ("walk-grid-2d", (64, 256), {"step_budget": 9.0})
+    with pytest.raises(UsageError, match="valid names"):
+        load_config(None, {"trials": 3})
+
+
+def test_misspelled_runner_param_is_refused(tmp_path, capsys):
+    with pytest.raises(UsageError, match="marked_count"):
+        ExperimentConfig(experiment="grover-scaling", params={"marked_cont": 4.0})
+    with pytest.raises(UsageError, match="none"):
+        ExperimentConfig(experiment="classical-scan", params={"marked_count": 2.0})
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("experiment = grover-scaling\nsizes = 4,16\nmarked_cont = 4\n")
+    assert main(["run", str(cfg), "--no-summary"]) == 2
+    assert "valid parameters: marked_count" in capsys.readouterr().err
+
+
+def test_each_runner_reads_exactly_its_listed_params():
+    class Recording(dict):
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+    for spec in bench.EXPERIMENTS.values():
+        read = set()
+        spec.runner(spec.default_sizes[0], SeededRng(0, 0).split(0), Recording())
+        assert read == set(spec.params), spec.name
+
+
+def test_size_range_over_the_cap_exits_2_before_expanding(capsys):
+    with _peak_bytes() as peak:
+        assert main(["run", "--experiment", "grover-scaling",
+                     "--sizes", "1..1000000000000", "--no-summary"]) == 2
+    assert peak[0] < 2**20
+    assert f"more than {bench.MAX_SIZE_COUNT} sizes" in capsys.readouterr().err
+    assert len(parse_sizes(f"1..{bench.MAX_SIZE_COUNT}")) == bench.MAX_SIZE_COUNT
+    with pytest.raises(UsageError):
+        parse_sizes(f"1..{bench.MAX_SIZE_COUNT},{bench.MAX_SIZE_COUNT + 1}")
 
 
 # ------------------------------------------------------------------ running
@@ -131,14 +172,11 @@ def test_jobs_capped_at_cpu_count_without_starting_processes(monkeypatch):
     monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
     # bench imports the pool class only when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    for bad in (0, 3, 10**6):
-        with pytest.raises(UsageError):
-            ExperimentConfig(experiment="grover-scaling", jobs=bad)
-    cfg = ExperimentConfig(experiment="grover-scaling", sizes=(4,), trials=1, jobs=2)
     for bad in (0, -1, 3, 10**6):
         with pytest.raises(UsageError):
-            run_experiment(cfg, jobs=bad)
-    assert len(run_experiment(cfg, jobs=1)) == 1
+            ExperimentConfig(experiment="grover-scaling", jobs=bad)
+    ExperimentConfig(experiment="grover-scaling", jobs=2)
+    assert len(run_experiment(ExperimentConfig(experiment="grover-scaling", sizes=(4,), trials=1))) == 1
     monkeypatch.setattr(bench.os, "cpu_count", lambda: None)  # unknown: one worker
     with pytest.raises(UsageError):
         ExperimentConfig(experiment="grover-scaling", jobs=2)
@@ -277,9 +315,51 @@ def test_grid_trials_of_one_size_share_one_grid(monkeypatch):
 
 def test_parallel_run_matches_serial():
     cfg = ExperimentConfig(experiment="min-scaling", sizes=(64, 128), trials=3, seed=11)
-    serial = [r.without_ms() for r in run_experiment(cfg, jobs=1)]
-    parallel = [r.without_ms() for r in run_experiment(cfg, jobs=2)]
+    serial = [r.without_ms() for r in run_experiment(cfg)]
+    parallel = [r.without_ms() for r in run_experiment(dataclasses.replace(cfg, jobs=2))]
     assert serial == parallel
+
+
+class _CountingExecutor:
+    """Stands in for the process pool: runs each submission at once, in
+    process, and counts the submissions whose result is not yet read."""
+
+    def __init__(self, max_workers):
+        self.in_flight = self.most_in_flight = self.submitted = 0
+        _CountingExecutor.last = self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        self.in_flight += 1
+        self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        return _Done(self, fn(*args))
+
+
+class _Done:
+    def __init__(self, pool, value):
+        self.pool, self.value = pool, value
+
+    def result(self):
+        self.pool.in_flight -= 1
+        return self.value
+
+
+def test_parallel_run_keeps_a_bounded_window_in_order(monkeypatch):
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingExecutor)
+    cfg = ExperimentConfig(experiment="grover-scaling", sizes=(4, 16), trials=40, seed=5)
+    serial = [r.without_ms() for r in run_experiment(cfg)]
+    parallel = [r.without_ms() for r in run_experiment(dataclasses.replace(cfg, jobs=2))]
+    assert parallel == serial
+    pool = _CountingExecutor.last
+    assert pool.submitted == 80 and pool.in_flight == 0
+    assert pool.most_in_flight == 2 * bench.JOBS_WINDOW_PER_WORKER
 
 
 # -------------------------------------------------------------- serialization
@@ -403,6 +483,66 @@ def test_cli_flag_only_run(tmp_path):
         experiment="grover-scaling", sizes=(4, 16), trials=trials, seed=0))
     assert len(expected) == 2 * trials
     assert [r.without_ms() for r in load_records(bare)] == [r.without_ms() for r in expected]
+
+
+def _list_summary(records) -> str:
+    """Reference for summarize: the list-based version it replaced."""
+    lines = []
+    for name in sorted({r.experiment for r in records}):
+        spec = bench.EXPERIMENTS.get(name)
+        subset = [r for r in records if r.experiment == name]
+        lines.append(f"experiment {name}")
+        if spec is not None:
+            expected = (f" (expected exponent {spec.expected_exponent:.3g})"
+                        if spec.expected_exponent is not None else "")
+            lines.append(f"  claim: {spec.claim}{expected}")
+        by_size = {}
+        for r in subset:
+            by_size.setdefault(r.size, []).append(r)
+        points = [(size, float(np.mean([r.queries for r in by_size[size]])))
+                  for size in sorted(by_size)]
+        for size, mean_cost in points:
+            trials = len(by_size[size])
+            hits = sum(int(r.success) for r in by_size[size])
+            lines.append(f"  size {size}: mean queries {mean_cost:.6g} over {trials} trials, "
+                         f"success {hits}/{trials}")
+        if len(points) >= 3 and all(cost > 0 for _, cost in points):
+            fit = fit_exponent(points)
+            lines.append(
+                f"  fitted exponent {fit.slope:.4f} "
+                f"(intercept {fit.intercept:.3f}, residual rms {fit.residual_rms:.4f}) "
+                f"over sizes {int(fit.size_range[0])}..{int(fit.size_range[1])}")
+        else:
+            lines.append("  fitted exponent: n/a (need 3 positive size means)")
+    return "\n".join(lines)
+
+
+def test_one_pass_summary_matches_the_list_summary(tmp_path, capsys):
+    records = [record for name in experiment_names()
+               for record in bench.iter_records(ExperimentConfig(experiment=name, trials=3, seed=0))]
+    assert len(records) == 192
+    assert summarize(iter(records)) == _list_summary(records)
+    out = tmp_path / "jobs.csv"
+    assert main(["run", "-e", "min-scaling", "--sizes", "64,128,256", "--trials", "4",
+                 "--seed", "3", "--jobs", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == _list_summary(load_records(out)) + "\n"
+
+
+def test_cli_run_peak_memory_does_not_grow_with_trials(tmp_path, capsys):
+    def peak(trials):
+        args = ["run", "--experiment", "classical-scan", "--sizes", "64",
+                "--trials", str(trials), "--seed", "0", "--out", str(tmp_path / "scan.csv")]
+        with _peak_bytes() as traced:
+            assert main(args) == 0
+        assert f"over {trials} trials" in capsys.readouterr().err
+        return traced[0]
+
+    # the first run fills the grid cache, the lazy imports and a cache inside
+    # numpy's reductions that stops growing after about 1,800 trials
+    peak(2_000)
+    small = peak(2_000)
+    # about 400 B a record would be 7 MB more at 20,000 trials
+    assert peak(20_000) <= small + 64 * 2**10
 
 
 def test_cli_usage_errors_exit_two(tmp_path, capsys):
