@@ -44,8 +44,8 @@ GROVER_UNKNOWN_COST_FACTOR = 3.0
 # while staying far above the 0.5*(3/4)^n walk floor at desk scale.
 PLANTED_DENSITY = 8.0
 # Planted formulas stop at this many variables.  A sat-schoening trial
-# grows as about n^2 (one BLAS thread, seed 0: 4.7 ms at 12 variables, 66 ms
-# at 80, 0.33 s at 160, 1.26 s at 320), so the cap costs about 3.3 s a
+# grows as about n^2 (one BLAS thread, seed 0: 1.2 ms at 12 variables, 24 ms
+# at 80, 0.12 s at 160, 0.44 s at 320), so the cap costs about 1.1 s a
 # trial; from 80 variables on every trial was inconclusive.
 MAX_SAT_VARIABLES = 512
 
@@ -123,7 +123,12 @@ def random_planted_formula(
     """Random 3-CNF guaranteed satisfiable by a hidden planted assignment.
 
     Clause variable triples are drawn distinct and uniform; signs are
-    resampled until the planted assignment satisfies the clause.
+    resampled until the planted assignment satisfies the clause.  The draws
+    are those of `integers(0, 2, size=variable_count)` for the plant, then
+    per clause `choice(variable_count, 3, replace=False)` and
+    `integers(0, 2, size=3)` until the signs fit, decoded from raw words by
+    `sim.RawDraws` (its docstring gives the rules); the generator is left
+    where those calls leave it.
     """
     if variable_count < 3:
         raise ParameterError("planted formulas need at least 3 variables")
@@ -134,20 +139,28 @@ def random_planted_formula(
             f"{variable_count} variables exceed the desk-scale cap {MAX_SAT_VARIABLES}")
     clause_count = max(1, round(density * variable_count))
     sim.check_state_size(3 * clause_count)
-    gen = rng.generator
-    planted = gen.integers(0, 2, size=variable_count)
-    plant = planted.tolist()
+    n = variable_count
+    reader = sim.RawDraws(rng.generator.bit_generator)
+    plant = reader.take([2] * n)
+    # Floyd's three draws, the two shuffle draws, then three signs
+    clause_bounds = (n - 2, n - 1, n, 3, 2, 2, 2, 2)
     clauses = []
     for _ in range(clause_count):
-        variables = gen.choice(variable_count, size=3, replace=False).tolist()
+        a, b, c, swap2, swap1, *negs = reader.take(clause_bounds)
+        if b == a:
+            b = n - 2
+        if c == a or c == b:
+            c = n - 1
+        variables = [a, b, c]
+        variables[swap2], variables[2] = variables[2], variables[swap2]
+        variables[swap1], variables[1] = variables[1], variables[swap1]
         # the one sign triple under which the plant falsifies the clause
         falsifying = [plant[v] for v in variables]
-        while True:
-            negs = gen.integers(0, 2, size=3).tolist()
-            if negs != falsifying:
-                break
+        while negs == falsifying:
+            negs = reader.take(clause_bounds[5:])
         clauses.append(tuple(zip(variables, map(bool, negs))))
-    return Cnf3Formula(variable_count, tuple(clauses)), planted.astype(bool)
+    reader.place()
+    return Cnf3Formula(variable_count, tuple(clauses)), np.array(plant, dtype=bool)
 
 
 def schoening_run(formula: Cnf3Formula, rng: SeededRng) -> Optional[np.ndarray]:

@@ -106,8 +106,8 @@ def _random_values(size: int, rng: SeededRng) -> np.ndarray:
 def _single_marked_oracle(size: int, rng: SeededRng, marked_count: int = 1):
     sim.check_state_size(size)  # before the bit table, the first size-long array
     targets = rng.generator.choice(size, size=marked_count, replace=False)
-    bits = np.zeros(size, dtype=np.uint8)
-    bits[targets] = 1
+    bits = np.zeros(size, dtype=bool)  # a bool mask skips BitOracle's 0/1 check
+    bits[targets] = True
     return bits, sim.BitOracle(bits)
 
 

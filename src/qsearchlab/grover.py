@@ -4,22 +4,9 @@ Three entry points: fixed-count search for a known number of marked items,
 an exact-certainty variant with one phase-tuned final round, and a
 randomized schedule for an unknown marked count.
 
-The randomized schedule's plan is decoded from raw PCG64 words
-(`bit_generator.random_raw`) by the rules numpy's `Generator` draws with,
-so records match scalar `integers(0, hi)` and `random()` calls:
-
-- `integers(0, hi)` with 1 < hi <= 2**32 is Lemire's method on one uint32:
-  the product u * hi is kept when its low 32 bits are at least 2**32 % hi,
-  and its high 32 bits are the draw.  The uint32 is the bit generator's
-  buffered half (`has_uint32`, `uinteger`) when one is set; otherwise the
-  low half of a fresh word, whose high half is then buffered.  Past 2**32
-  the same test runs on whole words at 64 bits, and `integers(0, 1)` reads
-  nothing.
-- `random()` is (w >> 11) * 2**-53 of one fresh word; it leaves the
-  buffered half alone, as `random_raw` does.
-
-`tests/test_grover.py::test_plan_decodes_the_scalar_draws` pins both rules,
-and the generator state after every prefix of a plan, against numpy.
+The randomized schedule's plan is decoded from raw PCG64 words through
+`sim.RawDraws`, so records match scalar `integers(0, hi)` and `random()`
+calls; the reader's docstring gives numpy's draw rules.
 """
 
 from __future__ import annotations
@@ -59,9 +46,6 @@ SCHEDULE_GROWTH = 6.0 / 5.0
 # absent; calibrated so one search misses an existing item with probability
 # well under 1/20 while the absent case still costs O(sqrt(size)).
 UNKNOWN_BUDGET_FACTOR = 9.0
-# Raw generator words read per call while a restart plan is decoded; over
-# criterion 05's 13,590 plans this took 13,751 reads.
-PLAN_WORDS = 64
 
 
 @dataclass(frozen=True)
@@ -234,61 +218,39 @@ def _plan(bit_generator, cap: float, budget: int):
     Each attempt draws its round count uniformly below a ceiling that starts
     at 1 and grows by SCHEDULE_GROWTH up to `cap`, then the draw that will
     measure it.  An attempt spends its rounds plus one verification from
-    `budget`; the plan ends once the budget is spent.  The words are read in
-    blocks of PLAN_WORDS and decoded exactly as `integers(0, hi)` and
-    `random()` of a `Generator` on `bit_generator` would draw them, one after
-    the other (see the module docstring).  Returns the generator state at
-    entry, the round counts, the draws, and for each attempt where its draws
-    end: (words read, has_uint32, uinteger).  The generator is left past the
-    last block read; `_place` sets it just past any attempt.
+    `budget`; the plan ends once the budget is spent.  The draws are
+    `integers(0, hi)` and `random()` of a `Generator` on `bit_generator`,
+    one after the other, decoded by `sim.RawDraws`.  Returns the generator
+    state at entry, the round counts, the draws, and for each attempt where
+    its draws end: (words read, has_uint32, uinteger).  The generator is
+    left past the last block read; `_place` sets it just past any attempt.
     """
-    entry = bit_generator.state
+    reader = sim.RawDraws(bit_generator)
     cap = max(cap, 1.0)
-    has, half = entry["has_uint32"], entry["uinteger"]
-    words, used = [], 0
-    rounds, draws, ends = [], [], []
+    top = math.ceil(cap)
+    taken, ends = [], []
     ceiling, spent = 1.0, 0
     while spent < budget:
-        hi = math.ceil(ceiling)
-        drawn = 0
-        if hi > 1:  # integers(0, 1) reads nothing
-            if hi > 1 << 63:
-                raise ParameterError(f"restart ceiling {hi} is past the int64 range")
-            bits = 32 if hi <= 1 << 32 else 64  # past 2**32, whole words
-            threshold = (1 << bits) % hi
-            while True:  # Lemire's rejection loop
-                if has and bits == 32:
-                    value, has = half, 0
-                else:
-                    if used == len(words):
-                        words += bit_generator.random_raw(PLAN_WORDS).tolist()
-                    value = words[used]
-                    used += 1
-                    if bits == 32:  # low half now, high half buffered
-                        value, half, has = value & 0xFFFFFFFF, value >> 32, 1
-                product = value * hi
-                if product & ((1 << bits) - 1) >= threshold:
-                    break
-            drawn = product >> bits
-        if used == len(words):
-            words += bit_generator.random_raw(PLAN_WORDS).tolist()
-        draws.append((words[used] >> 11) * 2.0**-53)
-        used += 1
-        rounds.append(drawn)
-        ends.append((used, has, half))
-        spent += drawn + 1
-        ceiling *= SCHEDULE_GROWTH
-        if ceiling > cap:
-            ceiling = cap
-    return entry, rounds, draws, ends
+        # an attempt below hi spends at most hi, so every attempt whose
+        # predecessors' bounds sum below the budget left is in the plan
+        bounds, room = [], budget - spent
+        while room > 0 and ceiling < cap:
+            hi = math.ceil(ceiling)
+            bounds += (hi, sim.UNIT)
+            room -= hi
+            ceiling *= SCHEDULE_GROWTH
+            if ceiling > cap:
+                ceiling = cap
+        if room > 0:  # the ceiling has reached the cap
+            bounds += (top, sim.UNIT) * -(-room // top)
+        chunk = reader.take(bounds, ends)
+        taken += chunk
+        spent += sum(chunk[::2]) + len(chunk) // 2
+    return reader.entry, taken[::2], taken[1::2], ends
 
 
-def _place(bit_generator, entry: dict, end: tuple) -> None:
-    """Set the generator to where the scalar draws up to one `_plan` end leave it."""
-    used, has, half = end
-    # random_raw leaves the buffered half alone, so it can be set first
-    bit_generator.state = dict(entry, has_uint32=has, uinteger=half)
-    bit_generator.random_raw(used)
+# Sets the generator to where the scalar draws up to one `_plan` end leave it.
+_place = sim.place_draws
 
 
 def _sweep_restarts(

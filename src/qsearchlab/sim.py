@@ -42,6 +42,10 @@ sampler: the walks measure their flat amplitude vectors through it too.
 STATE_BYTE_CAP is the package's one memory budget, and `check_state_size`
 its one check: states, Szegedy trajectories, dense chain matrices and bench
 value tables all pass it before their first size-driven array exists.
+
+`RawDraws` decodes a `Generator`'s scalar draws from its raw PCG64 words,
+by the rules in its docstring; the restart plan and the planted formulas
+draw through it.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ __all__ = [
     "SizeCapError",
     "UnsupportedModeError",
     "SeededRng",
+    "RawDraws",
+    "place_draws",
     "StateVector",
     "BitOracle",
     "ValueOracle",
@@ -97,6 +103,12 @@ BLOCK = 1024
 # entries and 0.18 (real) or 0.39 us (complex) for 16, and is the slower one
 # past about 64 real or 24 complex entries (one BLAS thread, numpy 2.4).
 SMALL_SUM = 16
+# Raw generator words a RawDraws reads per refill, so no read is sized by
+# the caller's input; over criterion 05's 13,590 restart plans this took
+# 13,751 reads.
+RAW_WORDS = 64
+# The bound that asks RawDraws.take for a unit draw, `random()`.
+UNIT = 0
 
 
 class ParameterError(ValueError):
@@ -159,6 +171,111 @@ class SeededRng:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         key = f", subkey={self._subkey}" if self._subkey else ""
         return f"SeededRng(master_seed={self.master_seed}, stream_id={self.stream_id}{key})"
+
+
+class RawDraws:
+    """Scalar draws of a numpy `Generator`, decoded from its raw PCG64 words.
+
+    `take` reads `bit_generator.random_raw` in blocks of RAW_WORDS and
+    decodes each draw as numpy 2's `Generator` on the same bit generator
+    would make it; `place` then sets the generator where those draws leave
+    it.  The rules:
+
+    - `integers(0, hi)` with 1 < hi <= 2**32 is Lemire's method on one
+      uint32: the product u * hi is kept when its low 32 bits are at least
+      2**32 % hi, and its high 32 bits are the draw.  The uint32 is the bit
+      generator's buffered half (`has_uint32`, `uinteger`) when one is set;
+      otherwise the low half of a fresh word, whose high half is then
+      buffered.  Past 2**32 the same test runs on whole words at 64 bits,
+      and `integers(0, 1)` reads nothing.
+    - `integers(0, 2, size=k)` is k such draws below 2, each the top bit of
+      its uint32 (a power of two is never rejected).
+    - `random()` is (w >> 11) * 2**-53 of one fresh word; it leaves the
+      buffered half alone, as `random_raw` does.
+    - `choice(n, 3, replace=False)` for n <= 10,000 is Floyd's algorithm:
+      draws below n - 2, n - 1 and n, where a draw already taken is replaced
+      by n - 3, n - 2 or n - 1 in turn.  A shuffle follows: a draw below 3
+      picks the slot that swaps with slot 2, then a draw below 2 the slot
+      that swaps with slot 1.  numpy's tail-shuffle branch for populations
+      over 10,000 is never reached: `random_planted_formula`, the one
+      caller, refuses more than MAX_SAT_VARIABLES = 512 variables first.
+
+    `tests/test_grover.py::test_plan_decodes_the_scalar_draws` and
+    `tests/test_applications.py` pin these rules, and the generator state
+    after the draws, against numpy.
+    """
+
+    __slots__ = ("entry", "_bit_generator", "_words", "_used", "_has", "_half")
+
+    def __init__(self, bit_generator):
+        self.entry = bit_generator.state
+        self._bit_generator = bit_generator
+        self._words: list[int] = []
+        self._used = 0
+        self._has, self._half = self.entry["has_uint32"], self.entry["uinteger"]
+
+    def take(self, bounds: Iterable[int], marks: list | None = None) -> list:
+        """One draw per bound, in order: `integers(0, hi)`, or `random()` for UNIT.
+
+        If `marks` is given, `mark()` as it stands after each unit draw is
+        appended to it.
+        """
+        words, used, has, half = self._words, self._used, self._has, self._half
+        out = []
+        for hi in bounds:
+            if hi == UNIT:
+                if used == len(words):
+                    words += self._bit_generator.random_raw(RAW_WORDS).tolist()
+                out.append((words[used] >> 11) * 2.0**-53)
+                used += 1
+                if marks is not None:
+                    marks.append((used, has, half))
+            elif hi == 1:
+                out.append(0)
+            elif hi <= 1 << 32:
+                while True:  # Lemire's rejection loop on uint32 halves
+                    if has:
+                        value, has = half, 0
+                    else:
+                        if used == len(words):
+                            words += self._bit_generator.random_raw(RAW_WORDS).tolist()
+                        value = words[used]
+                        used += 1
+                        value, half, has = value & 0xFFFFFFFF, value >> 32, 1
+                    product = value * hi
+                    low = product & 0xFFFFFFFF
+                    if low >= hi or low >= (1 << 32) % hi:  # the threshold is below hi
+                        break
+                out.append(product >> 32)
+            elif hi <= 1 << 63:
+                while True:  # the same loop on whole words
+                    if used == len(words):
+                        words += self._bit_generator.random_raw(RAW_WORDS).tolist()
+                    product = words[used] * hi
+                    used += 1
+                    if product & 0xFFFFFFFFFFFFFFFF >= (1 << 64) % hi:
+                        break
+                out.append(product >> 64)
+            else:
+                raise ParameterError(f"draw bound {hi} is past the int64 range")
+        self._used, self._has, self._half = used, has, half
+        return out
+
+    def mark(self) -> tuple[int, int, int]:
+        """The position after the draws so far: (words read, has_uint32, uinteger)."""
+        return self._used, self._has, self._half
+
+    def place(self) -> None:
+        """Set the generator where the draws so far leave it."""
+        place_draws(self._bit_generator, self.entry, self.mark())
+
+
+def place_draws(bit_generator, entry: dict, mark: tuple[int, int, int]) -> None:
+    """Set `bit_generator` where the draws from state `entry` up to `mark` leave it."""
+    used, has, half = mark
+    # random_raw leaves the buffered half alone, so it can be set first
+    bit_generator.state = dict(entry, has_uint32=has, uinteger=half)
+    bit_generator.random_raw(used)
 
 
 class StateVector:

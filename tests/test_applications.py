@@ -21,7 +21,7 @@ from qsearchlab.applications import (
     wilson_interval,
     _schoening_batch,
 )
-from qsearchlab.sim import ParameterError, SeededRng, ValueOracle
+from qsearchlab.sim import ParameterError, RawDraws, SeededRng, ValueOracle
 
 # two clashing units on each of two variables: no assignment survives
 UNSAT = Cnf3Formula(2, (
@@ -241,6 +241,61 @@ def test_planted_formula_stream_is_pinned():
             assert planted.dtype == bool and np.array_equal(planted, want)
             assert fast.generator.bit_generator.state == slow.generator.bit_generator.state
 
+
+
+def _assert_planted_is_the_numpy_draws(size, fast, slow, density):
+    # `fast` and `slow` start in the same state; a numpy release that draws
+    # integers or choice differently fails here
+    drift = f"numpy {np.__version__} no longer draws planted formulas as decoded"
+    formula, planted = random_planted_formula(size, fast, density)
+    clauses, want = _reference_planted(size, slow, density)
+    assert formula.clauses == clauses, drift
+    assert np.array_equal(planted, want), drift
+    assert fast.generator.bit_generator.state == slow.generator.bit_generator.state, drift
+
+
+@pytest.mark.parametrize("prior", ["integers", "choice"])
+def test_planted_formula_decodes_from_a_buffered_half(prior):
+    # a prior scalar draw leaves a buffered uint32 half, which the plant's
+    # first sign reads
+    for seed in range(40):
+        size, bound = 3 + seed % 20, 2 + seed * 7919
+        fast, slow = SeededRng(seed, 5), SeededRng(seed, 5)
+        for gen in (fast.generator, slow.generator):
+            gen.choice(bound) if prior == "choice" else gen.integers(0, bound)
+        assert fast.generator.bit_generator.state["has_uint32"] == 1
+        _assert_planted_is_the_numpy_draws(size, fast, slow, (4.26, 8.0)[seed % 2])
+
+
+@pytest.mark.parametrize("size", [65, 127, 256, 383, MAX_SAT_VARIABLES - 1, MAX_SAT_VARIABLES])
+def test_planted_formula_decodes_up_to_the_size_cap(size):
+    for seed in range(2):
+        _assert_planted_is_the_numpy_draws(size, SeededRng(seed, size), SeededRng(seed, size),
+                                           (4.26, 8.0)[seed])
+
+
+def test_planted_formula_decodes_a_forced_lemire_rejection():
+    # As in test_plan_decodes_a_forced_lemire_rejection: a PCG64 state with
+    # equal halves and top 6 bits 0 outputs the word 0 after its next step.
+    # At 8 variables and no buffered half, the plant reads 4 words, and the
+    # first Floyd draw, below 6, reads the fifth: Lemire's threshold is
+    # 2**32 % 6 = 4, so both of the zero word's halves are rejected.
+    size, position = 8, 4
+    half = 0x0123456789ABCDEF  # top 6 bits 0
+    fast, slow = SeededRng(5), SeededRng(5)
+    for gen in (fast.generator, slow.generator):
+        state = gen.bit_generator.state
+        state["state"]["state"] = half << 64 | half
+        gen.bit_generator.state = state
+        gen.bit_generator.advance(2**128 - 1 - position)
+    probe = np.random.PCG64()
+    probe.state = fast.generator.bit_generator.state
+    assert probe.random_raw(position + 1)[-1] == 0
+    probe.state = fast.generator.bit_generator.state
+    reader = RawDraws(probe)
+    reader.take([2] * size + [size - 2])
+    assert reader.mark()[:2] == (position + 2, 1)  # the draw read a second word
+    _assert_planted_is_the_numpy_draws(size, fast, slow, 8.0)
 
 def _exact_walk_success(formula: Cnf3Formula, flips: int) -> float:
     """Probability that a repair walk from a uniform start satisfies the
