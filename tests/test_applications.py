@@ -242,16 +242,17 @@ def test_planted_formula_stream_is_pinned():
             assert fast.generator.bit_generator.state == slow.generator.bit_generator.state
 
 
+# a numpy release that draws integers or choice differently fails loudly
+NUMPY_DRIFT = f"numpy {np.__version__} no longer draws planted formulas as sim.RawDraws decodes"
+
 
 def _assert_planted_is_the_numpy_draws(size, fast, slow, density):
-    # `fast` and `slow` start in the same state; a numpy release that draws
-    # integers or choice differently fails here
-    drift = f"numpy {np.__version__} no longer draws planted formulas as decoded"
+    # `fast` and `slow` start in the same state
     formula, planted = random_planted_formula(size, fast, density)
     clauses, want = _reference_planted(size, slow, density)
-    assert formula.clauses == clauses, drift
-    assert np.array_equal(planted, want), drift
-    assert fast.generator.bit_generator.state == slow.generator.bit_generator.state, drift
+    assert formula.clauses == clauses, NUMPY_DRIFT
+    assert np.array_equal(planted, want), NUMPY_DRIFT
+    assert fast.generator.bit_generator.state == slow.generator.bit_generator.state, NUMPY_DRIFT
 
 
 @pytest.mark.parametrize("prior", ["integers", "choice"])
@@ -263,7 +264,7 @@ def test_planted_formula_decodes_from_a_buffered_half(prior):
         fast, slow = SeededRng(seed, 5), SeededRng(seed, 5)
         for gen in (fast.generator, slow.generator):
             gen.choice(bound) if prior == "choice" else gen.integers(0, bound)
-        assert fast.generator.bit_generator.state["has_uint32"] == 1
+        assert fast.generator.bit_generator.state["has_uint32"] == 1, NUMPY_DRIFT
         _assert_planted_is_the_numpy_draws(size, fast, slow, (4.26, 8.0)[seed % 2])
 
 
@@ -290,12 +291,14 @@ def test_planted_formula_decodes_a_forced_lemire_rejection():
         gen.bit_generator.advance(2**128 - 1 - position)
     probe = np.random.PCG64()
     probe.state = fast.generator.bit_generator.state
-    assert probe.random_raw(position + 1)[-1] == 0
+    assert probe.random_raw(position + 1)[-1] == 0, NUMPY_DRIFT
     probe.state = fast.generator.bit_generator.state
     reader = RawDraws(probe)
     reader.take([2] * size + [size - 2])
-    assert reader.mark()[:2] == (position + 2, 1)  # the draw read a second word
+    # the Floyd draw read a second word
+    assert reader.mark()[:2] == (position + 2, 1), NUMPY_DRIFT
     _assert_planted_is_the_numpy_draws(size, fast, slow, 8.0)
+
 
 def _exact_walk_success(formula: Cnf3Formula, flips: int) -> float:
     """Probability that a repair walk from a uniform start satisfies the
