@@ -236,13 +236,13 @@ def _plan(bit_generator, cap: float, budget: int):
         bounds, room = [], budget - spent
         while room > 0 and ceiling < cap:
             hi = math.ceil(ceiling)
-            bounds += (hi, sim.UNIT)
+            bounds.append(hi)
             room -= hi
             ceiling *= SCHEDULE_GROWTH
             if ceiling > cap:
                 ceiling = cap
         if room > 0:  # the ceiling has reached the cap
-            bounds += (top, sim.UNIT) * -(-room // top)
+            bounds += [top] * -(-room // top)
         chunk = reader.take(bounds, ends)
         taken += chunk
         spent += sum(chunk[::2]) + len(chunk) // 2

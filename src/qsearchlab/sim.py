@@ -107,8 +107,6 @@ SMALL_SUM = 16
 # the caller's input; over criterion 05's 13,590 restart plans this took
 # 13,751 reads.
 RAW_WORDS = 64
-# The bound that asks RawDraws.take for a unit draw, `random()`.
-UNIT = 0
 
 
 class ParameterError(ValueError):
@@ -215,22 +213,16 @@ class RawDraws:
         self._has, self._half = self.entry["has_uint32"], self.entry["uinteger"]
 
     def take(self, bounds: Iterable[int], marks: list | None = None) -> list:
-        """One draw per bound, in order: `integers(0, hi)`, or `random()` for UNIT.
+        """One `integers(0, hi)` draw per bound, in order.
 
-        If `marks` is given, `mark()` as it stands after each unit draw is
-        appended to it.
+        With `marks`, each draw is followed by a `random()` draw, which comes
+        right after it in the returned list, and `mark()` as it stands after
+        that pair is appended to `marks`.
         """
         words, used, has, half = self._words, self._used, self._has, self._half
         out = []
         for hi in bounds:
-            if hi == UNIT:
-                if used == len(words):
-                    words += self._bit_generator.random_raw(RAW_WORDS).tolist()
-                out.append((words[used] >> 11) * 2.0**-53)
-                used += 1
-                if marks is not None:
-                    marks.append((used, has, half))
-            elif hi == 1:
+            if hi == 1:  # integers(0, 1) reads nothing
                 out.append(0)
             elif hi <= 1 << 32:
                 while True:  # Lemire's rejection loop on uint32 halves
@@ -258,6 +250,12 @@ class RawDraws:
                 out.append(product >> 64)
             else:
                 raise ParameterError(f"draw bound {hi} is past the int64 range")
+            if marks is not None:  # a unit draw of one fresh word
+                if used == len(words):
+                    words += self._bit_generator.random_raw(RAW_WORDS).tolist()
+                out.append((words[used] >> 11) * 2.0**-53)
+                used += 1
+                marks.append((used, has, half))
         self._used, self._has, self._half = used, has, half
         return out
 
