@@ -168,10 +168,8 @@ def amplitude_amplify(
     restarted from the start state, and the generator is left just past
     that attempt's measurement draw.
     """
-    dimension = prep.dimension
-    mask = sim.marked_mask(params.good, dimension)
-    good_idx = sim._as_index_array(np.flatnonzero(mask), dimension)  # checked once
-    counter = BitOracle(mask)
+    counter = BitOracle(sim.marked_mask(params.good, prep.dimension))
+    good_idx, good = counter.marked_indices(), counter.peek_all()
     start = StateVector._wrap(prep.start)  # read-only: stepped on a copy
 
     if not params.floor_is_lower_bound:
@@ -182,7 +180,7 @@ def amplitude_amplify(
         index = sim.measure(state, rng)
         queries = (2 * rounds + 1) * prep.cost + counter.query_count
         return AmplifyResult(
-            index=index, good=bool(mask[index]), queries=queries, rounds=rounds
+            index=index, good=bool(good[index]), queries=queries, rounds=rounds
         )
 
     # Lower-bound mode: true success may exceed the floor, so a fixed round
@@ -190,12 +188,12 @@ def amplitude_amplify(
     # verifying each measurement (one charged good-set query per attempt).
     cap = float(predicted_repetitions(params.success_floor) + 1)
     attempts, _ = _sweep_restarts(
-        counter, mask, rng, cap, unknown_count_budget(cap), start,
+        counter, rng, cap, unknown_count_budget(cap), start,
         lambda state, sink: amplification_round(state, prep, good_idx, sink),
     )
     rounds_used = sum(rounds for rounds, _ in attempts)
     index = attempts[-1][1]
     queries = (2 * rounds_used + len(attempts)) * prep.cost + counter.query_count
     return AmplifyResult(
-        index=index, good=bool(mask[index]), queries=queries, rounds=rounds_used
+        index=index, good=bool(good[index]), queries=queries, rounds=rounds_used
     )

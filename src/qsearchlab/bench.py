@@ -1,4 +1,4 @@
-"""Experiment harness: seeded trial runs, CSV/JSON-lines records, scaling fits.
+"""Experiment harness: seeded trial runs, CSV/JSONL records, scaling fits.
 
 Every experiment is a pure function of (size, rng, params), so records are
 reproducible from the config alone and independent of worker scheduling.
@@ -52,7 +52,7 @@ CSV_HEADER = "experiment,size,trial,seed,queries,steps,success,ms"
 MAX_SIZE_COUNT = 10_000  # sizes one parse_sizes call may return
 # trials in flight per worker: keeps each busy, and memory off the trial count
 JOBS_WINDOW_PER_WORKER = 4
-_FORMATS = {"csv": "csv", "jsonl": "jsonl", "json-lines": "jsonl"}
+FORMATS = ("csv", "jsonl")
 
 
 class UsageError(Exception):
@@ -63,11 +63,9 @@ class FitError(ValueError):
     """Scaling fit asked for on unusable points."""
 
 
-def _normalize_format(fmt: str) -> str:
-    normalized = _FORMATS.get(fmt)
-    if normalized is None:
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
         raise UsageError(f"format must be csv or jsonl, got {fmt!r}")
-    return normalized
 
 
 @dataclass(frozen=True)
@@ -103,34 +101,35 @@ def _random_values(size: int, rng: SeededRng) -> np.ndarray:
     return rng.generator.permutation(size)
 
 
-def _single_marked_oracle(size: int, rng: SeededRng, marked_count: int = 1):
+def _single_marked_oracle(size: int, rng: SeededRng, marked_count: int = 1) -> sim.BitOracle:
     sim.check_state_size(size)  # before the bit table, the first size-long array
     targets = rng.generator.choice(size, size=marked_count, replace=False)
     bits = np.zeros(size, dtype=bool)  # a bool mask skips BitOracle's 0/1 check
     bits[targets] = True
-    return bits, sim.BitOracle(bits)
+    return sim.BitOracle(bits)
 
 
 def _trial_grover_scaling(size, rng, params):
     marked_count = int(params.get("marked_count", 1))
-    bits, oracle = _single_marked_oracle(size, rng, marked_count)
+    oracle = _single_marked_oracle(size, rng, marked_count)
     index = grover.search(oracle, grover.GroverParams(size=size, marked_count=marked_count), rng)
     steps = grover.optimal_query_count(size, marked_count)
-    return float(oracle.query_count), steps, bool(bits[index])
+    return float(oracle.query_count), steps, bool(oracle.peek_all()[index])
 
 
 def _trial_grover_certain(size, rng, params):
     marked_count = int(params.get("marked_count", 1))
-    bits, oracle = _single_marked_oracle(size, rng, marked_count)
+    oracle = _single_marked_oracle(size, rng, marked_count)
     index = grover.search_with_certainty(
         oracle, grover.GroverParams(size=size, marked_count=marked_count), rng
     )
-    return float(oracle.query_count), grover.optimal_query_count(size, marked_count), bool(bits[index])
+    success = bool(oracle.peek_all()[index])
+    return float(oracle.query_count), grover.optimal_query_count(size, marked_count), success
 
 
 def _trial_grover_unknown(size, rng, params):
     marked_count = int(params.get("marked_count", 1))
-    bits, oracle = _single_marked_oracle(size, rng, marked_count)
+    oracle = _single_marked_oracle(size, rng, marked_count)
     hit = grover.search_unknown_count(oracle, size, rng)
     return float(oracle.query_count), int(oracle.query_count), hit is not None
 
@@ -208,7 +207,7 @@ def _grid_for(size: int, dimensions: int) -> walks.TorusGrid:
 
 def _trial_walk_grid(size, rng, params, dimensions):
     grid = _grid_for(size, dimensions)
-    bits, oracle = _single_marked_oracle(size, rng)
+    oracle = _single_marked_oracle(size, rng)
     budget = int(params.get("step_budget", 0)) or max(
         1, math.ceil(2.0 * math.sqrt(size * max(1.0, math.log(size))))
     )
@@ -216,17 +215,9 @@ def _trial_walk_grid(size, rng, params, dimensions):
     return float(oracle.query_count), result.steps, result.cell is not None
 
 
-def _trial_walk_grid_2d(size, rng, params):
-    return _trial_walk_grid(size, rng, params, 2)
-
-
-def _trial_walk_grid_3d(size, rng, params):
-    return _trial_walk_grid(size, rng, params, 3)
-
-
 def _trial_classical_scan(size, rng, params):
     grid = _grid_for(size, 2)
-    bits, oracle = _single_marked_oracle(size, rng)
+    oracle = _single_marked_oracle(size, rng)
     result = walks.grid_classical_search(grid, oracle)
     return float(oracle.query_count), result.steps, result.cell is not None
 
@@ -351,7 +342,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "exponent near 0.5-0.65 (log factor) versus a linear scan",
             0.6,
             (64, 256, 1024),
-            _trial_walk_grid_2d,
+            functools.partial(_trial_walk_grid, dimensions=2),
             params=("step_budget",),
         ),
         Experiment(
@@ -359,7 +350,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "coined walk search on a 3-d torus: steps fit an exponent near 0.5",
             0.55,
             (64, 216, 512),
-            _trial_walk_grid_3d,
+            functools.partial(_trial_walk_grid, dimensions=3),
             params=("step_budget",),
         ),
         Experiment(
@@ -434,7 +425,7 @@ class ExperimentConfig:
         limit = os.cpu_count() or 1  # more workers than cores only oversubscribes the machine
         if not 1 <= self.jobs <= limit:
             raise UsageError(f"jobs must be in [1, {limit}] (the cpu count), got {self.jobs}")
-        object.__setattr__(self, "format", _normalize_format(self.format))
+        _check_format(self.format)
         known = EXPERIMENTS[self.experiment].params
         unknown = sorted(set(self.params) - set(known))
         if unknown:
@@ -602,7 +593,7 @@ def write_records(
 
     Nothing is written until the result is iterated.
     """
-    fmt = _normalize_format(fmt)
+    _check_format(fmt)
     if fmt == "csv":
         handle.write(CSV_HEADER + "\n")
     for record in records:

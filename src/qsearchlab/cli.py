@@ -39,7 +39,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--trials", type=int, default=None, help="trials per size")
     run.add_argument("--seed", type=int, default=None, help="master seed")
     run.add_argument("--out", default=None, help="output path (default stdout)")
-    run.add_argument("--format", default=None, choices=("csv", "jsonl", "json-lines"),
+    run.add_argument("--format", default=None, choices=bench.FORMATS,
                      help="record format (default csv)")
     run.add_argument("--jobs", type=int, default=None,
                      help="concurrent trial workers, at most the cpu count "

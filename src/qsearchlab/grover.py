@@ -144,7 +144,7 @@ def search(oracle: BitOracle, params: GroverParams, rng: SeededRng) -> int:
     """
     if params.size != oracle.size:
         raise ParameterError("params.size must match oracle size")
-    marked = sim._as_index_array(oracle.marked_indices(), oracle.size)
+    marked = oracle.marked_indices()
     count = params.marked_count if params.marked_count is not None else int(marked.size)
     rounds = optimal_query_count(params.size, count) if count else 0
     state = _run_rounds(sim.uniform_state(params.size), marked, oracle, rounds)
@@ -182,7 +182,7 @@ def prepared_certain_state(oracle: BitOracle, params: GroverParams) -> StateVect
         raise UnsupportedModeError(
             "certainty search needs the marked count; use search_unknown_count instead"
         )
-    marked = sim._as_index_array(oracle.marked_indices(), oracle.size)
+    marked = oracle.marked_indices()
     if int(marked.size) != params.marked_count:
         raise ParameterError(
             f"marked_count {params.marked_count} does not match oracle ({marked.size})"
@@ -223,7 +223,8 @@ def _plan(bit_generator, cap: float, budget: int):
     one after the other, decoded by `sim.RawDraws`.  Returns the generator
     state at entry, the round counts, the draws, and for each attempt where
     its draws end: (words read, has_uint32, uinteger).  The generator is
-    left past the last block read; `_place` sets it just past any attempt.
+    left past the last block read; `sim.place_draws` sets it just past any
+    attempt.
     """
     reader = sim.RawDraws(bit_generator)
     cap = max(cap, 1.0)
@@ -249,13 +250,8 @@ def _plan(bit_generator, cap: float, budget: int):
     return reader.entry, taken[::2], taken[1::2], ends
 
 
-# Sets the generator to where the scalar draws up to one `_plan` end leave it.
-_place = sim.place_draws
-
-
 def _sweep_restarts(
-    oracle,
-    mask: np.ndarray,
+    oracle: BitOracle,
     rng: SeededRng,
     cap: float,
     budget: int,
@@ -272,11 +268,11 @@ def _sweep_restarts(
     oracle applications go to a sink) through the distinct round counts in
     ascending order.  At each, the attempts still pending, those before the
     earliest hit so far, are measured from one weight table and checked
-    against `mask`.  The attempts up to the first hit are then charged their
-    summed rounds and one verification each, and the generator is set just
-    past the last of them: where independent restarts, drawing as they go,
-    leave it.  Returns the charged (rounds, index) attempts and whether the
-    last one verified.
+    against the oracle's table.  The attempts up to the first hit are then
+    charged their summed rounds and one verification each, and the generator
+    is set just past the last of them: where independent restarts, drawing
+    as they go, leave it.  Returns the charged (rounds, index) attempts and
+    whether the last one verified.
     """
     bit_generator = rng.generator.bit_generator
     entry, rounds, draws, ends = _plan(bit_generator, cap, budget)
@@ -285,6 +281,7 @@ def _sweep_restarts(
     by_depth: dict[int, list[int]] = {}
     for attempt, depth in enumerate(rounds):
         by_depth.setdefault(depth, []).append(attempt)
+    marks = oracle.peek_all()
     indices = [0] * len(rounds)
     first_hit = len(rounds)
     sink = sim._CountingOracle()
@@ -300,20 +297,20 @@ def _sweep_restarts(
         picked = sim.born_table(state.amps).sample_many([draws[a] for a in pending])
         for attempt, index in zip(pending, picked):
             indices[attempt] = index
-            if mask[index]:
+            if marks[index]:
                 first_hit = attempt
                 break
 
     charged = min(first_hit + 1, len(rounds))
     attempts = list(zip(rounds[:charged], indices[:charged]))
-    _place(bit_generator, entry, ends[charged - 1])
+    sim.place_draws(bit_generator, entry, ends[charged - 1])
     oracle.charge(sum(rounds[:charged]))
     oracle.charge(charged)  # one verification query per attempt
-    return attempts, bool(mask[attempts[-1][1]])
+    return attempts, bool(marks[attempts[-1][1]])
 
 
 def search_unknown_count(
-    oracle,
+    oracle: BitOracle,
     size: int,
     rng: SeededRng,
     min_marked: Optional[int] = None,
@@ -342,9 +339,9 @@ def search_unknown_count(
     budget = unknown_count_budget(cap)
     if max_queries is not None:
         budget = min(budget, max(0, max_queries))
-    marked = sim._as_index_array(oracle.marked_indices(), oracle.size)
+    marked = oracle.marked_indices()
     attempts, found = _sweep_restarts(
-        oracle, sim.marked_mask(marked, size), rng, cap, budget, sim.uniform_state(size),
+        oracle, rng, cap, budget, sim.uniform_state(size),
         lambda state, sink: _run_rounds(state, marked, sink, 1),
     )
     return attempts[-1][1] if found else None

@@ -406,10 +406,12 @@ class _CountingOracle:
 class BitOracle(_CountingOracle):
     """Immutable black-box bit string; every probe or phase application costs 1.
 
-    The one marked-set oracle.  A bool mask is taken without the 0/1 check;
-    callers that hold marked indices pass `marked_mask(indices, size)`.
-    Charges fan out to the oracles in `charge_to`, so a threshold or
-    neighbour oracle over a value table still charges that table per query.
+    The one marked-set oracle, and the one owner of its marked set: searches
+    read the checked marked indices and the table from it, free of charge.
+    A bool mask is taken without the 0/1 check; callers that hold marked
+    indices pass `marked_mask(indices, size)`.  Charges fan out to the
+    oracles in `charge_to`, so a threshold or neighbour oracle over a value
+    table still charges that table per query.
     """
 
     def __init__(self, bits, charge_to: Sequence[_CountingOracle] = ()):
@@ -422,6 +424,7 @@ class BitOracle(_CountingOracle):
             raise ParameterError("bit oracle entries must be 0 or 1")
         arr.setflags(write=False)
         self._bits = arr
+        self._marked = None
 
     @property
     def size(self) -> int:
@@ -435,8 +438,14 @@ class BitOracle(_CountingOracle):
         return 1 if self._bits[index] else 0  # int() of a numpy bool costs twice as much
 
     def marked_indices(self) -> np.ndarray:
-        """Simulation-side view used to build operators; free of charge."""
-        return np.flatnonzero(self._bits)
+        """Read-only checked marked indices for building operators; free of charge."""
+        if self._marked is None:  # the table is immutable: one check serves every call
+            self._marked = _as_index_array(np.flatnonzero(self._bits), self._bits.size)
+        return self._marked
+
+    def peek_all(self) -> np.ndarray:
+        """Simulation-side read-only view of the whole bit table; free of charge."""
+        return self._bits
 
 
 class ValueOracle(_CountingOracle):

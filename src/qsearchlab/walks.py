@@ -55,7 +55,6 @@ from .sim import (
 __all__ = [
     "TorusGrid",
     "GridWalkResult",
-    "ScanResult",
     "uniform_coined_state",
     "localized_coined_state",
     "grid_walk_step",
@@ -280,13 +279,7 @@ def grid_walk_search(
     return GridWalkResult(cell=cell if oracle.query(cell) else None, steps=steps)
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    cell: Optional[int]
-    steps: int
-
-
-def grid_classical_search(grid: TorusGrid, oracle: BitOracle) -> ScanResult:
+def grid_classical_search(grid: TorusGrid, oracle: BitOracle) -> GridWalkResult:
     """Boustrophedon scan; one bundled query-and-move step per visited cell.
 
     The scan order is fixed, and an empty marked set costs exactly one query
@@ -296,8 +289,8 @@ def grid_classical_search(grid: TorusGrid, oracle: BitOracle) -> ScanResult:
         raise ParameterError("oracle size must match grid cells")
     for position, cell in enumerate(grid.scan_order()):
         if oracle.query(int(cell)):
-            return ScanResult(cell=int(cell), steps=position + 1)
-    return ScanResult(cell=None, steps=grid.cells)
+            return GridWalkResult(cell=int(cell), steps=position + 1)
+    return GridWalkResult(cell=None, steps=grid.cells)
 
 
 @dataclass(frozen=True)

@@ -553,6 +553,10 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("experiment = grover-scaling\ntrials = zero\n")
     assert main(["run", str(cfg)]) == 2
+    # one spelling per record format
+    assert main(["run", "-e", "grover-scaling", "--format", "json-lines", "--no-summary"]) == 2
+    cfg.write_text("experiment = grover-scaling\nformat = json-lines\n")
+    assert main(["run", str(cfg), "--no-summary"]) == 2
 
 
 def _python(*args: str, env: Optional[dict] = None) -> subprocess.CompletedProcess:

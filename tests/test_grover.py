@@ -306,7 +306,7 @@ def _assert_plan_is_the_scalar_draws(rng, reference, cap, budget):
     scalar = np.random.Generator(np.random.PCG64())
     for prefix, state in enumerate(states):
         if prefix:
-            grover._place(bit_generator, entry, ends[prefix - 1])
+            sim.place_draws(bit_generator, entry, ends[prefix - 1])
         else:
             bit_generator.state = entry
         assert bit_generator.state == state
@@ -472,7 +472,7 @@ def test_sweep_leaves_the_start_state_unmodified(case, seed):
     before = start.amps.copy()
     cap = math.sqrt(size)
     grover._sweep_restarts(
-        _planted_oracle(size, marked), sim.marked_mask(marked, size), SeededRng(seed, 7),
+        _planted_oracle(size, marked), SeededRng(seed, 7),
         cap, grover.unknown_count_budget(cap), start,
         lambda state, sink: grover._run_rounds(state, marked, sink, 1),
     )
@@ -502,3 +502,14 @@ def test_searches_sort_check_their_marked_set_once(monkeypatch):
         run(oracle)
         assert sum(checks) == 1, name
         assert len(checks) >= 2, name  # the flips went through the checked indices
+
+
+def test_searches_on_one_oracle_share_its_checked_marks(monkeypatch):
+    checks = []
+    original = sim._as_index_array
+    monkeypatch.setattr(sim, "_as_index_array", lambda marked, dimension: (
+        checks.append(type(marked) is not sim._CheckedIndices) or original(marked, dimension)))
+    oracle = _planted_oracle(64, [3, 17, 40])
+    search(oracle, GroverParams(size=64, marked_count=3), SeededRng(5))
+    search_unknown_count(oracle, 64, SeededRng(6))
+    assert checks.count(True) == 1 and len(checks) > 2

@@ -171,6 +171,22 @@ def test_bit_oracle_validation():
         BitOracle([1, 0]).query(2)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, bool])
+def test_bit_oracle_owns_its_checked_marked_indices(dtype):
+    table = np.zeros(40, dtype=dtype)
+    table[[0, 7, 8, 39]] = 1
+    oracle = BitOracle(table)
+    marked = oracle.marked_indices()
+    assert type(marked) is sim._CheckedIndices
+    assert np.array_equal(marked, np.flatnonzero(table))
+    assert oracle.marked_indices() is marked  # built once
+    assert np.array_equal(oracle.peek_all(), table) and oracle.peek_all().dtype == dtype
+    for view in (marked, oracle.peek_all()):
+        with pytest.raises(ValueError):
+            view[0] = 0
+    assert oracle.query_count == 0
+
+
 def test_value_oracle_peek_is_free():
     oracle = ValueOracle([5, 5, 9])
     assert oracle.value(2) == 9

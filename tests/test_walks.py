@@ -340,7 +340,8 @@ def test_grid_walk_search_checks_its_marks_once(monkeypatch):
     bits = np.zeros(16, dtype=int)
     bits[[2, 9]] = 1
     result = grid_walk_search(grid, BitOracle(bits), SeededRng(4), step_budget=30)
-    assert result.steps > 1 and checks == [True]
+    # the oracle checks its marks; grid_walk_step then sees checked indices
+    assert result.steps > 1 and checks.count(True) == 1
 
 
 def test_grid_index_arrays_are_read_only():
