@@ -153,6 +153,20 @@ def amplification_round(
     return sim._reflect(state, prep.start)
 
 
+def _amplify_rounds(state: StateVector, prep: StatePreparation, good_indices: np.ndarray,
+                    counter: sim._CountingOracle, rounds: int) -> StateVector:
+    """Step `state`, fresh or left by an earlier call, through `rounds` rounds in place.
+
+    A fresh state's first round is `amplification_round`, which sets s as
+    the pending axis and starts the carried <s|a>; the rest run as one loop
+    over the good entries (`sim._repeat_round`).
+    """
+    if rounds and state._carry is None:
+        amplification_round(state, prep, good_indices, counter)
+        rounds -= 1
+    return sim._repeat_round(state, good_indices, counter, rounds)
+
+
 def amplitude_amplify(
     prep: StatePreparation, params: AmplifyParams, rng: SeededRng
 ) -> AmplifyResult:
@@ -160,9 +174,10 @@ def amplitude_amplify(
 
     Query cost is (2*rounds + 1) preparation applications plus one
     good-set query per round; the returned good flag is a classical
-    re-check of the measured index and is not charged.  In lower-bound
-    mode the restart schedule is decoded up front from the generator's raw
-    words and runs as one sweep along a single round trajectory
+    re-check of the measured index and is not charged.  The rounds step one
+    copy of the start state (`_amplify_rounds`).  In lower-bound mode the
+    restart schedule is decoded up front from the generator's raw words
+    and runs as one sweep along a single round trajectory
     (`grover._sweep_restarts`); each attempt up to the first verified one is
     charged its own rounds, preparations and verification, as if it had
     restarted from the start state, and the generator is left just past
@@ -174,9 +189,7 @@ def amplitude_amplify(
 
     if not params.floor_is_lower_bound:
         rounds = predicted_repetitions(params.success_floor)
-        state = start.copy()
-        for _ in range(rounds):
-            amplification_round(state, prep, good_idx, counter)
+        state = _amplify_rounds(start.copy(), prep, good_idx, counter, rounds)
         index = sim.measure(state, rng)
         queries = (2 * rounds + 1) * prep.cost + counter.query_count
         return AmplifyResult(
@@ -189,7 +202,7 @@ def amplitude_amplify(
     cap = float(predicted_repetitions(params.success_floor) + 1)
     attempts, _ = _sweep_restarts(
         counter, rng, cap, unknown_count_budget(cap), start,
-        lambda state, sink: amplification_round(state, prep, good_idx, sink),
+        lambda state, sink, count: _amplify_rounds(state, prep, good_idx, sink, count),
     )
     rounds_used = sum(rounds for rounds, _ in attempts)
     index = attempts[-1][1]

@@ -129,10 +129,17 @@ def success_profile(size: int, marked_count: int, max_rounds: int) -> np.ndarray
 
 
 def _run_rounds(state: StateVector, marked: np.ndarray, oracle, rounds: int) -> StateVector:
-    """Step `state` through `rounds` Grover rounds in place; check `marked` once per search."""
-    for _ in range(rounds):
+    """Step `state` through `rounds` Grover rounds in place; check `marked` once per search.
+
+    `state` is fresh or was left by an earlier call.  On a fresh state the
+    first round goes through the public operators, which set the diffusion
+    as the pending reflection and start the carried sum; the other rounds
+    run as one loop over the marked entries (`sim._repeat_round`).
+    """
+    if rounds and state._carry is None:
         sim.apply_diffusion(sim.apply_phase_flip(state, marked, oracle))
-    return state
+        rounds -= 1
+    return sim._repeat_round(state, marked, oracle, rounds)
 
 
 def search(oracle: BitOracle, params: GroverParams, rng: SeededRng) -> int:
@@ -256,7 +263,7 @@ def _sweep_restarts(
     cap: float,
     budget: int,
     start: StateVector,
-    advance: Callable[[StateVector, object], StateVector],
+    advance: Callable[[StateVector, object, int], StateVector],
 ) -> tuple[list[tuple[int, int]], bool]:
     """Run a restart plan on one trajectory; charge and verify its attempts.
 
@@ -264,11 +271,13 @@ def _sweep_restarts(
     measures, and verifies the outcome with one query.  Neither the round
     counts nor the measurement draws depend on outcomes, so `_plan` decodes
     the whole plan up front, and every attempt is a prefix of one
-    trajectory.  One copy of `start` is stepped in place with `advance` (its
-    oracle applications go to a sink) through the distinct round counts in
-    ascending order.  At each, the attempts still pending, those before the
-    earliest hit so far, are measured from one weight table and checked
-    against the oracle's table.  The attempts up to the first hit are then
+    trajectory.  One copy of `start` is stepped in place through the
+    distinct round counts in ascending order: `advance(state, sink, count)`
+    applies `count` more rounds, charging its oracle applications to a
+    sink, so one call steps the state from one distinct count to the next.
+    At each, the attempts still pending, those before the earliest
+    hit so far, are measured from one weight table and checked against the
+    oracle's table.  The attempts up to the first hit are then
     charged their summed rounds and one verification each, and the generator
     is set just past the last of them: where independent restarts, drawing
     as they go, leave it.  Returns the charged (rounds, index) attempts and
@@ -291,9 +300,7 @@ def _sweep_restarts(
         pending = group[:bisect_left(group, first_hit)]
         if not pending:  # all after a hit; a deeper attempt may still come before it
             continue
-        while depth < target:
-            state = advance(state, sink)
-            depth += 1
+        state, depth = advance(state, sink, target - depth), target
         picked = sim.born_table(state.amps).sample_many([draws[a] for a in pending])
         for attempt, index in zip(pending, picked):
             indices[attempt] = index
@@ -342,7 +349,7 @@ def search_unknown_count(
     marked = oracle.marked_indices()
     attempts, found = _sweep_restarts(
         oracle, rng, cap, budget, sim.uniform_state(size),
-        lambda state, sink: _run_rounds(state, marked, sink, 1),
+        lambda state, sink, count: _run_rounds(state, marked, sink, count),
     )
     return attempts[-1][1] if found else None
 

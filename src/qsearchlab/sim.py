@@ -27,10 +27,13 @@ beta (summing the state once when it carries nothing), and the flip writes
 the marked entries of r alone and moves the carry by -2 times the overlap
 of w with the negated amplitudes.  Reading `amps` writes sigma*r + beta*w
 into r and resets sigma and beta; the carry stays valid.  A reflection
-about another axis first writes the pending one out.  Construction,
-`copy()`, the rotations and the walks start with nothing pending and no
-carry.  The operators are the only writers of a state's amps: a caller that
-edits amplitudes in place edits a `copy()`.
+about another axis first writes the pending one out.  Once a round has
+started the carry, consecutive rounds on one state run as one loop over the
+marked entries (`_repeat_round`, which is also the flip): they are gathered
+and written back once.  Construction, `copy()`, the rotations and the walks
+start with nothing pending and no carry.  The operators are the only
+writers of a state's amps: a caller that edits amplitudes in place edits a
+`copy()`.
 
 Measurement draws from a `WeightTable` of |amps|^2: one sequential running
 sum up to ONE_LEVEL_MAX amplitudes; above that, a running sum over
@@ -98,10 +101,11 @@ STATE_BYTE_CAP = 256 * 2**20
 # local-min@16384 (sampled states of 1,555 amplitudes) took 3.4 ms against 2.5.
 ONE_LEVEL_MAX = 8192
 BLOCK = 1024
-# A flip sums at most SMALL_SUM marked entries in Python.  numpy's reduction
-# costs about 0.53 us at any length up to 128; a Python sum took 0.07 us for 2
-# entries and 0.18 (real) or 0.39 us (complex) for 16, and is the slower one
-# past about 64 real or 24 complex entries (one BLAS thread, numpy 2.4).
+# A flip steps at most SMALL_SUM marked entries as Python numbers.  numpy's
+# reduction costs about 0.53 us at any length up to 128; a Python sum took
+# 0.07 us for 2 entries and 0.18 (real) or 0.39 us (complex) for 16, and is
+# the slower one past about 64 real or 24 complex entries (one BLAS thread,
+# numpy 2.4).
 SMALL_SUM = 16
 # Raw generator words a RawDraws reads per refill, so no read is sized by
 # the caller's input; over criterion 05's 13,590 restart plans this took
@@ -501,21 +505,76 @@ def marked_mask(marked: Union[np.ndarray, Iterable[int]], size: int) -> np.ndarr
 
 
 class _CheckedIndices(np.ndarray):
-    """Read-only sorted, distinct indices; _as_index_array then range-checks only their ends."""
+    """Read-only sorted, distinct indices; _as_index_array then range-checks only their ends.
+
+    Only the array that `_as_index_array` built is trusted: views, copies,
+    fancy-indexed picks and ufunc results keep the type but are checked again.
+    """
+
+    def __array_finalize__(self, obj) -> None:
+        self.trusted = False
 
 
 def _as_index_array(marked, dimension: int) -> np.ndarray:
     idx = marked
-    if type(idx) is not _CheckedIndices:
+    if type(idx) is not _CheckedIndices or not idx.trusted:
         idx = np.asarray(sorted(idx) if isinstance(idx, (set, frozenset)) else idx,
                          dtype=np.int64).ravel()
         if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
             idx = np.unique(idx)  # duplicate entries must not double-flip
         idx = idx.view(_CheckedIndices)
         idx.setflags(write=False)
+        idx.trusted = True
     if idx.size and (idx[0] < 0 or idx[-1] >= dimension):
         raise IndexError(f"marked index out of range for dimension {dimension}")
     return idx
+
+
+def _repeat_round(state: StateVector, marked, oracle: _CountingOracle, count: int,
+                  reflect: bool = True) -> StateVector:
+    """Repeat `state`'s current round `count` times: a phase flip, then its pending reflection.
+
+    The state must carry its overlap: a round through the public operators
+    set the axis (None: the diffusion) and started the carry.  The marks
+    are checked once, the marked entries of r (and of the axis) gathered
+    and written back once, and `count` queries charged at once.  In between
+    the entries are stepped as Python numbers, without an axis up to
+    SMALL_SUM of them and with one a single entry, else as numpy arrays.
+    Without `reflect` one call is `apply_phase_flip`, whose formulas these are.
+    """
+    r, axis, sign, beta, carry = state._r, state._axis, state._sign, state._beta, state._carry
+    idx = _as_index_array(marked, r.size)
+    n, k = r.size, idx.size
+    picked = r[idx]
+    if axis is None:
+        w, scalar = None, k <= SMALL_SUM
+        if scalar:
+            picked = picked.tolist()
+    else:  # an axis is set together with its carry
+        w, scalar = axis[idx], k == 1
+        if scalar:  # <w|picked> is one product
+            picked, w = picked.item(), w.item()
+    for _ in range(count):
+        shift = sign * beta  # amps = sign * (r + shift * w) on the marked entries
+        if w is None:
+            if carry is not None:
+                total = sum(picked) if scalar else np.add.reduce(picked)
+                carry -= 2.0 * sign * (total + shift * k)
+            if scalar:
+                picked = [-2.0 * shift - x for x in picked] if shift else [-x for x in picked]
+            else:
+                picked = -2.0 * shift - picked if shift else -picked
+        else:
+            unshift = w * -shift
+            picked = picked - unshift  # sign * amps[idx]
+            carry -= 2.0 * sign * (w.conjugate() * picked if scalar else np.vdot(w, picked))
+            picked = unshift - picked
+        if reflect:
+            sign, beta = -sign, 2.0 * (carry / n if w is None else carry) - beta
+    r[idx] = picked
+    state._sign, state._beta, state._carry = sign, beta, carry
+    oracle.charge(count)
+    return state
 
 
 def apply_phase_flip(state: StateVector, marked, oracle: _CountingOracle) -> StateVector:
@@ -524,24 +583,7 @@ def apply_phase_flip(state: StateVector, marked, oracle: _CountingOracle) -> Sta
     Only the marked entries of the buffer are written, and a carried
     <w|amps> moves by -2 times the overlap of w with the negated entries.
     """
-    r, sign, carry = state._r, state._sign, state._carry
-    idx = _as_index_array(marked, r.size)
-    shift = sign * state._beta  # amps = sign * (r + shift * w)
-    picked = r[idx]
-    if state._axis is None:
-        if carry is not None:
-            total = sum(picked.tolist()) if idx.size <= SMALL_SUM else np.add.reduce(picked)
-            carry -= 2.0 * sign * (total + shift * idx.size)
-        r[idx] = -2.0 * shift - picked if shift else -picked
-    else:  # an axis is set together with its carry
-        w = state._axis[idx]
-        unshift = w * -shift
-        picked = picked - unshift  # sign * amps[idx]
-        carry -= 2.0 * sign * np.vdot(w, picked)
-        r[idx] = unshift - picked
-    state._carry = carry
-    oracle.charge(1)
-    return state
+    return _repeat_round(state, marked, oracle, 1, reflect=False)
 
 
 def apply_phase_rotation(
@@ -573,7 +615,7 @@ def _reflect(state: StateVector, axis) -> StateVector:
     carry = state._carry
     if carry is None:  # nothing is pending without a carry
         r = state._r
-        carry = state._carry = np.add.reduce(r) if axis is None else np.vdot(axis, r)
+        carry = state._carry = (np.add.reduce(r) if axis is None else np.vdot(axis, r)).item()
     weight = carry / state._r.size if axis is None else carry
     state._sign = -state._sign
     state._beta = 2.0 * weight - state._beta

@@ -474,7 +474,7 @@ def test_sweep_leaves_the_start_state_unmodified(case, seed):
     grover._sweep_restarts(
         _planted_oracle(size, marked), SeededRng(seed, 7),
         cap, grover.unknown_count_budget(cap), start,
-        lambda state, sink: grover._run_rounds(state, marked, sink, 1),
+        lambda state, sink, count: grover._run_rounds(state, marked, sink, count),
     )
     assert np.array_equal(start.amps, before)
 

@@ -286,6 +286,26 @@ def test_checked_marks_pass_again_with_only_their_ends_range_checked():
                           apply_phase_flip(state.copy(), [1, 3, 5], oracle).amps)
 
 
+def test_arrays_derived_from_checked_marks_are_checked_again():
+    oracle = BitOracle([0, 1, 0, 1, 0, 0, 0, 0])
+    marked = oracle.marked_indices()
+    derived = {
+        "duplicate fancy index": marked[[1, 1]],
+        "reversed slice": marked[::-1],
+        "ufunc result": np.add(marked, 0),
+    }
+    for name, marks in derived.items():
+        assert type(marks) is sim._CheckedIndices  # the type survives, the trust does not
+        runs = []
+        for given in (marks, marks.tolist()):  # three rounds each
+            state = apply_diffusion(apply_phase_flip(uniform_state(8), given, oracle))
+            runs.append(sim._repeat_round(state, given, oracle, 2).amps)
+        assert np.array_equal(runs[0], runs[1]), name
+        if name == "duplicate fancy index":  # [3, 3] amplifies index 3
+            assert int(np.argmax(runs[0] ** 2)) == 3
+    assert marked.trusted and sim._as_index_array(marked, 8) is marked
+
+
 def test_phase_rotation_at_pi_is_the_flip():
     rng = SeededRng(12)
     oracle = BitOracle([1, 0, 0, 1, 0])
@@ -687,6 +707,8 @@ def test_rounds_allocate_nothing_of_the_state_size():
     rounds = {
         "grover": lambda: apply_diffusion(apply_phase_flip(grover_state, marked, oracle)),
         "amplification": lambda: amplify.amplification_round(amplified, prep, marked, oracle),
+        "50 grover": lambda: sim._repeat_round(grover_state, marked, oracle, 50),
+        "50 amplification": lambda: sim._repeat_round(amplified, marked, oracle, 50),
     }
     for name, step in rounds.items():
         tracemalloc.start()
@@ -699,7 +721,52 @@ def test_rounds_allocate_nothing_of_the_state_size():
         assert peak <= 0.01 * dimension * 8, (name, peak)
 
 
-_CARRY_STEPS = ("flip", "diffuse", "copy")
+def _pending_bytes(state: StateVector) -> tuple[bytes, bytes]:
+    """The buffer and the pending sign, beta and carry, bit for bit."""
+    scalars = np.array([state._sign, state._beta, state._carry], dtype=np.complex128)
+    return state._r.tobytes(), scalars.tobytes()
+
+
+_REPEAT_CASES = [
+    (dimension, marked_count, axis)
+    for dimension in (1, 2, 8, 1000, 2**10, 2**16)
+    for marked_count, axis in ((1, None), (2, None), (16, None), (17, None),
+                               (1, "uniform"), (2, "uniform"))
+    if marked_count <= dimension
+]
+
+
+@pytest.mark.parametrize("complex_state", [False, True])
+@pytest.mark.parametrize("dimension, marked_count, axis", _REPEAT_CASES)
+def test_repeated_rounds_match_one_round_calls(dimension, marked_count, axis, complex_state):
+    # marked counts on both sides of SMALL_SUM, the one-entry scalar path with an axis,
+    # and a dimension that is no power of two, where x / N and x * (1 / N) can differ
+    rng = SeededRng(dimension, marked_count)
+    make = _random_state if complex_state else _random_real_state
+    start = make(rng, dimension)
+    marks = rng.generator.choice(dimension, marked_count, replace=False)
+    marked = BitOracle(sim.marked_mask(marks, dimension)).marked_indices()
+    prep = amplify.uniform_preparation(dimension) if axis else None
+
+    def one_round(state, counter):
+        if prep:
+            return amplify.amplification_round(state, prep, marked, counter)
+        return apply_diffusion(apply_phase_flip(state, marked, counter))
+
+    for count in (0, 1, 2, 50, 300):
+        calls, repeated = start.copy(), start.copy()
+        call_queries, repeat_queries = sim._CountingOracle(), sim._CountingOracle()
+        one_round(calls, call_queries)  # sets the axis and starts the carry
+        one_round(repeated, repeat_queries)
+        for _ in range(count):
+            one_round(calls, call_queries)
+        sim._repeat_round(repeated, marked, repeat_queries, count)
+        assert _pending_bytes(repeated) == _pending_bytes(calls), count
+        assert repeat_queries.query_count == call_queries.query_count == count + 1
+        assert repeated.amps.tobytes() == calls.amps.tobytes()
+
+
+_CARRY_STEPS = ("flip", "diffuse", "copy", "rounds")
 
 
 @settings(max_examples=150, deadline=None)
@@ -721,6 +788,11 @@ def test_carried_sum_follows_any_operator_sequence(dimension, data, seed, comple
             apply_phase_flip(state, marked, oracle)
         elif step == "diffuse":
             apply_diffusion(state)
+        elif step == "rounds":
+            # one round through the operators, then more as one multi-round call
+            marked = data.draw(st.lists(st.integers(0, dimension - 1), max_size=2 * dimension))
+            apply_diffusion(apply_phase_flip(state, marked, oracle))
+            sim._repeat_round(state, marked, oracle, data.draw(st.integers(0, 60)))
         else:
             state = state.copy()
             assert state._carry is None  # the next diffusion sums the copy afresh
