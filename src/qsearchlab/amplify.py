@@ -181,7 +181,9 @@ def amplitude_amplify(
     (`grover._sweep_restarts`); each attempt up to the first verified one is
     charged its own rounds, preparations and verification, as if it had
     restarted from the start state, and the generator is left just past
-    that attempt's measurement draw.
+    that attempt's measurement draw.  Only a draw that lands in a block
+    holding a good index is resolved inside it, and the plan's last
+    attempt, whose index is returned when nothing verifies.
     """
     counter = BitOracle(sim.marked_mask(params.good, prep.dimension))
     good_idx, good = counter.marked_indices(), counter.peek_all()
@@ -200,13 +202,12 @@ def amplitude_amplify(
     # count can overshoot.  Reuse the unknown-count schedule over rounds,
     # verifying each measurement (one charged good-set query per attempt).
     cap = float(predicted_repetitions(params.success_floor) + 1)
-    attempts, _ = _sweep_restarts(
+    rounds, index, _ = _sweep_restarts(
         counter, rng, cap, unknown_count_budget(cap), start,
         lambda state, sink, count: _amplify_rounds(state, prep, good_idx, sink, count),
     )
-    rounds_used = sum(rounds for rounds, _ in attempts)
-    index = attempts[-1][1]
-    queries = (2 * rounds_used + len(attempts)) * prep.cost + counter.query_count
+    rounds_used = sum(rounds)
+    queries = (2 * rounds_used + len(rounds)) * prep.cost + counter.query_count
     return AmplifyResult(
         index=index, good=bool(good[index]), queries=queries, rounds=rounds_used
     )

@@ -264,7 +264,7 @@ def _sweep_restarts(
     budget: int,
     start: StateVector,
     advance: Callable[[StateVector, object, int], StateVector],
-) -> tuple[list[tuple[int, int]], bool]:
+) -> tuple[list[int], Optional[int], bool]:
     """Run a restart plan on one trajectory; charge and verify its attempts.
 
     Each attempt restarts from `start`, applies its rounds with `advance`,
@@ -275,24 +275,27 @@ def _sweep_restarts(
     distinct round counts in ascending order: `advance(state, sink, count)`
     applies `count` more rounds, charging its oracle applications to a
     sink, so one call steps the state from one distinct count to the next.
-    At each, the attempts still pending, those before the earliest
-    hit so far, are measured from one weight table and checked against the
-    oracle's table.  The attempts up to the first hit are then
-    charged their summed rounds and one verification each, and the generator
-    is set just past the last of them: where independent restarts, drawing
-    as they go, leave it.  Returns the charged (rounds, index) attempts and
-    whether the last one verified.
+    At each, the attempts still pending, those before the earliest hit so
+    far, are measured from one weight table by `WeightTable.first_marked`,
+    which resolves only draws that land in a block holding a marked index.
+    The plan's last attempt, if still pending, is also sampled at its depth:
+    with no hit it is charged and its index returned.  The attempts up to
+    the first hit are then charged their summed rounds and one verification
+    each, and the generator is set just past the last of them: where
+    independent restarts, drawing as they go, leave it.  Returns the
+    charged round counts, the last charged attempt's index (None when the
+    budget allows none) and whether it verified.
     """
     bit_generator = rng.generator.bit_generator
     entry, rounds, draws, ends = _plan(bit_generator, cap, budget)
     if not rounds:
-        return [], False
+        return [], None, False
     by_depth: dict[int, list[int]] = {}
     for attempt, depth in enumerate(rounds):
         by_depth.setdefault(depth, []).append(attempt)
-    marks = oracle.peek_all()
-    indices = [0] * len(rounds)
-    first_hit = len(rounds)
+    marked = oracle.marked_indices()
+    last = len(rounds) - 1
+    first_hit, index = len(rounds), None
     sink = sim._CountingOracle()
     state, depth = start.copy(), 0
     for target in sorted(by_depth):
@@ -301,19 +304,19 @@ def _sweep_restarts(
         if not pending:  # all after a hit; a deeper attempt may still come before it
             continue
         state, depth = advance(state, sink, target - depth), target
-        picked = sim.born_table(state.amps).sample_many([draws[a] for a in pending])
-        for attempt, index in zip(pending, picked):
-            indices[attempt] = index
-            if marks[index]:
-                first_hit = attempt
-                break
+        table = sim.born_table(state.amps)
+        hit = table.first_marked([draws[a] for a in pending], marked)
+        if hit is not None:
+            position, index = hit
+            first_hit = pending[position]
+        elif pending[-1] == last:  # charged, and returned, unless a deeper attempt hits
+            index = table.sample(draws[last])
 
     charged = min(first_hit + 1, len(rounds))
-    attempts = list(zip(rounds[:charged], indices[:charged]))
     sim.place_draws(bit_generator, entry, ends[charged - 1])
     oracle.charge(sum(rounds[:charged]))
     oracle.charge(charged)  # one verification query per attempt
-    return attempts, bool(marks[attempts[-1][1]])
+    return rounds[:charged], index, first_hit <= last
 
 
 def search_unknown_count(
@@ -335,7 +338,8 @@ def search_unknown_count(
     and simulated as one sweep along a single round trajectory (see
     `_sweep_restarts`); each attempt up to the first verified one still
     charges its own rounds and its verification, as if it had restarted
-    from uniform.  The generator is left just past the last charged
+    from uniform; only a draw that lands in a block holding a marked index
+    is resolved inside it.  The generator is left just past the last charged
     attempt's measurement draw, where restarts drawing as they go leave it.
     """
     if size != oracle.size:
@@ -347,9 +351,9 @@ def search_unknown_count(
     if max_queries is not None:
         budget = min(budget, max(0, max_queries))
     marked = oracle.marked_indices()
-    attempts, found = _sweep_restarts(
+    _, index, found = _sweep_restarts(
         oracle, rng, cap, budget, sim.uniform_state(size),
         lambda state, sink, count: _run_rounds(state, marked, sink, count),
     )
-    return attempts[-1][1] if found else None
+    return index if found else None
 

@@ -41,6 +41,9 @@ vectorized BLOCK totals plus a sequential sum over the one block a draw
 lands in.  Either way the squared norm is checked, the draw is scaled by
 it, and no index of zero weight is returned.  This is the package's one
 sampler: the walks measure their flat amplitude vectors through it too.
+A restart sweep needs only its first draw that lands on a marked index
+(`WeightTable.first_marked`): a draw whose block holds none is a miss, so
+only the others are resolved inside their block.
 
 STATE_BYTE_CAP is the package's one memory budget, and `check_state_size`
 its one check: states, Szegedy trajectories, dense chain matrices and bench
@@ -649,7 +652,8 @@ class WeightTable:
     ONE_LEVEL_MAX amplitudes: then it is the running sum of the totals of
     BLOCK-long blocks (the last may be shorter), and a draw reads the
     amplitudes again for the block it lands in, so the table is valid only
-    until they change.
+    until they change.  `first_marked` reads a block only for a draw whose
+    block holds a marked index.
     """
 
     __slots__ = ("edges", "total", "_amps")
@@ -687,27 +691,54 @@ class WeightTable:
         and an index of zero weight is never returned.
         """
         target = draw * self.total
-        index = int(np.searchsorted(self.edges, target, side="right"))
-        if index == self.edges.size:  # a subnormal total: the scaled draw rounded onto it
-            index = int(np.searchsorted(self.edges, self.total, side="left"))
-        if self._amps is None:
-            return index
-        start = index * BLOCK
-        local = np.cumsum(_born_weights(self._amps[start:start + BLOCK]))
-        offset = int(np.searchsorted(local, target - self.edges[index - 1] if index else target,
-                                     side="right"))
-        if offset == local.size:  # rounding put the remainder past the block's own sum
-            offset = int(np.searchsorted(local, local[-1], side="left"))
-        return start + offset
+        found = int(self._find([target])[0])
+        return found if self._amps is None else self._resolve(found, target)
 
-    def sample_many(self, draws: list) -> list:
-        """`sample` of each draw: one search over a one-level table, else one per draw."""
+    def first_marked(self, draws: list, marked: np.ndarray) -> tuple[int, int] | None:
+        """(position, index) of the first of `draws` whose `sample` is in `marked`, or None.
+
+        `marked` holds sorted, distinct indices.  One search finds every
+        draw's entry, or block on a two-level table.  `sample` returns an
+        index inside the block, so a draw whose block holds no marked index
+        misses; only the others are resolved inside their block.
+        """
+        if not marked.size:  # nothing to find, as once a minimum finding holds the minimum
+            return None
+        targets = np.multiply(draws, self.total)
+        found = self._find(targets)
         if self._amps is None:
-            targets = np.multiply(draws, self.total)
-            picked = np.searchsorted(self.edges, targets, side="right").tolist()
-            if max(picked) < self.edges.size:
-                return picked
-        return [self.sample(draw) for draw in draws]
+            lo, hi = marked.searchsorted(found), marked.searchsorted(found, side="right")
+        else:
+            starts = found * BLOCK
+            lo, hi = marked.searchsorted(starts), marked.searchsorted(starts + BLOCK)
+        for position, (first, end) in enumerate(zip(lo.tolist(), hi.tolist())):
+            if first == end:  # no marked index in this draw's entry or block
+                continue
+            if self._amps is None:
+                return position, int(found[position])
+            index = self._resolve(int(found[position]), targets[position])
+            slot = int(marked.searchsorted(index))
+            if slot < end and marked[slot] == index:
+                return position, index
+        return None
+
+    def _find(self, targets) -> np.ndarray:
+        """Entry (one level) or block (two levels) whose slice of `edges` holds each target."""
+        edges = self.edges
+        found = edges.searchsorted(targets, side="right")
+        if max(found.tolist()) == edges.size:  # a subnormal total: a target rounded onto it
+            found[found == edges.size] = edges.searchsorted(self.total, side="left")
+        return found
+
+    def _resolve(self, block: int, target: float) -> int:
+        """Index inside a two-level table's `block` whose weight slice holds `target`."""
+        start = block * BLOCK
+        local = np.cumsum(_born_weights(self._amps[start:start + BLOCK]))
+        offset = int(local.searchsorted(target - self.edges[block - 1] if block else target,
+                                        side="right"))
+        if offset == local.size:  # rounding put the remainder past the block's own sum
+            offset = int(local.searchsorted(local[-1], side="left"))
+        return start + offset
 
 
 _TINY = np.finfo(np.float64).tiny

@@ -6,6 +6,7 @@ never certifies itself.
 """
 
 import math
+from bisect import bisect_left
 
 import mpmath
 import numpy as np
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsearchlab import grover, sim
-from qsearchlab.amplify import predicted_repetitions
+from qsearchlab import amplify, grover, sim
+from qsearchlab.amplify import AmplifyParams, predicted_repetitions, uniform_preparation
 from qsearchlab.grover import (
     GroverParams,
     optimal_query_count,
@@ -442,6 +443,75 @@ def test_sweep_skips_a_depth_without_pending_attempts():
         outcomes.append((run(oracle, 16, rng), oracle.query_count, rng.random()))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][:2] == (0, 12)
+
+
+def _every_draw_sweep(oracle, rng, cap, budget, start, advance):
+    # Reference for the sweep: the same trajectory, but every pending draw is
+    # sampled to its index, misses included.  Returns what _sweep_restarts does.
+    bit_generator = rng.generator.bit_generator
+    entry, rounds, draws, ends = grover._plan(bit_generator, cap, budget)
+    if not rounds:
+        return [], None, False
+    by_depth = {}
+    for attempt, depth in enumerate(rounds):
+        by_depth.setdefault(depth, []).append(attempt)
+    marks = oracle.peek_all()
+    indices = [0] * len(rounds)
+    first_hit = len(rounds)
+    sink = sim._CountingOracle()
+    state, depth = start.copy(), 0
+    for target in sorted(by_depth):
+        group = by_depth[target]
+        pending = group[:bisect_left(group, first_hit)]
+        if not pending:
+            continue
+        state, depth = advance(state, sink, target - depth), target
+        table = sim.born_table(state.amps)
+        for attempt in pending:
+            indices[attempt] = table.sample(draws[attempt])
+            if marks[indices[attempt]]:
+                first_hit = attempt
+                break
+    charged = min(first_hit + 1, len(rounds))
+    sim.place_draws(bit_generator, entry, ends[charged - 1])
+    oracle.charge(sum(rounds[:charged]))
+    oracle.charge(charged)
+    index = indices[charged - 1]
+    return rounds[:charged], index, bool(marks[index])
+
+
+@pytest.mark.parametrize("size", [64, 8192, 8193, 16384, 65536])
+@pytest.mark.parametrize("count", [0, 1, 2, 17, "half"])
+def test_sweep_matches_the_every_draw_reference(monkeypatch, size, count):
+    # One- and two-level tables; budgets spent without a hit (no marks, or a
+    # small max_queries) charge the plan's last attempt, an unmarked miss,
+    # whose index amplitude_amplify returns.
+    count = size // 2 if count == "half" else count
+    marked = np.sort(SeededRng(size, 8).generator.choice(size, count, replace=False))
+    prep = uniform_preparation(size)
+    params = AmplifyParams(max(count, 1) / size, marked, floor_is_lower_bound=True)
+    runs = [(seed, max_queries) for seed in (0, 1) for max_queries in (None, 5)]
+    real = grover._sweep_restarts
+    for seed, max_queries in runs:
+        outcomes = []
+        for sweep in (real, _every_draw_sweep):
+            swept = []
+
+            def spy(*args, sweep=sweep, swept=swept):
+                swept.append(sweep(*args))
+                return swept[-1]
+
+            monkeypatch.setattr(grover, "_sweep_restarts", spy)
+            monkeypatch.setattr(amplify, "_sweep_restarts", spy)
+            oracle, rng = _planted_oracle(size, marked), SeededRng(seed, 6)
+            hit = search_unknown_count(oracle, size, rng, max_queries=max_queries)
+            found = (hit, oracle.query_count, rng.generator.bit_generator.state)
+            rng = SeededRng(seed, 6)
+            result = amplify.amplitude_amplify(prep, params, rng)
+            outcomes.append((found, result, rng.generator.bit_generator.state, swept))
+        assert len(outcomes[0][3]) == 2 and outcomes[0] == outcomes[1], (seed, max_queries)
+        if not count:
+            assert outcomes[0][0][0] is None and not outcomes[0][1].good
 
 
 @settings(max_examples=60, deadline=None)

@@ -916,8 +916,10 @@ def test_weight_table_never_returns_a_zero_weight_index():
     assert tiny * tiny == 5e-324 and top * 5e-324 == 5e-324
     assert _sample([0.0, tiny, 0.0], top) == 1
     assert _sample([0.0, tiny * 1j, 0.0], top) == 1
-    # sample_many falls back to one sample per draw when a draw lands there
-    assert WeightTable(np.array([0.0, tiny, 0.0])).sample_many([0.0, top, 0.5]) == [1, 1, 1]
+    # first_marked finds that entry for a draw that lands there, as sample does
+    table = WeightTable(np.array([0.0, tiny, 0.0]))
+    assert table.first_marked([0.0, top, 0.5], np.array([1])) == (0, 1)
+    assert table.first_marked([0.0, top, 0.5], np.array([0, 2])) is None
 
 
 def test_born_cumulative_is_kind_blind_and_checks_the_norm():
@@ -950,14 +952,29 @@ _TABLE_SIZES = st.one_of(
 )
 
 
+def _marked_for(marks: str, weights: np.ndarray, gen) -> np.ndarray:
+    size = weights.size
+    if marks == "empty":
+        return np.array([], dtype=np.int64)
+    if marks == "one":
+        return np.array([gen.integers(size)])
+    if marks == "zero weight":
+        return np.flatnonzero(weights == 0)
+    if marks == "block bounds":  # a random side of every block bound, and the last index
+        bounds = np.arange(sim.BLOCK, size, sim.BLOCK)
+        return np.unique(np.append(bounds - gen.integers(0, 2, bounds.size), size - 1))
+    return np.sort(gen.choice(size, size // 2, replace=False))  # half of all indices
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     size=_TABLE_SIZES,
     shape=st.sampled_from(["random", "zero blocks", "one amplitude", "subnormal"]),
     seed=st.integers(0, 2**20),
     complex_state=st.booleans(),
+    marks=st.sampled_from(["empty", "one", "zero weight", "block bounds", "half"]),
 )
-def test_weight_table_matches_one_sequential_running_sum(size, shape, seed, complex_state):
+def test_weight_table_matches_one_sequential_running_sum(size, shape, seed, complex_state, marks):
     gen = SeededRng(seed, 3).generator
     amps = gen.normal(size=size)
     if shape == "zero blocks":  # whole blocks, and so whole block totals, of zero weight
@@ -975,7 +992,13 @@ def test_weight_table_matches_one_sequential_running_sum(size, shape, seed, comp
     weights = np.square(np.abs(amps))
     assume(weights.sum() > 0)  # subnormal amplitudes can square to zero
     table = born_table(amps) if shape != "subnormal" else WeightTable(amps)
-    draws = np.concatenate([gen.random(40), [0.0, float(np.nextafter(1.0, 0.0))]])
+    marked = _marked_for(marks, weights, gen)
+    # after the random draws, one draw aimed mid-slice at each of the first
+    # four marked indices of nonzero weight
+    running = np.cumsum(weights)
+    aimed = marked[weights[marked] > 0][:4]
+    draws = np.concatenate([gen.random(40), [0.0, float(np.nextafter(1.0, 0.0))],
+                            (running[aimed] - weights[aimed] / 2) / running[-1]])
     for draw in draws:
         index = table.sample(float(draw))
         assert weights[index] > 0
@@ -985,7 +1008,13 @@ def test_weight_table_matches_one_sequential_running_sum(size, shape, seed, comp
         target = float(draw) * edges[-1]
         if np.abs(edges - target).min() > 1e-12 * edges[-1]:
             assert index == expected
-    assert table.sample_many(draws.tolist()) == [table.sample(float(draw)) for draw in draws]
+    # first_marked stops where the first sampled index that is marked stands,
+    # from every starting draw on
+    chosen = set(marked.tolist())
+    sampled = [table.sample(float(draw)) for draw in draws]
+    for start in range(draws.size):
+        first = next(((p, i) for p, i in enumerate(sampled[start:]) if i in chosen), None)
+        assert table.first_marked(draws[start:].tolist(), marked) == first
     if shape != "subnormal":
         with pytest.raises(NormalizationError):
             born_table(amps * (1.0 + 1e-5))
