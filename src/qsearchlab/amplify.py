@@ -8,8 +8,10 @@ preparation computes once, much as operators read a black box while they
 are built; the charges still count every application of A and A^-1 that
 the round stands for.  The reflection is the simulator's pending one
 (`sim._reflect` about s), so a round writes only the good entries of the
-state until its amplitudes are read.  With the uniform preparation this
-reproduces the plain search rounds, amplitude for amplitude up to rounding.
+state until its amplitudes are read.  Rounds step through `sim._run_rounds`
+about s, the driver that Grover's search runs with the diffusion.  With the
+uniform preparation this reproduces the plain search rounds, amplitude for
+amplitude up to rounding.
 """
 
 from __future__ import annotations
@@ -153,20 +155,6 @@ def amplification_round(
     return sim._reflect(state, prep.start)
 
 
-def _amplify_rounds(state: StateVector, prep: StatePreparation, good_indices: np.ndarray,
-                    counter: sim._CountingOracle, rounds: int) -> StateVector:
-    """Step `state`, fresh or left by an earlier call, through `rounds` rounds in place.
-
-    A fresh state's first round is `amplification_round`, which sets s as
-    the pending axis and starts the carried <s|a>; the rest run as one loop
-    over the good entries (`sim._repeat_round`).
-    """
-    if rounds and state._carry is None:
-        amplification_round(state, prep, good_indices, counter)
-        rounds -= 1
-    return sim._repeat_round(state, good_indices, counter, rounds)
-
-
 def amplitude_amplify(
     prep: StatePreparation, params: AmplifyParams, rng: SeededRng
 ) -> AmplifyResult:
@@ -175,7 +163,8 @@ def amplitude_amplify(
     Query cost is (2*rounds + 1) preparation applications plus one
     good-set query per round; the returned good flag is a classical
     re-check of the measured index and is not charged.  The rounds step one
-    copy of the start state (`_amplify_rounds`).  In lower-bound mode the
+    copy of the start state: the first is `amplification_round`, and the
+    rest run through `sim._run_rounds` about s.  In lower-bound mode the
     restart schedule is decoded up front from the generator's raw words
     and runs as one sweep along a single round trajectory
     (`grover._sweep_restarts`); each attempt up to the first verified one is
@@ -191,7 +180,10 @@ def amplitude_amplify(
 
     if not params.floor_is_lower_bound:
         rounds = predicted_repetitions(params.success_floor)
-        state = _amplify_rounds(start.copy(), prep, good_idx, counter, rounds)
+        state = start.copy()
+        if rounds:  # the first round sets s as the pending axis and starts the carry
+            sim._run_rounds(amplification_round(state, prep, good_idx, counter),
+                            good_idx, counter, rounds - 1, prep.start)
         index = sim.measure(state, rng)
         queries = (2 * rounds + 1) * prep.cost + counter.query_count
         return AmplifyResult(
@@ -203,9 +195,7 @@ def amplitude_amplify(
     # verifying each measurement (one charged good-set query per attempt).
     cap = float(predicted_repetitions(params.success_floor) + 1)
     rounds, index, _ = _sweep_restarts(
-        counter, rng, cap, unknown_count_budget(cap), start,
-        lambda state, sink, count: _amplify_rounds(state, prep, good_idx, sink, count),
-    )
+        counter, rng, cap, unknown_count_budget(cap), start, prep.start)
     rounds_used = sum(rounds)
     queries = (2 * rounds_used + len(rounds)) * prep.cost + counter.query_count
     return AmplifyResult(

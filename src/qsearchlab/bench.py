@@ -102,6 +102,8 @@ def _random_values(size: int, rng: SeededRng) -> np.ndarray:
 
 
 def _single_marked_oracle(size: int, rng: SeededRng, marked_count: int = 1) -> sim.BitOracle:
+    if not 0 <= marked_count <= size:
+        raise ParameterError(f"marked_count {marked_count} outside [0, {size}]")
     sim.check_state_size(size)  # before the bit table, the first size-long array
     targets = rng.generator.choice(size, size=marked_count, replace=False)
     bits = np.zeros(size, dtype=bool)  # a bool mask skips BitOracle's 0/1 check
@@ -162,6 +164,8 @@ def _trial_local_min(size, rng, params):
 
 def _planted_collision_values(size: int, rng: SeededRng) -> np.ndarray:
     # Distinct values except one planted duplicated pair.
+    if size < 2:
+        raise ParameterError(f"collision finding needs size >= 2, got {size}")
     values = _random_values(size, rng).astype(np.int64)
     a, b = rng.generator.choice(size, size=2, replace=False)
     values[int(b)] = values[int(a)]
@@ -418,6 +422,8 @@ class ExperimentConfig:
             raise UsageError(f"sizes must be strictly increasing, got {list(self.sizes)}")
         if not self.sizes:
             raise UsageError("at least one size is required")
+        if self.sizes[0] < 1:
+            raise UsageError(f"sizes must be >= 1, got {self.sizes[0]}")
         if self.trials < 1:
             raise UsageError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -497,6 +503,8 @@ def load_config(path: Union[str, Path, None] = None, overrides: Optional[Mapping
                 params[key] = float(value)
             except (TypeError, ValueError):
                 raise UsageError(f"parameter {key!r} must be numeric, got {value!r}") from None
+            if not math.isfinite(params[key]):
+                raise UsageError(f"parameter {key!r} must be finite, got {value!r}")
     if "experiment" not in kwargs:
         raise UsageError("name an experiment; valid names: " + ", ".join(experiment_names()))
     return ExperimentConfig(params=params, **kwargs)

@@ -15,7 +15,7 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -128,20 +128,6 @@ def success_profile(size: int, marked_count: int, max_rounds: int) -> np.ndarray
     return np.minimum(1.0, profile)
 
 
-def _run_rounds(state: StateVector, marked: np.ndarray, oracle, rounds: int) -> StateVector:
-    """Step `state` through `rounds` Grover rounds in place; check `marked` once per search.
-
-    `state` is fresh or was left by an earlier call.  On a fresh state the
-    first round goes through the public operators, which set the diffusion
-    as the pending reflection and start the carried sum; the other rounds
-    run as one loop over the marked entries (`sim._repeat_round`).
-    """
-    if rounds and state._carry is None:
-        sim.apply_diffusion(sim.apply_phase_flip(state, marked, oracle))
-        rounds -= 1
-    return sim._repeat_round(state, marked, oracle, rounds)
-
-
 def search(oracle: BitOracle, params: GroverParams, rng: SeededRng) -> int:
     """Fixed-count search; charges exactly the scheduled number of queries.
 
@@ -154,7 +140,7 @@ def search(oracle: BitOracle, params: GroverParams, rng: SeededRng) -> int:
     marked = oracle.marked_indices()
     count = params.marked_count if params.marked_count is not None else int(marked.size)
     rounds = optimal_query_count(params.size, count) if count else 0
-    state = _run_rounds(sim.uniform_state(params.size), marked, oracle, rounds)
+    state = sim._run_rounds(sim.uniform_state(params.size), marked, oracle, rounds)
     return sim.measure(state, rng)
 
 
@@ -202,7 +188,7 @@ def prepared_certain_state(oracle: BitOracle, params: GroverParams) -> StateVect
     state = sim.uniform_state(params.size)
     if rounds == 0:
         return state  # every index marked; uniform state already certain
-    _run_rounds(state, marked, oracle, rounds - 1)
+    sim._run_rounds(state, marked, oracle, rounds - 1)
     phi, psi = _tuned_final_phases(theta, rounds)
     sim.apply_phase_rotation(state, marked, phi, oracle)
     return sim.apply_diffusion_rotation(state, psi)
@@ -263,20 +249,21 @@ def _sweep_restarts(
     cap: float,
     budget: int,
     start: StateVector,
-    advance: Callable[[StateVector, object, int], StateVector],
+    axis: Optional[np.ndarray] = None,
 ) -> tuple[list[int], Optional[int], bool]:
     """Run a restart plan on one trajectory; charge and verify its attempts.
 
-    Each attempt restarts from `start`, applies its rounds with `advance`,
-    measures, and verifies the outcome with one query.  Neither the round
-    counts nor the measurement draws depend on outcomes, so `_plan` decodes
-    the whole plan up front, and every attempt is a prefix of one
-    trajectory.  One copy of `start` is stepped in place through the
-    distinct round counts in ascending order: `advance(state, sink, count)`
-    applies `count` more rounds, charging its oracle applications to a
-    sink, so one call steps the state from one distinct count to the next.
-    At each, the attempts still pending, those before the earliest hit so
-    far, are measured from one weight table by `WeightTable.first_marked`,
+    Each attempt restarts from `start`, applies its rounds, measures, and
+    verifies the outcome with one query.  A round flips the oracle's marked
+    set, then reflects about `axis`: None for Grover's diffusion, or an
+    amplification's start state.  Neither the round counts nor the
+    measurement draws depend on outcomes, so `_plan` decodes the whole plan
+    up front, and every attempt is a prefix of one trajectory.  One copy of
+    `start` is stepped in place through the distinct round counts in
+    ascending order: one `sim._run_rounds` call, charging its oracle
+    applications to a sink, steps the state from one distinct count to the
+    next.  At each, the attempts still pending, those before the earliest
+    hit so far, are measured from one weight table by `WeightTable.first_marked`,
     which resolves only draws that land in a block holding a marked index.
     The plan's last attempt, if still pending, is also sampled at its depth:
     with no hit it is charged and its index returned.  The attempts up to
@@ -303,7 +290,7 @@ def _sweep_restarts(
         pending = group[:bisect_left(group, first_hit)]
         if not pending:  # all after a hit; a deeper attempt may still come before it
             continue
-        state, depth = advance(state, sink, target - depth), target
+        state, depth = sim._run_rounds(state, marked, sink, target - depth, axis), target
         table = sim.born_table(state.amps)
         hit = table.first_marked([draws[a] for a in pending], marked)
         if hit is not None:
@@ -350,10 +337,6 @@ def search_unknown_count(
     budget = unknown_count_budget(cap)
     if max_queries is not None:
         budget = min(budget, max(0, max_queries))
-    marked = oracle.marked_indices()
-    _, index, found = _sweep_restarts(
-        oracle, rng, cap, budget, sim.uniform_state(size),
-        lambda state, sink, count: _run_rounds(state, marked, sink, count),
-    )
+    _, index, found = _sweep_restarts(oracle, rng, cap, budget, sim.uniform_state(size))
     return index if found else None
 

@@ -27,13 +27,13 @@ beta (summing the state once when it carries nothing), and the flip writes
 the marked entries of r alone and moves the carry by -2 times the overlap
 of w with the negated amplitudes.  Reading `amps` writes sigma*r + beta*w
 into r and resets sigma and beta; the carry stays valid.  A reflection
-about another axis first writes the pending one out.  Once a round has
-started the carry, consecutive rounds on one state run as one loop over the
-marked entries (`_repeat_round`, which is also the flip): they are gathered
-and written back once.  Construction, `copy()`, the rotations and the walks
-start with nothing pending and no carry.  The operators are the only
-writers of a state's amps: a caller that edits amplitudes in place edits a
-`copy()`.
+about another axis first writes the pending one out.  `_run_rounds` steps
+Grover and amplification rounds: a first round through the operators starts
+the carry, and the rest run as one loop over the marked entries
+(`_repeat_round`, which is also the flip), gathered and written back once.
+Construction, `copy()`, the rotations and the walks start with nothing
+pending and no carry.  The operators are the only writers of a state's
+amps: a caller that edits amplitudes in place edits a `copy()`.
 
 Measurement draws from a `WeightTable` of |amps|^2: one sequential running
 sum up to ONE_LEVEL_MAX amplitudes; above that, a running sum over
@@ -533,17 +533,36 @@ def _as_index_array(marked, dimension: int) -> np.ndarray:
     return idx
 
 
+def _run_rounds(state: StateVector, marked, oracle: _CountingOracle, count: int,
+                axis=None) -> StateVector:
+    """Step `state` through `count` rounds in place: a phase flip, then a reflection about `axis`.
+
+    `axis` is None for the diffusion, or an amplification's start state.  A
+    state that does not carry its overlap with `axis` takes its first round
+    through the operators, which start the carry; the rest are one `_repeat_round`.
+    """
+    if count and (state._carry is None or state._axis is not axis):
+        apply_phase_flip(state, marked, oracle)
+        if axis is None:
+            apply_diffusion(state)
+        else:
+            _reflect(state, axis)
+        count -= 1
+    return _repeat_round(state, marked, oracle, count)
+
+
 def _repeat_round(state: StateVector, marked, oracle: _CountingOracle, count: int,
                   reflect: bool = True) -> StateVector:
     """Repeat `state`'s current round `count` times: a phase flip, then its pending reflection.
 
-    The state must carry its overlap: a round through the public operators
-    set the axis (None: the diffusion) and started the carry.  The marks
-    are checked once, the marked entries of r (and of the axis) gathered
-    and written back once, and `count` queries charged at once.  In between
-    the entries are stepped as Python numbers, without an axis up to
-    SMALL_SUM of them and with one a single entry, else as numpy arrays.
-    Without `reflect` one call is `apply_phase_flip`, whose formulas these are.
+    The state must carry its overlap: `_run_rounds`, the one caller that
+    reflects, sets the axis (None: the diffusion) and starts the carry with a
+    first round through the public operators.  The marks are checked once,
+    the marked entries of r (and of the axis) gathered and written back
+    once, and `count` queries charged at once.  In between the entries are
+    stepped as Python numbers, without an axis up to SMALL_SUM of them and
+    with one a single entry, else as numpy arrays.  Without `reflect` one
+    call is `apply_phase_flip`, whose formulas these are.
     """
     r, axis, sign, beta, carry = state._r, state._axis, state._sign, state._beta, state._carry
     idx = _as_index_array(marked, r.size)

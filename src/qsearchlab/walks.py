@@ -113,7 +113,6 @@ class TorusGrid:
         self.dimensions = int(dimensions)
         self.cells = self.side**self.dimensions
         self.direction_count = 2 * self.dimensions
-        self._shift_map: Optional[np.ndarray] = None
         self._row_shift: Optional[np.ndarray] = None
         self._scan_order: Optional[np.ndarray] = None
 
@@ -139,16 +138,8 @@ class TorusGrid:
             total += min(d, self.side - d)
         return total
 
-    def shift_map(self) -> np.ndarray:
-        """Flat permutation sending (cell, dir) to (neighbor, reversed dir)."""
-        if self._shift_map is None:
-            rows = self.row_shift().reshape(self.direction_count, self.cells)
-            self._shift_map = (rows % self.cells * self.direction_count + rows // self.cells).T.ravel()
-            self._shift_map.setflags(write=False)  # a grid may be shared between searches
-        return self._shift_map
-
     def row_shift(self) -> np.ndarray:
-        """shift_map for direction-major amplitudes, where d * cells + c is (c, d)."""
+        """The grid's one permutation table: (c, d) to (neighbor, reversed d), at d * cells + c."""
         if self._row_shift is None:
             cells = np.arange(self.cells, dtype=np.int64)
             target = np.empty((self.direction_count, self.cells), dtype=np.int64)
@@ -160,7 +151,7 @@ class TorusGrid:
                     neighbor = cells + ((coord + delta) % self.side - coord) * stride
                     target[direction] = self.reverse(direction) * self.cells + neighbor
             self._row_shift = target.reshape(-1)
-            self._row_shift.setflags(write=False)
+            self._row_shift.setflags(write=False)  # a grid may be shared between searches
         return self._row_shift
 
     def scan_order(self) -> np.ndarray:
@@ -444,7 +435,7 @@ def cycle_chain(size: int, marked=()) -> MarkovChain:
 def _torus_base(side: int, dimensions: int) -> MarkovChain:
     grid = TorusGrid(side, dimensions)
     k = grid.direction_count
-    return _regular_chain(grid.cells, k, lambda: grid.shift_map().reshape(grid.cells, k) // k)
+    return _regular_chain(grid.cells, k, lambda: (grid.row_shift().reshape(k, -1) % grid.cells).T)
 
 
 def torus_chain(side: int, dimensions: int = 2, marked=()) -> MarkovChain:

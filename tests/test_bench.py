@@ -545,6 +545,36 @@ def test_cli_run_peak_memory_does_not_grow_with_trials(tmp_path, capsys):
     assert peak(20_000) <= small + 64 * 2**10
 
 
+# Sizes and runner params that reach a runner unchecked raise from numpy or
+# int() as a traceback; each is refused where it enters instead.
+_OUTSIDE_INPUTS = {
+    "amplify-uniform-size-0": (["-e", "amplify-uniform", "--sizes", "0"], None),
+    "szegedy-cycle-size-0": (["-e", "walk-szegedy-cycle", "--sizes", "0"], None),
+    "hitting-cycle-size-0": (["-e", "classical-hitting-cycle", "--sizes", "0"], None),
+    "local-min-size-0": (["-e", "local-min", "--sizes", "0"], None),
+    "ed-hybrid-size-1": (["-e", "ed-hybrid", "--sizes", "1"], None),
+    "ed-walk-size-1": (["-e", "ed-walk", "--sizes", "1"], None),
+    "marked-count-nan": ([], "experiment = grover-scaling\nmarked_count = nan\n"),
+    "marked-count-inf": ([], "experiment = grover-unknown\nmarked_count = inf\n"),
+    "step-budget-nan": ([], "experiment = walk-grid-2d\nstep_budget = nan\n"),
+    "walk-trials-inf": ([], "experiment = sat-schoening\nwalk_trials = inf\n"),
+    "subset-size-nan": ([], "experiment = ed-walk\nsubset_size = nan\n"),
+    "marked-count-over-size": ([], "experiment = grover-certain\nsizes = 256\nmarked_count = 300\n"),
+    "marked-count-negative": ([], "experiment = grover-scaling\nmarked_count = -1\n"),
+}
+
+
+@pytest.mark.parametrize("flags, config", _OUTSIDE_INPUTS.values(), ids=_OUTSIDE_INPUTS)
+def test_outside_input_exits_2_with_an_error_line(tmp_path, capsys, flags, config):
+    argv = ["run", *flags, "--no-summary"]
+    if config is not None:
+        path = tmp_path / "input.cfg"
+        path.write_text(config)
+        argv.insert(1, str(path))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_usage_errors_exit_two(tmp_path, capsys):
     assert main(["run", "--experiment", "nonsense", "--no-summary"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -445,7 +445,7 @@ def test_sweep_skips_a_depth_without_pending_attempts():
     assert outcomes[0][:2] == (0, 12)
 
 
-def _every_draw_sweep(oracle, rng, cap, budget, start, advance):
+def _every_draw_sweep(oracle, rng, cap, budget, start, axis=None):
     # Reference for the sweep: the same trajectory, but every pending draw is
     # sampled to its index, misses included.  Returns what _sweep_restarts does.
     bit_generator = rng.generator.bit_generator
@@ -465,7 +465,8 @@ def _every_draw_sweep(oracle, rng, cap, budget, start, advance):
         pending = group[:bisect_left(group, first_hit)]
         if not pending:
             continue
-        state, depth = advance(state, sink, target - depth), target
+        state = sim._run_rounds(state, oracle.marked_indices(), sink, target - depth, axis)
+        depth = target
         table = sim.born_table(state.amps)
         for attempt in pending:
             indices[attempt] = table.sample(draws[attempt])
@@ -524,7 +525,7 @@ def test_owned_rounds_equal_a_pure_operator_chain(case, rounds, complex_state):
     owned_oracle, pure_oracle = _planted_oracle(size, marked), _planted_oracle(size, marked)
     owned = StateVector(start.copy())
     buffer = owned.amps
-    stepped = grover._run_rounds(owned, marked, owned_oracle, rounds)
+    stepped = sim._run_rounds(owned, marked, owned_oracle, rounds)
     pure = StateVector(start.copy())
     for _ in range(rounds):
         pure = sim.apply_diffusion(sim.apply_phase_flip(pure, marked, pure_oracle))
@@ -544,7 +545,6 @@ def test_sweep_leaves_the_start_state_unmodified(case, seed):
     grover._sweep_restarts(
         _planted_oracle(size, marked), SeededRng(seed, 7),
         cap, grover.unknown_count_budget(cap), start,
-        lambda state, sink, count: grover._run_rounds(state, marked, sink, count),
     )
     assert np.array_equal(start.amps, before)
 

@@ -766,6 +766,31 @@ def test_repeated_rounds_match_one_round_calls(dimension, marked_count, axis, co
         assert repeated.amps.tobytes() == calls.amps.tobytes()
 
 
+@pytest.mark.parametrize("dimension", [64, 1000, 2**16])
+@pytest.mark.parametrize("marked_count", [1, 2, 17])
+def test_run_rounds_moves_a_pending_state_to_a_new_axis(dimension, marked_count):
+    # Grover rounds leave the state pending about the diffusion; rounds about a
+    # Householder start state, then Grover rounds again, each switch its axis
+    rng = SeededRng(dimension, marked_count)
+    marks = rng.generator.choice(dimension, marked_count, replace=False)
+    marked = BitOracle(sim.marked_mask(marks, dimension)).marked_indices()
+    raw = rng.generator.normal(size=dimension)
+    prep = amplify._householder_preparation(raw / np.linalg.norm(raw), cost=1)
+    oracle = sim._CountingOracle()
+    state = uniform_state(dimension)
+    reference = state.amps.copy()
+    for count, axis in ((5, None), (7, prep.start), (3, None)):
+        stepped = sim._run_rounds(state, marked, oracle, count, axis)
+        for _ in range(count):
+            reference = _eager_flip(reference, marked)
+            reference = (_eager_diffusion(reference) if axis is None
+                         else _eager_reflection(reference, axis))
+        assert stepped is state and state._axis is axis and state._carry is not None
+        assert np.abs(_pending_amps(state) - reference).max() <= 1e-12
+    assert oracle.query_count == 15
+    assert np.abs(state.amps - reference).max() <= 1e-12
+
+
 _CARRY_STEPS = ("flip", "diffuse", "copy", "rounds")
 
 

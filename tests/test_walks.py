@@ -74,12 +74,18 @@ def _cell_index(grid: TorusGrid, coords) -> int:
 
 
 def _neighbor(grid: TorusGrid, cell: int, direction: int) -> int:
-    """Reference for shift_map and scan_order: the adjacent cell along signed
+    """Reference for the shift and scan_order: the adjacent cell along signed
     axis direction 2*a + s, where s = 0 steps forward."""
     coords = list(grid.coordinates(cell))
     axis, sign = divmod(direction, 2)
     coords[axis] += 1 if sign == 0 else -1
     return _cell_index(grid, coords)
+
+
+def _cell_major_shift(grid: TorusGrid) -> np.ndarray:
+    """row_shift on the public layout: cell * k + d goes to neighbor * k + reverse(d)."""
+    rows = grid.row_shift().reshape(grid.direction_count, grid.cells)
+    return (rows % grid.cells * grid.direction_count + rows // grid.cells).T.ravel()
 
 
 def test_grid_coordinate_roundtrip():
@@ -95,8 +101,9 @@ def test_grid_neighbors_and_reverse():
     assert grid.coordinates(5) == (1, 1)
     assert _neighbor(grid, 5, 0) == 6
     assert _neighbor(grid, 5, 3) == 1
-    assert grid.shift_map()[5 * 4 + 0] == 6 * 4 + 1
-    assert grid.shift_map()[5 * 4 + 3] == 1 * 4 + 2
+    shift = _cell_major_shift(grid)
+    assert shift[5 * 4 + 0] == 6 * 4 + 1
+    assert shift[5 * 4 + 3] == 1 * 4 + 2
     for dims in (2, 3):
         g = TorusGrid(3, dims)
         for cell in range(g.cells):
@@ -119,7 +126,7 @@ def test_shift_map_is_an_involutive_permutation():
     # an involution is its own inverse, so a step may gather through it
     for side, dims in ((4, 2), (3, 3), (2, 2), (2, 3), (5, 2), (3, 2), (4, 3), (5, 3)):
         grid = TorusGrid(side, dims)
-        shift = grid.shift_map()
+        shift = _cell_major_shift(grid)
         assert sorted(shift) == list(range(grid.cells * grid.direction_count))
         assert np.array_equal(shift[shift], np.arange(shift.size))
         k = grid.direction_count
@@ -222,7 +229,7 @@ def _scatter_coined_step(grid: TorusGrid, amps: np.ndarray, marked) -> np.ndarra
     """Reference step on complex amplitudes: scatter through the shift, then the coin."""
     flat = np.asarray(amps, dtype=np.complex128)
     shifted = np.empty_like(flat)
-    shifted[grid.shift_map()] = flat
+    shifted[_cell_major_shift(grid)] = flat
     shifted = shifted.reshape(grid.cells, grid.direction_count)
     out = 2.0 * shifted.mean(axis=1, keepdims=True) - shifted
     cells = sorted(set(marked))
@@ -264,7 +271,7 @@ def _cell_major_step(grid: TorusGrid, amps: np.ndarray, marked) -> np.ndarray:
     """Reference step on the public (cell, direction) layout: gather, then the coin."""
     k = grid.direction_count
     marked_idx = sim._as_index_array(marked, grid.cells)
-    out = amps[grid.shift_map()]
+    out = amps[_cell_major_shift(grid)]
     cells = out.reshape(grid.cells, k)
     twice_means = cells[:, 0] + cells[:, 1]
     twice_means += cells[:, 2] + cells[:, 3]
@@ -346,14 +353,14 @@ def test_grid_walk_search_checks_its_marks_once(monkeypatch):
 
 def test_grid_index_arrays_are_read_only():
     grid = TorusGrid(4, 3)
-    for table in (grid.shift_map(), grid.scan_order(), grid.row_shift()):
+    for table in (grid.scan_order(), grid.row_shift()):
         with pytest.raises(ValueError):
             table[0] = 1
     # gathering direction-major rows is the cell-major gather, transposed
     amps = np.arange(grid.cells * grid.direction_count, dtype=float)
     rows = amps.reshape(grid.cells, -1).T.ravel()
     assert np.array_equal(rows[grid.row_shift()],
-                          amps[grid.shift_map()].reshape(grid.cells, -1).T.ravel())
+                          amps[_cell_major_shift(grid)].reshape(grid.cells, -1).T.ravel())
 
 
 def test_uniform_profile_starts_at_marked_fraction():
@@ -550,7 +557,7 @@ def test_regular_chain_edges_are_bit_equal_to_the_dense_builder():
     for side, dims in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 3), (10, 2), (7, 3)):
         grid = TorusGrid(side, dims)
         k = grid.direction_count
-        table = grid.shift_map().reshape(grid.cells, k) // k
+        table = np.array([[_neighbor(grid, cell, d) for d in range(k)] for cell in range(grid.cells)])
         _assert_edges_are_the_pattern_of(
             torus_chain(side, dims), _dense_regular_chain(grid.cells, table))
 
