@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "experiment,size,trial,seed,queries,steps,success,ms"
+_FIELDS = tuple(CSV_HEADER.split(","))  # the one record schema, in both formats
 MAX_SIZE_COUNT = 10_000  # sizes one parse_sizes call may return
 # trials in flight per worker: keeps each busy, and memory off the trial count
 JOBS_WINDOW_PER_WORKER = 4
@@ -111,26 +112,17 @@ def _single_marked_oracle(size: int, rng: SeededRng, marked_count: int = 1) -> s
     return sim.BitOracle(bits)
 
 
-def _trial_grover_scaling(size, rng, params):
-    marked_count = int(params.get("marked_count", 1))
+def _trial_grover(size, rng, params, certain):
+    marked_count = params.get("marked_count", 1)
     oracle = _single_marked_oracle(size, rng, marked_count)
-    index = grover.search(oracle, grover.GroverParams(size=size, marked_count=marked_count), rng)
+    find = grover.search_with_certainty if certain else grover.search
+    index = find(oracle, grover.GroverParams(size=size, marked_count=marked_count), rng)
     steps = grover.optimal_query_count(size, marked_count)
     return float(oracle.query_count), steps, bool(oracle.peek_all()[index])
 
 
-def _trial_grover_certain(size, rng, params):
-    marked_count = int(params.get("marked_count", 1))
-    oracle = _single_marked_oracle(size, rng, marked_count)
-    index = grover.search_with_certainty(
-        oracle, grover.GroverParams(size=size, marked_count=marked_count), rng
-    )
-    success = bool(oracle.peek_all()[index])
-    return float(oracle.query_count), grover.optimal_query_count(size, marked_count), success
-
-
 def _trial_grover_unknown(size, rng, params):
-    marked_count = int(params.get("marked_count", 1))
+    marked_count = params.get("marked_count", 1)
     oracle = _single_marked_oracle(size, rng, marked_count)
     hit = grover.search_unknown_count(oracle, size, rng)
     return float(oracle.query_count), int(oracle.query_count), hit is not None
@@ -176,13 +168,13 @@ def _trial_ed_hybrid(size, rng, params):
     values = _planted_collision_values(size, rng)
     oracle = sim.ValueOracle(values)
     run = applications.ed_base_run(oracle, rng)
-    floor = float(params.get("single_run_floor", 0.5 / math.sqrt(size)))
+    floor = params.get("single_run_floor", 0.5 / math.sqrt(size))
     amplified = amplify.predicted_repetitions(floor) * run.queries
     return float(amplified), run.queries, run.pair is not None
 
 
 def _trial_ed_walk(size, rng, params):
-    subset_size = int(params.get("subset_size", math.ceil(size ** (2.0 / 3.0))))
+    subset_size = params.get("subset_size", math.ceil(size ** (2.0 / 3.0)))
     values = _planted_collision_values(size, rng)
     oracle = sim.ValueOracle(values)
     result = walks.ed_walk(oracle, size, subset_size, rng)
@@ -190,7 +182,7 @@ def _trial_ed_walk(size, rng, params):
 
 
 def _trial_sat_schoening(size, rng, params):
-    walk_trials = int(params.get("walk_trials", 300))
+    walk_trials = params.get("walk_trials", 300)
     formula, _ = applications.random_planted_formula(size, rng)
     report = applications.quantum_speedup_report(formula, rng.split(1), walk_trials)
     queries = float(report.quantum_repetitions or 0)
@@ -212,8 +204,8 @@ def _grid_for(size: int, dimensions: int) -> walks.TorusGrid:
 def _trial_walk_grid(size, rng, params, dimensions):
     grid = _grid_for(size, dimensions)
     oracle = _single_marked_oracle(size, rng)
-    budget = int(params.get("step_budget", 0)) or max(
-        1, math.ceil(2.0 * math.sqrt(size * max(1.0, math.log(size))))
+    budget = params.get(
+        "step_budget", max(1, math.ceil(2.0 * math.sqrt(size * max(1.0, math.log(size)))))
     )
     result = walks.grid_walk_search(grid, oracle, rng, budget)
     return float(oracle.query_count), result.steps, result.cell is not None
@@ -226,19 +218,10 @@ def _trial_classical_scan(size, rng, params):
     return float(oracle.query_count), result.steps, result.cell is not None
 
 
-def _trial_szegedy_cycle(size, rng, params):
+def _trial_szegedy(size, rng, params, torus):
+    side = _grid_for(size, 2).side if torus else 0  # a torus size is checked before the draw
     marked = {int(rng.generator.integers(0, size))}
-    chain = walks.cycle_chain(size, marked)
-    result = walks.szegedy_find_marked(chain, walks.WalkCosts(), rng)
-    return float(result.walk_steps), result.walk_steps, result.state is not None
-
-
-def _trial_szegedy_torus(size, rng, params):
-    side = math.isqrt(size)
-    if side * side != size or side < 2:
-        raise ParameterError("torus sizes must be perfect squares of sides >= 2")
-    marked = {int(rng.generator.integers(0, size))}
-    chain = walks.torus_chain(side, 2, marked)
+    chain = walks.torus_chain(side, 2, marked) if torus else walks.cycle_chain(size, marked)
     result = walks.szegedy_find_marked(chain, walks.WalkCosts(), rng)
     return float(result.walk_steps), result.walk_steps, result.state is not None
 
@@ -259,7 +242,8 @@ class Experiment:
     expected_exponent: Optional[float]
     default_sizes: Tuple[int, ...]
     runner: Callable[[int, SeededRng, Mapping[str, float]], Tuple[float, int, bool]]
-    params: Tuple[str, ...] = ()  # the keys the runner reads from its params mapping
+    # the keys the runner reads from its params mapping, each with its type
+    params: Mapping[str, type] = field(default_factory=dict)
 
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -270,16 +254,16 @@ EXPERIMENTS: dict[str, Experiment] = {
             "known-count search: queries grow as size^0.5 with success near 1",
             0.5,
             (64, 128, 256, 512, 1024),
-            _trial_grover_scaling,
-            params=("marked_count",),
+            functools.partial(_trial_grover, certain=False),
+            params={"marked_count": int},
         ),
         Experiment(
             "grover-certain",
             "phase-tuned final round: same size^0.5 queries, success exactly 1",
             0.5,
             (64, 128, 256, 512, 1024),
-            _trial_grover_certain,
-            params=("marked_count",),
+            functools.partial(_trial_grover, certain=True),
+            params={"marked_count": int},
         ),
         Experiment(
             "grover-unknown",
@@ -288,7 +272,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             0.5,
             (64, 128, 256, 512, 1024),
             _trial_grover_unknown,
-            params=("marked_count",),
+            params={"marked_count": int},
         ),
         Experiment(
             "amplify-uniform",
@@ -320,7 +304,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             0.75,
             (16, 64, 256, 1024),
             _trial_ed_hybrid,
-            params=("single_run_floor",),
+            params={"single_run_floor": float},
         ),
         Experiment(
             "ed-walk",
@@ -329,7 +313,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             None,
             (6, 8, 10, 12),
             _trial_ed_walk,
-            params=("subset_size",),
+            params={"subset_size": int},
         ),
         Experiment(
             "sat-schoening",
@@ -338,7 +322,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             None,
             (8, 10, 12),
             _trial_sat_schoening,
-            params=("walk_trials",),
+            params={"walk_trials": int},
         ),
         Experiment(
             "walk-grid-2d",
@@ -347,7 +331,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             0.6,
             (64, 256, 1024),
             functools.partial(_trial_walk_grid, dimensions=2),
-            params=("step_budget",),
+            params={"step_budget": int},
         ),
         Experiment(
             "walk-grid-3d",
@@ -355,7 +339,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             0.55,
             (64, 216, 512),
             functools.partial(_trial_walk_grid, dimensions=3),
-            params=("step_budget",),
+            params={"step_budget": int},
         ),
         Experiment(
             "walk-szegedy-cycle",
@@ -364,7 +348,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "do not concentrate on marked states, so steps still grow as size^2",
             2.0,
             (16, 24, 32, 48, 64),
-            _trial_szegedy_cycle,
+            functools.partial(_trial_szegedy, torus=False),
         ),
         Experiment(
             "walk-szegedy-torus",
@@ -373,7 +357,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "(sizes are side^2)",
             0.7,
             (16, 36, 64, 100),
-            _trial_szegedy_torus,
+            functools.partial(_trial_szegedy, torus=True),
         ),
         Experiment(
             "classical-scan",
@@ -437,6 +421,14 @@ class ExperimentConfig:
         if unknown:
             raise UsageError(f"{self.experiment} reads no parameter {unknown}; "
                              f"valid parameters: {', '.join(known) or 'none'}")
+        params = {}  # the one check of the runner params: the runners read them as given
+        for key, value in self.params.items():
+            kind = known[key]
+            if not math.isfinite(value) or (kind is int and not float(value).is_integer()):
+                raise UsageError(f"parameter {key!r} must be a finite {kind.__name__}, "
+                                 f"got {value!r}")
+            params[key] = kind(value)
+        object.__setattr__(self, "params", params)
 
 
 def parse_sizes(text: str) -> Tuple[int, ...]:
@@ -503,8 +495,6 @@ def load_config(path: Union[str, Path, None] = None, overrides: Optional[Mapping
                 params[key] = float(value)
             except (TypeError, ValueError):
                 raise UsageError(f"parameter {key!r} must be numeric, got {value!r}") from None
-            if not math.isfinite(params[key]):
-                raise UsageError(f"parameter {key!r} must be finite, got {value!r}")
     if "experiment" not in kwargs:
         raise UsageError("name an experiment; valid names: " + ", ".join(experiment_names()))
     return ExperimentConfig(params=params, **kwargs)
@@ -559,38 +549,26 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
 # Record serialization.
 
 
-def _format_number(value: float) -> str:
+def _number(value: float):
+    """A float as an int when it is integral: 6.0 is written 6, and 2.5 as 2.5."""
     f = float(value)
-    return str(int(f)) if f.is_integer() else repr(f)
+    return int(f) if f.is_integer() else f
 
 
 def record_line(record: ExperimentRecord, fmt: str) -> str:
-    if fmt == "csv":
-        return ",".join(
-            (
-                record.experiment,
-                str(record.size),
-                str(record.trial),
-                str(record.seed),
-                _format_number(record.queries),
-                str(record.steps),
-                "true" if record.success else "false",
-                _format_number(record.ms),
-            )
-        )
+    """One record, field by field in CSV_HEADER order: CSV cells or one JSON object.
+
+    A CSV cell is the JSON text of its value, except the bare experiment
+    name; CSV writes both floats through `_number`, JSONL only `queries`.
+    """
+    row = {name: getattr(record, name) for name in _FIELDS}
+    row["queries"] = _number(record.queries)
     if fmt == "jsonl":
-        queries = int(record.queries) if float(record.queries).is_integer() else record.queries
-        payload = {
-            "experiment": record.experiment,
-            "size": record.size,
-            "trial": record.trial,
-            "seed": record.seed,
-            "queries": queries,
-            "steps": record.steps,
-            "success": record.success,
-            "ms": record.ms,
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        return json.dumps(row, separators=(",", ":"))
+    if fmt == "csv":
+        row["ms"] = _number(record.ms)
+        return ",".join(value if isinstance(value, str) else json.dumps(value)
+                        for value in row.values())
     raise UsageError(f"format must be csv or jsonl, got {fmt!r}")
 
 
@@ -617,42 +595,32 @@ def emit(records: Iterable[ExperimentRecord], fmt: str, path: Union[str, Path]) 
             pass
 
 
-def _parse_bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ParameterError(f"success must be true or false, got {text!r}")
+def _read_success(value) -> bool:
+    if type(value) is not bool:
+        raise ParameterError(f"success must be true or false, got {value!r}")
+    return value
+
+
+# The reader of each field's value in either format, in CSV_HEADER order.
+_READERS = (str, int, int, int, float, int, _read_success, float)
 
 
 def load_records(path: Union[str, Path], fmt: Optional[str] = None) -> list[ExperimentRecord]:
+    """Read records as `record_line` writes them; a line of the wrong shape raises."""
     path = Path(path)
     if fmt is None:
         fmt = "jsonl" if path.suffix in (".jsonl", ".ndjson") else "csv"
     lines = path.read_text(encoding="utf-8").splitlines()
-    records = []
     if fmt == "csv":
         if not lines or lines[0] != CSV_HEADER:
             raise ParameterError(f"{path} does not start with the record header")
-        for line in lines[1:]:
-            experiment, size, trial, seed, queries, steps, success, ms = line.split(",")
-            records.append(
-                ExperimentRecord(
-                    experiment, int(size), int(trial), int(seed),
-                    float(queries), int(steps), _parse_bool(success), float(ms),
-                )
-            )
+        rows = ([cell if read is str else json.loads(cell)
+                 for read, cell in zip(_READERS, line.split(","), strict=True)]
+                for line in lines[1:])
     else:
-        for line in lines:
-            row = json.loads(line)
-            records.append(
-                ExperimentRecord(
-                    row["experiment"], int(row["size"]), int(row["trial"]),
-                    int(row["seed"]), float(row["queries"]), int(row["steps"]),
-                    bool(row["success"]), float(row["ms"]),
-                )
-            )
-    return records
+        rows = ([row[name] for name in _FIELDS] for row in map(json.loads, lines))
+    return [ExperimentRecord(*(read(value) for read, value in zip(_READERS, row)))
+            for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -492,18 +492,9 @@ class ValueOracle(_CountingOracle):
 
 
 def marked_mask(marked: Union[np.ndarray, Iterable[int]], size: int) -> np.ndarray:
-    """Fresh boolean mask of length `size` from a boolean mask or marked indices."""
-    arr = np.asarray(list(marked) if isinstance(marked, (set, frozenset)) else marked)
+    """Fresh boolean mask of length `size` of a marked set, as `_as_index_array` reads it."""
     mask = np.zeros(size, dtype=bool)
-    if arr.dtype == bool:
-        if arr.size != size:
-            raise ParameterError(f"marked mask length {arr.size} must equal size {size}")
-        mask[:] = arr.ravel()
-    else:
-        idx = arr.astype(np.int64).ravel()
-        if idx.size and (idx.min() < 0 or idx.max() >= size):
-            raise IndexError(f"marked index out of range for size {size}")
-        mask[idx] = True
+    mask[_as_index_array(marked, size)] = True
     return mask
 
 
@@ -519,10 +510,24 @@ class _CheckedIndices(np.ndarray):
 
 
 def _as_index_array(marked, dimension: int) -> np.ndarray:
+    """The one reader of a marked set: read-only, sorted, distinct int64 indices below `dimension`.
+
+    A marked set is a bool mask of length `dimension`, or integer indices in
+    a set, a sequence or an array; duplicates count once, and an empty
+    sequence is the empty set.  A mask of another length or a non-integer
+    index raises ParameterError, an index out of range IndexError.  The
+    array this returns is trusted, and passes again with only its ends checked.
+    """
     idx = marked
     if type(idx) is not _CheckedIndices or not idx.trusted:
-        idx = np.asarray(sorted(idx) if isinstance(idx, (set, frozenset)) else idx,
-                         dtype=np.int64).ravel()
+        idx = np.asarray(sorted(idx) if isinstance(idx, (set, frozenset)) else idx)
+        if idx.dtype == bool:
+            if idx.size != dimension:
+                raise ParameterError(f"marked mask length {idx.size} must equal size {dimension}")
+            idx = np.flatnonzero(idx)
+        elif idx.size and idx.dtype.kind not in "iu":
+            raise ParameterError(f"marked indices must be integers, got {idx.dtype} entries")
+        idx = idx.astype(np.int64, copy=False).ravel()
         if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
             idx = np.unique(idx)  # duplicate entries must not double-flip
         idx = idx.view(_CheckedIndices)

@@ -96,7 +96,7 @@ def test_load_config_with_overrides(tmp_path):
     assert cfg.experiment == "grover-scaling"
     assert cfg.sizes == (4, 16)
     assert cfg.trials == 3
-    assert cfg.params == {"marked_count": 2.0}
+    assert cfg.params == {"marked_count": 2} and type(cfg.params["marked_count"]) is int
 
     cfg2 = load_config(path, overrides={"trials": 7, "seed": None})
     assert cfg2.trials == 7
@@ -199,6 +199,21 @@ def test_golden_records():
     assert len(lines) == 192
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
     assert digest == GOLDEN_RECORDS_SHA256
+
+
+# sha256 of `qsearchlab run --experiment all --trials 3 --seed 0 --format csv`
+# with the ms column cut from the header and every line: it holds the CSV
+# writer to its byte-exact numbers, booleans and header.
+GOLDEN_CSV_SHA256 = "412cf0c749633d735744fadf12527844c5a0b479d59bee50723c0476cc8c63c8"
+
+
+def test_golden_csv_records(tmp_path):
+    out = tmp_path / "all.csv"
+    assert main(["run", "--experiment", "all", "--trials", "3", "--seed", "0",
+                 "--format", "csv", "--out", str(out), "--no-summary"]) == 0
+    lines = [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
+    assert len(lines) == 193
+    assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == GOLDEN_CSV_SHA256
 
 
 def _stripped_digest(lines) -> str:
@@ -398,6 +413,23 @@ def test_jsonl_round_trip(tmp_path):
     assert [r.without_ms() for r in loaded] == [r.without_ms() for r in records]
 
 
+def test_load_records_refuses_a_success_that_is_not_a_boolean(tmp_path):
+    record = run_experiment(ExperimentConfig(experiment="grover-scaling", sizes=(4,), trials=1))[0]
+    line = bench.record_line(dataclasses.replace(record, success=False), "jsonl")
+    path = tmp_path / "out.jsonl"
+    path.write_text(line + "\n")
+    assert load_records(path)[0].success is False
+    path.write_text(line.replace('"success":false', '"success":"false"') + "\n")
+    with pytest.raises(bench.ParameterError, match="success"):
+        load_records(path)
+    path = tmp_path / "out.csv"
+    path.write_text(f"{CSV_HEADER}\n{bench.record_line(record, 'csv')}\n")
+    assert load_records(path)[0].success is True
+    path.write_text(f"{CSV_HEADER}\n{bench.record_line(record, 'csv').replace('true', '1')}\n")
+    with pytest.raises(bench.ParameterError, match="success"):
+        load_records(path)
+
+
 # --------------------------------------------------------------------- fits
 
 def test_fit_exponent_exact_power_laws():
@@ -545,8 +577,9 @@ def test_cli_run_peak_memory_does_not_grow_with_trials(tmp_path, capsys):
     assert peak(20_000) <= small + 64 * 2**10
 
 
-# Sizes and runner params that reach a runner unchecked raise from numpy or
-# int() as a traceback; each is refused where it enters instead.
+# Sizes and runner params that reach a runner unchecked raise from numpy as a
+# traceback, or run truncated or on a default; each is refused where it
+# enters instead.
 _OUTSIDE_INPUTS = {
     "amplify-uniform-size-0": (["-e", "amplify-uniform", "--sizes", "0"], None),
     "szegedy-cycle-size-0": (["-e", "walk-szegedy-cycle", "--sizes", "0"], None),
@@ -561,6 +594,10 @@ _OUTSIDE_INPUTS = {
     "subset-size-nan": ([], "experiment = ed-walk\nsubset_size = nan\n"),
     "marked-count-over-size": ([], "experiment = grover-certain\nsizes = 256\nmarked_count = 300\n"),
     "marked-count-negative": ([], "experiment = grover-scaling\nmarked_count = -1\n"),
+    "marked-count-fraction": ([], "experiment = grover-scaling\nmarked_count = 1.5\n"),
+    "step-budget-0": ([], "experiment = walk-grid-2d\nstep_budget = 0\n"),
+    "walk-trials-fraction": ([], "experiment = sat-schoening\nwalk_trials = 2.5\n"),
+    "subset-size-fraction": ([], "experiment = ed-walk\nsubset_size = 2.5\n"),
 }
 
 

@@ -306,6 +306,52 @@ def test_arrays_derived_from_checked_marks_are_checked_again():
     assert marked.trusted and sim._as_index_array(marked, 8) is marked
 
 
+def _free_counter() -> BitOracle:
+    return BitOracle(np.zeros(8, dtype=bool))
+
+
+_GRID = walks.TorusGrid(4, 2)
+_CYCLE = walks.cycle_chain(8).edges
+# Each public entry that takes a marked set, as a function of that set; the
+# grid entries read 16 cells, the others 8 states.
+_MARKED_SET_ENTRIES = {
+    "apply_phase_flip": lambda marked: apply_phase_flip(
+        _random_state(SeededRng(3), 8), marked, _free_counter()).amps,
+    "apply_phase_rotation": lambda marked: apply_phase_rotation(
+        _random_state(SeededRng(3), 8), marked, 0.7, _free_counter()).amps,
+    "amplification_round": lambda marked: amplify.amplification_round(
+        _random_state(SeededRng(3), 8), amplify.uniform_preparation(8), marked,
+        _free_counter()).amps,
+    "grid_walk_step": lambda marked: walks.grid_walk_step(
+        _GRID, _random_state(SeededRng(3), 64), marked, 3).amps,
+    "grid_walk_probability_profile": lambda marked: walks.grid_walk_probability_profile(
+        _GRID, marked, 5),
+    "MarkovChain": lambda marked: walks.MarkovChain(
+        8, _CYCLE.rows, _CYCLE.cols, _CYCLE.p, marked=marked).marked_mask,
+    "AmplifyParams.good": lambda marked: tuple(vars(amplify.amplitude_amplify(
+        amplify.uniform_preparation(8), amplify.AmplifyParams(0.25, marked), SeededRng(5))).values()),
+}
+
+
+@pytest.mark.parametrize("entry", _MARKED_SET_ENTRIES)
+def test_a_bool_mask_marks_the_same_set_as_its_indices(entry):
+    run = _MARKED_SET_ENTRIES[entry]
+    size = 16 if entry.startswith("grid") else 8
+    mask = np.isin(np.arange(size), [1, 2, 6])
+    assert np.array_equal(run(mask), run([1, 2, 6]))
+    assert not np.array_equal(run(mask), run([0, 1]))  # not the indices {0, 1}
+    with pytest.raises(ParameterError, match="mask length"):
+        run(mask[:-1])
+
+
+@pytest.mark.parametrize("entry", _MARKED_SET_ENTRIES)
+def test_fractional_marked_indices_are_refused(entry):
+    for marked in ([1.7], [1, 2.5], np.array([2.0])):
+        with pytest.raises(ParameterError, match="integers"):
+            _MARKED_SET_ENTRIES[entry](marked)
+    assert np.array_equal(_MARKED_SET_ENTRIES[entry]([]), _MARKED_SET_ENTRIES[entry](set()))
+
+
 def test_phase_rotation_at_pi_is_the_flip():
     rng = SeededRng(12)
     oracle = BitOracle([1, 0, 0, 1, 0])
