@@ -3,7 +3,9 @@
 States are amplitude vectors over an N-dimensional search space; there is
 deliberately no qubit tensor structure.  Amplitudes stay real (float64)
 until a complex phase enters: phase flips and the diffusion keep them
-real, and the two rotations promote them to complex128.  Black boxes are
+real, and the two rotations promote them to complex128 once.  A rotation
+writes a complex state's own buffer in place; only a real or read-only one
+is copied, into a fresh complex128 buffer.  Black boxes are
 immutable bit/value tables with a monotone query counter.  The simulator
 may read a black box wholesale while *building* an operator, but cost is
 charged per operator application, never per basis state inspected.
@@ -447,7 +449,8 @@ class BitOracle(_CountingOracle):
     def marked_indices(self) -> np.ndarray:
         """Read-only checked marked indices for building operators; free of charge."""
         if self._marked is None:  # the table is immutable: one check serves every call
-            self._marked = _as_index_array(np.flatnonzero(self._bits), self._bits.size)
+            # a checked 0/1 table read as a mask: the mask branch builds a fresh array
+            self._marked = _as_index_array(self._bits.view(bool), self._bits.size)
         return self._marked
 
     def peek_all(self) -> np.ndarray:
@@ -516,7 +519,8 @@ def _as_index_array(marked, dimension: int) -> np.ndarray:
     a set, a sequence or an array; duplicates count once, and an empty
     sequence is the empty set.  A mask of another length or a non-integer
     index raises ParameterError, an index out of range IndexError.  The
-    array this returns is trusted, and passes again with only its ends checked.
+    array this returns shares no memory with the caller's; it is trusted, and
+    passes again with only its ends checked.
     """
     idx = marked
     if type(idx) is not _CheckedIndices or not idx.trusted:
@@ -530,6 +534,8 @@ def _as_index_array(marked, dimension: int) -> np.ndarray:
         idx = idx.astype(np.int64, copy=False).ravel()
         if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
             idx = np.unique(idx)  # duplicate entries must not double-flip
+        elif isinstance(marked, np.ndarray) and np.may_share_memory(idx, marked):
+            idx = idx.copy()  # the caller may still write its array
         idx = idx.view(_CheckedIndices)
         idx.setflags(write=False)
         idx.trusted = True
@@ -613,12 +619,23 @@ def apply_phase_flip(state: StateVector, marked, oracle: _CountingOracle) -> Sta
     return _repeat_round(state, marked, oracle, 1, reflect=False)
 
 
+def _complex_buffer(amps: np.ndarray) -> np.ndarray:
+    """`amps` itself when it is a writeable complex128 array, else a fresh complex128 copy."""
+    if amps.dtype == np.complex128 and amps.flags.writeable:
+        return amps
+    return amps.astype(np.complex128)
+
+
 def apply_phase_rotation(
     state: StateVector, marked, angle: float, oracle: _CountingOracle
 ) -> StateVector:
-    """Multiply the marked amplitudes of `state` by exp(i*angle); charges one oracle query."""
+    """Multiply the marked amplitudes of `state` by exp(i*angle); charges one oracle query.
+
+    A complex buffer is written at its marked entries only; a real or
+    read-only one is first copied into a fresh complex128 buffer.
+    """
     idx = _as_index_array(marked, state.dimension)
-    amps = state.amps.astype(np.complex128)
+    amps = _complex_buffer(state.amps)
     amps[idx] = amps[idx] * np.exp(1j * angle)
     oracle.charge(1)
     state._hold(amps)
@@ -662,10 +679,14 @@ def apply_diffusion_rotation(state: StateVector, angle: float) -> StateVector:
     """Apply I + (exp(i*angle) - 1) |u><u| to `state`, with u the uniform superposition.
 
     At angle = pi this is the negated standard diffusion; intermediate angles
-    give the partial reflections used by the exact-certainty search.
+    give the partial reflections used by the exact-certainty search.  The
+    shift is added into a complex buffer in place; a real or read-only one
+    is first copied into a fresh complex128 buffer.
     """
     amps = state.amps
-    state._hold(amps + (np.exp(1j * angle) - 1.0) * amps.mean())
+    shift = (np.exp(1j * angle) - 1.0) * amps.mean()  # the mean in the input's own dtype
+    amps = _complex_buffer(amps)
+    state._hold(np.add(amps, shift, out=amps))
     return state
 
 

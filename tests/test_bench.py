@@ -710,6 +710,18 @@ def _peak_bytes():
         tracemalloc.stop()
 
 
+def test_a_certainty_search_holds_one_real_and_one_complex_state():
+    # a float64 uniform state (half of 16 B an entry), its one promotion to
+    # complex128 and the oracle's mask read 1.57 x 16 B an entry; a rotation
+    # that made a complex temporary of the state's size would read 2.07
+    size = 2**16
+    runner = bench.EXPERIMENTS["grover-certain"].runner
+    runner(size, SeededRng(0, 0).split(0), {})  # lazy imports and caches
+    with _peak_bytes() as peak:
+        assert runner(size, SeededRng(0, 0).split(1), {})[2]
+    assert peak[0] <= 1.75 * 16 * size
+
+
 # Chains just past the 4096 states whose dense P fits the cap, built past the
 # lru caches so that the peak is the build's.  Their edges take a few MB,
 # against 134-331 MB for a dense P; what is refused is the size x size work,

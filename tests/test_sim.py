@@ -278,8 +278,10 @@ def test_checked_marks_pass_again_with_only_their_ends_range_checked():
     with pytest.raises(IndexError):
         sim._as_index_array(checked, 5)
     caller = np.array([0, 2], dtype=np.int64)
-    sim._as_index_array(caller, 4)
-    caller[0] = 1  # the caller's own array stays writeable
+    trusted = sim._as_index_array(caller, 4)
+    caller[:] = [9, 2]  # the caller's own array stays writeable, and the trusted one apart
+    assert trusted.tolist() == [0, 2] and not np.shares_memory(trusted, caller)
+    assert sim._as_index_array(trusted, 4) is trusted
     state = _random_state(SeededRng(8), 6)
     oracle = BitOracle([0, 1, 0, 1, 0, 1])
     assert np.array_equal(apply_phase_flip(state.copy(), checked, oracle).amps,
@@ -466,6 +468,78 @@ def test_every_operator_preserves_inner_products():
             before = np.vdot(a.amps, b.amps)
             for op in operators:
                 assert abs(np.vdot(op(a.copy()).amps, op(b.copy()).amps) - before) < 1e-12
+
+
+# The rotations' allocating formulas, each building the whole state anew, are
+# the reference for the rotations that step the state's own buffer.
+
+def _allocating_phase_rotation(amps: np.ndarray, marked, angle: float) -> np.ndarray:
+    amps = amps.astype(np.complex128)
+    amps[marked] = amps[marked] * np.exp(1j * angle)
+    return amps
+
+
+def _allocating_diffusion_rotation(amps: np.ndarray, angle: float) -> np.ndarray:
+    return amps + (np.exp(1j * angle) - 1.0) * amps.mean()
+
+
+def _rotation_input(kind: str, dimension: int, marked: np.ndarray) -> StateVector:
+    """The same state of `kind` on every call; the pending kinds are left unread."""
+    rng = SeededRng(dimension, marked.size)
+    if kind == "real":
+        return _random_real_state(rng, dimension)
+    if kind == "complex":
+        return _random_state(rng, dimension)
+    oracle = sim._CountingOracle()
+    if kind == "pending":  # a Grover round leaves its diffusion pending
+        state = apply_diffusion(apply_phase_flip(_random_real_state(rng, dimension), marked, oracle))
+        assert state._sign < 0 and state._axis is None
+        return state
+    raw = rng.generator.normal(size=dimension)
+    prep = amplify._householder_preparation(raw / np.linalg.norm(raw), cost=1)
+    state = amplify.amplification_round(_random_state(rng, dimension), prep, marked, oracle)
+    assert state._sign < 0 and state._axis is prep.start
+    return state
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "pending", "householder"])
+@pytest.mark.parametrize("dimension, marked_count", [
+    (dimension, marked_count) for dimension in (1, 8, 1000, 2**16) for marked_count in (1, 2, 17)
+    if marked_count <= dimension
+])
+def test_in_place_rotations_equal_the_allocating_formulas(kind, dimension, marked_count):
+    marks = SeededRng(dimension, marked_count).generator.choice(dimension, marked_count,
+                                                                replace=False)
+    marked = sim._as_index_array(marks, dimension)
+    read = _rotation_input(kind, dimension, marked).amps
+    phased = _allocating_phase_rotation(read, marked, 0.73)
+    state = apply_phase_rotation(_rotation_input(kind, dimension, marked), marked, 0.73,
+                                 sim._CountingOracle())
+    assert state.amps.tobytes() == phased.tobytes()
+    # the certainty search's last round: the diffusion rotation of a complex buffer
+    apply_diffusion_rotation(state, 2.1)
+    assert state.amps.tobytes() == _allocating_diffusion_rotation(phased, 2.1).tobytes()
+    diffused = apply_diffusion_rotation(_rotation_input(kind, dimension, marked), 2.1)
+    assert diffused.amps.tobytes() == _allocating_diffusion_rotation(read, 2.1).tobytes()
+
+
+def test_rotations_of_a_read_only_buffer_step_a_fresh_one():
+    # amplify wraps a preparation's read-only start state this way
+    for make in (_random_real_state, _random_state):
+        amps = make(SeededRng(21), 8).amps
+        amps.setflags(write=False)
+        kept = amps.copy()
+        rotations = {
+            "phase": (lambda s: apply_phase_rotation(s, [1, 5], 0.73, sim._CountingOracle()),
+                      _allocating_phase_rotation(kept, [1, 5], 0.73)),
+            "diffusion": (lambda s: apply_diffusion_rotation(s, 2.1),
+                          _allocating_diffusion_rotation(kept, 2.1)),
+        }
+        for name, (rotate, expected) in rotations.items():
+            rotated = rotate(StateVector._wrap(amps))
+            assert rotated.amps.tobytes() == expected.tobytes(), name
+            assert not np.shares_memory(rotated.amps, amps), name
+            assert np.array_equal(amps, kept), name
 
 
 def test_single_grover_round_on_four_items_is_exact():
@@ -750,11 +824,15 @@ def test_rounds_allocate_nothing_of_the_state_size():
     oracle = BitOracle(sim.marked_mask(marked, dimension))
     prep = amplify.uniform_preparation(dimension)
     grover_state, amplified = uniform_state(dimension), StateVector._wrap(prep.start.copy())
+    rotated = StateVector._wrap(prep.start.astype(np.complex128))
     rounds = {
         "grover": lambda: apply_diffusion(apply_phase_flip(grover_state, marked, oracle)),
         "amplification": lambda: amplify.amplification_round(amplified, prep, marked, oracle),
         "50 grover": lambda: sim._repeat_round(grover_state, marked, oracle, 50),
         "50 amplification": lambda: sim._repeat_round(amplified, marked, oracle, 50),
+        # a complex state's rotations step its buffer
+        "phase rotation": lambda: apply_phase_rotation(rotated, marked, 0.73, oracle),
+        "diffusion rotation": lambda: apply_diffusion_rotation(rotated, 2.1),
     }
     for name, step in rounds.items():
         tracemalloc.start()
@@ -764,7 +842,7 @@ def test_rounds_allocate_nothing_of_the_state_size():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.01 * dimension * 8, (name, peak)
+        assert peak <= 0.01 * dimension * 8, (name, peak)  # 1% of a float64 state's bytes
 
 
 def _pending_bytes(state: StateVector) -> tuple[bytes, bytes]:
