@@ -172,15 +172,15 @@ def amplitude_amplify(
     restarted from the start state, and the generator is left just past
     that attempt's measurement draw.  Only a draw that lands in a block
     holding a good index is resolved inside it, and the plan's last
-    attempt, whose index is returned when nothing verifies.
+    attempt, whose index is returned when nothing verifies; with no good
+    index, that is the one draw measured.
     """
     counter = BitOracle(sim.marked_mask(params.good, prep.dimension))
     good_idx, good = counter.marked_indices(), counter.peek_all()
-    start = StateVector._wrap(prep.start)  # read-only: stepped on a copy
 
     if not params.floor_is_lower_bound:
         rounds = predicted_repetitions(params.success_floor)
-        state = start.copy()
+        state = StateVector._wrap(prep.start.copy())
         if rounds:  # the first round sets s as the pending axis and starts the carry
             sim._run_rounds(amplification_round(state, prep, good_idx, counter),
                             good_idx, counter, rounds - 1, prep.start)
@@ -194,8 +194,7 @@ def amplitude_amplify(
     # count can overshoot.  Reuse the unknown-count schedule over rounds,
     # verifying each measurement (one charged good-set query per attempt).
     cap = float(predicted_repetitions(params.success_floor) + 1)
-    rounds, index, _ = _sweep_restarts(
-        counter, rng, cap, unknown_count_budget(cap), start, prep.start)
+    rounds, index, _ = _sweep_restarts(counter, rng, cap, unknown_count_budget(cap), prep.start)
     rounds_used = sum(rounds)
     queries = (2 * rounds_used + len(rounds)) * prep.cost + counter.query_count
     return AmplifyResult(

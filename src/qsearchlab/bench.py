@@ -291,8 +291,10 @@ EXPERIMENTS: dict[str, Experiment] = {
         ),
         Experiment(
             "local-min",
-            "hypercube local-minimum search: queries grow as size^(1/3) "
-            "(sizes are 2^bits)",
+            "hypercube local minimum as its records price it: minimum finding "
+            "over round(2^(2n/3) n^(1/3)) sampled values, then the closing "
+            "neighbourhood search and check (mean descent 1.00-1.25 steps); "
+            "queries grow as size^(1/3) (sizes are 2^n)",
             1.0 / 3.0,
             (64, 256, 1024, 4096, 16384),
             _trial_local_min,

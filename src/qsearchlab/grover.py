@@ -248,23 +248,23 @@ def _sweep_restarts(
     rng: SeededRng,
     cap: float,
     budget: int,
-    start: StateVector,
     axis: Optional[np.ndarray] = None,
 ) -> tuple[list[int], Optional[int], bool]:
     """Run a restart plan on one trajectory; charge and verify its attempts.
 
-    Each attempt restarts from `start`, applies its rounds, measures, and
-    verifies the outcome with one query.  A round flips the oracle's marked
-    set, then reflects about `axis`: None for Grover's diffusion, or an
-    amplification's start state.  Neither the round counts nor the
-    measurement draws depend on outcomes, so `_plan` decodes the whole plan
-    up front, and every attempt is a prefix of one trajectory.  One copy of
-    `start` is stepped in place through the distinct round counts in
-    ascending order: one `sim._run_rounds` call, charging its oracle
-    applications to a sink, steps the state from one distinct count to the
+    Each attempt starts from `axis` (None: the uniform state), applies its
+    rounds, measures, and verifies the outcome with one query.  A round
+    flips the oracle's marked set, then reflects about `axis` (None:
+    Grover's diffusion).  Neither the round counts nor the measurement
+    draws depend on outcomes, so `_plan` decodes the whole plan up front,
+    and every attempt is a prefix of one trajectory.  The sweep's own copy
+    of the start state is stepped in place through the distinct round
+    counts in ascending order: one `sim._run_rounds` call, charging its
+    oracle applications to a sink, steps it from one distinct count to the
     next.  At each, the attempts still pending, those before the earliest
     hit so far, are measured from one weight table by `WeightTable.first_marked`,
-    which resolves only draws that land in a block holding a marked index.
+    which resolves only draws that land in a block holding a marked index;
+    with nothing marked none can, so only the last attempt's depth is visited.
     The plan's last attempt, if still pending, is also sampled at its depth:
     with no hit it is charged and its index returned.  The attempts up to
     the first hit are then charged their summed rounds and one verification
@@ -273,6 +273,7 @@ def _sweep_restarts(
     charged round counts, the last charged attempt's index (None when the
     budget allows none) and whether it verified.
     """
+    state = sim.uniform_state(oracle.size) if axis is None else StateVector._wrap(axis.copy())
     bit_generator = rng.generator.bit_generator
     entry, rounds, draws, ends = _plan(bit_generator, cap, budget)
     if not rounds:
@@ -284,8 +285,8 @@ def _sweep_restarts(
     last = len(rounds) - 1
     first_hit, index = len(rounds), None
     sink = sim._CountingOracle()
-    state, depth = start.copy(), 0
-    for target in sorted(by_depth):
+    depth = 0
+    for target in sorted(by_depth) if marked.size else [rounds[last]]:  # no mark: one depth
         group = by_depth[target]
         pending = group[:bisect_left(group, first_hit)]
         if not pending:  # all after a hit; a deeper attempt may still come before it
@@ -326,8 +327,9 @@ def search_unknown_count(
     `_sweep_restarts`); each attempt up to the first verified one still
     charges its own rounds and its verification, as if it had restarted
     from uniform; only a draw that lands in a block holding a marked index
-    is resolved inside it.  The generator is left just past the last charged
-    attempt's measurement draw, where restarts drawing as they go leave it.
+    is resolved inside it, so with nothing marked one table is built.  The
+    generator is left just past the last charged attempt's measurement
+    draw, where restarts drawing as they go leave it.
     """
     if size != oracle.size:
         raise ParameterError("size must match oracle size")
@@ -337,6 +339,6 @@ def search_unknown_count(
     budget = unknown_count_budget(cap)
     if max_queries is not None:
         budget = min(budget, max(0, max_queries))
-    _, index, found = _sweep_restarts(oracle, rng, cap, budget, sim.uniform_state(size))
+    _, index, found = _sweep_restarts(oracle, rng, cap, budget)
     return index if found else None
 

@@ -54,7 +54,9 @@ def find_minimum(
 
     Strictly-better threshold predicates mean ties never displace the
     champion.  If the budget runs out before a search comes back absent,
-    the current champion is returned with verified=False.
+    the current champion is returned with verified=False.  The closing
+    search, once the champion is the minimum, has nothing to find: it is
+    charged its whole schedule but measures from one weight table.
     """
     if size != oracle.size:
         raise ParameterError("size must match oracle size")

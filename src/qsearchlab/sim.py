@@ -45,7 +45,8 @@ it, and no index of zero weight is returned.  This is the package's one
 sampler: the walks measure their flat amplitude vectors through it too.
 A restart sweep needs only its first draw that lands on a marked index
 (`WeightTable.first_marked`): a draw whose block holds none is a miss, so
-only the others are resolved inside their block.
+only the others are resolved inside their block; with nothing marked, the
+sweep builds one table, at its last attempt's depth.
 
 STATE_BYTE_CAP is the package's one memory budget, and `check_state_size`
 its one check: states, Szegedy trajectories, dense chain matrices and bench
@@ -312,7 +313,7 @@ class StateVector:
 
     @classmethod
     def _wrap(cls, amps: np.ndarray) -> "StateVector":
-        """A builder's own 1-D float64 or complex128 array, taken as it is."""
+        """A builder's own writeable 1-D float64 or complex128 buffer, stepped in place."""
         state = cls.__new__(cls)
         state._hold(amps)
         return state

@@ -445,9 +445,11 @@ def test_sweep_skips_a_depth_without_pending_attempts():
     assert outcomes[0][:2] == (0, 12)
 
 
-def _every_draw_sweep(oracle, rng, cap, budget, start, axis=None):
-    # Reference for the sweep: the same trajectory, but every pending draw is
-    # sampled to its index, misses included.  Returns what _sweep_restarts does.
+def _every_draw_sweep(oracle, rng, cap, budget, axis=None):
+    # Reference for the sweep: the same trajectory, but every depth is
+    # visited and every pending draw is sampled to its index, misses
+    # included.  Returns what _sweep_restarts does.
+    start = sim.uniform_state(oracle.size) if axis is None else StateVector._wrap(axis.copy())
     bit_generator = rng.generator.bit_generator
     entry, rounds, draws, ends = grover._plan(bit_generator, cap, budget)
     if not rounds:
@@ -481,15 +483,23 @@ def _every_draw_sweep(oracle, rng, cap, budget, start, axis=None):
     return rounds[:charged], index, bool(marks[index])
 
 
-@pytest.mark.parametrize("size", [64, 8192, 8193, 16384, 65536])
-@pytest.mark.parametrize("count", [0, 1, 2, 17, "half"])
-def test_sweep_matches_the_every_draw_reference(monkeypatch, size, count):
+_REFERENCE_CASES = [(count, size) for count in (0, 1, 2, 17, "half")
+                    for size in (64, 8192, 8193, 16384, 65536)]
+# nothing marked, at sizes that are not powers of two
+_REFERENCE_CASES += [(0, size) for size in (3, 12, 1000, 1555, 12345)]
+
+
+@pytest.mark.parametrize("count, size", _REFERENCE_CASES)
+def test_sweep_matches_the_every_draw_reference(monkeypatch, count, size):
     # One- and two-level tables; budgets spent without a hit (no marks, or a
     # small max_queries) charge the plan's last attempt, an unmarked miss,
-    # whose index amplitude_amplify returns.
+    # whose index amplitude_amplify returns.  Amplification runs about the
+    # uniform preparation and about a random Householder one.
     count = size // 2 if count == "half" else count
     marked = np.sort(SeededRng(size, 8).generator.choice(size, count, replace=False))
-    prep = uniform_preparation(size)
+    target = SeededRng(size, 9).generator.standard_normal(size)
+    preps = (uniform_preparation(size),
+             amplify._householder_preparation(target / np.linalg.norm(target), 2))
     params = AmplifyParams(max(count, 1) / size, marked, floor_is_lower_bound=True)
     runs = [(seed, max_queries) for seed in (0, 1) for max_queries in (None, 5)]
     real = grover._sweep_restarts
@@ -507,12 +517,28 @@ def test_sweep_matches_the_every_draw_reference(monkeypatch, size, count):
             oracle, rng = _planted_oracle(size, marked), SeededRng(seed, 6)
             hit = search_unknown_count(oracle, size, rng, max_queries=max_queries)
             found = (hit, oracle.query_count, rng.generator.bit_generator.state)
-            rng = SeededRng(seed, 6)
-            result = amplify.amplitude_amplify(prep, params, rng)
-            outcomes.append((found, result, rng.generator.bit_generator.state, swept))
-        assert len(outcomes[0][3]) == 2 and outcomes[0] == outcomes[1], (seed, max_queries)
+            amplified = []
+            for prep in preps:
+                rng = SeededRng(seed, 6)
+                result = amplify.amplitude_amplify(prep, params, rng)
+                amplified.append((result, rng.generator.bit_generator.state))
+            outcomes.append((found, amplified, swept))
+        assert len(outcomes[0][2]) == 3 and outcomes[0] == outcomes[1], (seed, max_queries)
         if not count:
-            assert outcomes[0][0][0] is None and not outcomes[0][1].good
+            assert outcomes[0][0][0] is None
+            assert not any(result.good for result, _ in outcomes[0][1])
+
+
+@pytest.mark.parametrize("size", [64, 1000, 16384])
+def test_a_search_with_nothing_marked_builds_one_weight_table(monkeypatch, size):
+    # No draw can verify, so the sweep steps straight to its last attempt's
+    # depth and measures there; visiting every depth builds 8, 17 and 27
+    # tables at these sizes.
+    tables = []
+    original = sim.born_table
+    monkeypatch.setattr(sim, "born_table", lambda amps: tables.append(amps.size) or original(amps))
+    assert search_unknown_count(_planted_oracle(size, []), size, SeededRng(0)) is None
+    assert tables == [size]
 
 
 @settings(max_examples=60, deadline=None)
@@ -539,14 +565,15 @@ def test_owned_rounds_equal_a_pure_operator_chain(case, rounds, complex_state):
 def test_sweep_leaves_the_start_state_unmodified(case, seed):
     size, marked = case
     marked = np.array(sorted(marked), dtype=np.int64)
-    start = sim.uniform_state(size)
-    before = start.amps.copy()
+    axis = np.random.default_rng(seed).standard_normal(size)
+    axis /= np.linalg.norm(axis)  # writeable, unlike a preparation's start
+    before = axis.copy()
     cap = math.sqrt(size)
     grover._sweep_restarts(
         _planted_oracle(size, marked), SeededRng(seed, 7),
-        cap, grover.unknown_count_budget(cap), start,
+        cap, grover.unknown_count_budget(cap), axis,
     )
-    assert np.array_equal(start.amps, before)
+    assert np.array_equal(axis, before)
 
 
 def test_searches_sort_check_their_marked_set_once(monkeypatch):
