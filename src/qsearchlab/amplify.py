@@ -160,18 +160,19 @@ def amplitude_amplify(
 ) -> AmplifyResult:
     """Amplify the good component of prep's start state, then measure.
 
-    Query cost is (2*rounds + 1) preparation applications plus one
-    good-set query per round; the returned good flag is a classical
-    re-check of the measured index and is not charged.  The rounds step one
-    copy of the start state: the first is `amplification_round`, and the
-    rest run through `sim._run_rounds` about s.  In lower-bound mode the
-    restart schedule is decoded up front from the generator's raw words
-    and runs as one sweep along a single round trajectory
-    (`grover._sweep_restarts`); each attempt up to the first verified one is
-    charged its own rounds, preparations and verification, as if it had
-    restarted from the start state, and the generator is left just past
-    that attempt's measurement draw.  Only a draw that lands in a block
-    holding a good index is resolved inside it, and the plan's last
+    Query cost is (2*rounds + attempts) preparation applications (A per
+    attempt, A^-1 and A per round) plus one good-set query per round and
+    per verification.  Fixed mode is one attempt, unverified: its returned
+    good flag is a classical re-check of the measured index and is not
+    charged.  The rounds step one copy of the start state: the first is
+    `amplification_round`, and the rest run through `sim._run_rounds` about
+    s.  In lower-bound mode the restart schedule is decoded up front from
+    the generator's raw words and runs as one sweep along a single round
+    trajectory (`grover._sweep_restarts`); each attempt up to the first
+    verified one is charged its own rounds, preparations and verification,
+    as if it had restarted from the start state, and the generator is left
+    just past that attempt's measurement draw.  Only a draw that lands in a
+    block holding a good index is resolved inside it, and the plan's last
     attempt, whose index is returned when nothing verifies; with no good
     index, that is the one draw measured.
     """
@@ -179,24 +180,19 @@ def amplitude_amplify(
     good_idx, good = counter.marked_indices(), counter.peek_all()
 
     if not params.floor_is_lower_bound:
-        rounds = predicted_repetitions(params.success_floor)
+        depth = predicted_repetitions(params.success_floor)
         state = StateVector._wrap(prep.start.copy())
-        if rounds:  # the first round sets s as the pending axis and starts the carry
+        if depth:  # the first round sets s as the pending axis and starts the carry
             sim._run_rounds(amplification_round(state, prep, good_idx, counter),
-                            good_idx, counter, rounds - 1, prep.start)
-        index = sim.measure(state, rng)
-        queries = (2 * rounds + 1) * prep.cost + counter.query_count
-        return AmplifyResult(
-            index=index, good=bool(good[index]), queries=queries, rounds=rounds
-        )
-
-    # Lower-bound mode: true success may exceed the floor, so a fixed round
-    # count can overshoot.  Reuse the unknown-count schedule over rounds,
-    # verifying each measurement (one charged good-set query per attempt).
-    cap = float(predicted_repetitions(params.success_floor) + 1)
-    rounds, index, _ = _sweep_restarts(counter, rng, cap, unknown_count_budget(cap), prep.start)
-    rounds_used = sum(rounds)
-    queries = (2 * rounds_used + len(rounds)) * prep.cost + counter.query_count
-    return AmplifyResult(
-        index=index, good=bool(good[index]), queries=queries, rounds=rounds_used
-    )
+                            good_idx, counter, depth - 1, prep.start)
+        rounds, index = [depth], sim.measure(state, rng)  # one attempt
+    else:
+        # Lower-bound mode: true success may exceed the floor, so a fixed round
+        # count can overshoot.  Reuse the unknown-count schedule over rounds,
+        # verifying each measurement (one charged good-set query per attempt).
+        cap = float(predicted_repetitions(params.success_floor) + 1)
+        rounds, index, _ = _sweep_restarts(counter, rng, cap, unknown_count_budget(cap),
+                                           prep.start)
+    queries = (2 * sum(rounds) + len(rounds)) * prep.cost + counter.query_count
+    return AmplifyResult(index=index, good=bool(good[index]), queries=queries,
+                         rounds=sum(rounds))

@@ -311,7 +311,7 @@ def ed_base_run(oracle: ValueOracle, rng: SeededRng) -> EdBaseRun:
     missed.
     """
     size = oracle.size
-    sample_size = min(size, math.isqrt(size - 1) + 1 if size > 1 else 1)
+    sample_size = math.isqrt(size - 1) + 1
     start = oracle.query_count
     positions = rng.generator.choice(size, size=sample_size, replace=False)
     sample_values = np.array([oracle.value(int(i)) for i in positions])

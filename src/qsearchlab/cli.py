@@ -65,10 +65,9 @@ def _cmd_selftest() -> int:
 
 
 def _cmd_run(args) -> int:
-    # only the flags given are passed on, so ExperimentConfig owns the defaults
+    # load_config drops the flags not given, so ExperimentConfig owns the defaults
     flags = {key: getattr(args, key)
-             for key in ("sizes", "trials", "seed", "out", "format", "jobs")
-             if getattr(args, key) is not None}
+             for key in ("sizes", "trials", "seed", "out", "format", "jobs")}
     names = (args.experiment,)
     if args.experiment == "all":
         if args.config is not None:

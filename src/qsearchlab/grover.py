@@ -213,11 +213,10 @@ def _plan(bit_generator, cap: float, budget: int):
     measure it.  An attempt spends its rounds plus one verification from
     `budget`; the plan ends once the budget is spent.  The draws are
     `integers(0, hi)` and `random()` of a `Generator` on `bit_generator`,
-    one after the other, decoded by `sim.RawDraws`.  Returns the generator
-    state at entry, the round counts, the draws, and for each attempt where
-    its draws end: (words read, has_uint32, uinteger).  The generator is
-    left past the last block read; `sim.place_draws` sets it just past any
-    attempt.
+    one after the other, decoded by `sim.RawDraws`.  Returns the reader, the
+    round counts, the draws, and for each attempt where its draws end, as a
+    `mark`.  The generator is left past the last block read; the reader's
+    `place` sets it just past any attempt.
     """
     reader = sim.RawDraws(bit_generator)
     cap = max(cap, 1.0)
@@ -240,7 +239,7 @@ def _plan(bit_generator, cap: float, budget: int):
         chunk = reader.take(bounds, ends)
         taken += chunk
         spent += sum(chunk[::2]) + len(chunk) // 2
-    return reader.entry, taken[::2], taken[1::2], ends
+    return reader, taken[::2], taken[1::2], ends
 
 
 def _sweep_restarts(
@@ -268,14 +267,13 @@ def _sweep_restarts(
     The plan's last attempt, if still pending, is also sampled at its depth:
     with no hit it is charged and its index returned.  The attempts up to
     the first hit are then charged their summed rounds and one verification
-    each, and the generator is set just past the last of them: where
-    independent restarts, drawing as they go, leave it.  Returns the
+    each, and the plan's reader places the generator just past the last of
+    them: where independent restarts, drawing as they go, leave it.  Returns the
     charged round counts, the last charged attempt's index (None when the
     budget allows none) and whether it verified.
     """
     state = sim.uniform_state(oracle.size) if axis is None else StateVector._wrap(axis.copy())
-    bit_generator = rng.generator.bit_generator
-    entry, rounds, draws, ends = _plan(bit_generator, cap, budget)
+    reader, rounds, draws, ends = _plan(rng.generator.bit_generator, cap, budget)
     if not rounds:
         return [], None, False
     by_depth: dict[int, list[int]] = {}
@@ -301,7 +299,7 @@ def _sweep_restarts(
             index = table.sample(draws[last])
 
     charged = min(first_hit + 1, len(rounds))
-    sim.place_draws(bit_generator, entry, ends[charged - 1])
+    reader.place(ends[charged - 1])
     oracle.charge(sum(rounds[:charged]))
     oracle.charge(charged)  # one verification query per attempt
     return rounds[:charged], index, first_hit <= last

@@ -77,9 +77,7 @@ def find_minimum(
         if remaining <= 0:
             return MinimumResult(champion, int(values[champion]), spent, verified=False)
         threshold_oracle = BitOracle(values < values[champion], charge_to=(oracle,))
-        hit = grover.search_unknown_count(
-            threshold_oracle, size, rng, max_queries=min(remaining, full_budget)
-        )
+        hit = grover.search_unknown_count(threshold_oracle, size, rng, max_queries=remaining)
         if hit is None:
             spent = oracle.query_count - start_count
             # absent is only trustworthy when the search ran its full schedule
@@ -202,12 +200,7 @@ def find_local_minimum(
     samples = np.asarray(rng.generator.integers(0, total, size=params.sample_count))
     sample_values = oracle.peek_all()[samples]
     sample_oracle = ValueOracle(sample_values, charge_to=(oracle,))
-    sample_min = find_minimum(
-        sample_oracle,
-        params.sample_count,
-        rng,
-        budget=math.ceil(MINIMUM_BUDGET_FACTOR * math.sqrt(params.sample_count)),
-    )
+    sample_min = find_minimum(sample_oracle, params.sample_count, rng)
     current = int(samples[sample_min.index])
 
     table = oracle.peek_all()

@@ -70,7 +70,6 @@ __all__ = [
     "UnsupportedModeError",
     "SeededRng",
     "RawDraws",
-    "place_draws",
     "StateVector",
     "BitOracle",
     "ValueOracle",
@@ -186,8 +185,8 @@ class RawDraws:
 
     `take` reads `bit_generator.random_raw` in blocks of RAW_WORDS and
     decodes each draw as numpy 2's `Generator` on the same bit generator
-    would make it; `place` then sets the generator where those draws leave
-    it.  The rules:
+    would make it; `place` then sets the generator where those draws, or
+    the draws up to a `mark`, leave it.  The rules:
 
     - `integers(0, hi)` with 1 < hi <= 2**32 is Lemire's method on one
       uint32: the product u * hi is kept when its low 32 bits are at least
@@ -273,17 +272,12 @@ class RawDraws:
         """The position after the draws so far: (words read, has_uint32, uinteger)."""
         return self._used, self._has, self._half
 
-    def place(self) -> None:
-        """Set the generator where the draws so far leave it."""
-        place_draws(self._bit_generator, self.entry, self.mark())
-
-
-def place_draws(bit_generator, entry: dict, mark: tuple[int, int, int]) -> None:
-    """Set `bit_generator` where the draws from state `entry` up to `mark` leave it."""
-    used, has, half = mark
-    # random_raw leaves the buffered half alone, so it can be set first
-    bit_generator.state = dict(entry, has_uint32=has, uinteger=half)
-    bit_generator.random_raw(used)
+    def place(self, mark: tuple[int, int, int] | None = None) -> None:
+        """Set the generator where the draws up to `mark` (None: all so far) leave it."""
+        used, has, half = self.mark() if mark is None else mark
+        # random_raw leaves the buffered half alone, so it can be set first
+        self._bit_generator.state = dict(self.entry, has_uint32=has, uinteger=half)
+        self._bit_generator.random_raw(used)
 
 
 class StateVector:

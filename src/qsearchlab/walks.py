@@ -837,33 +837,29 @@ def ed_walk(
 
     Charges `subset_size` queries to populate the start vertex and one query
     per walk step; a measured collision-containing subset yields the pair
-    from values already paid for. Explicit step_budget and shot_cap skip
-    the per-chain schedule solve, which repeated studies want to reuse.
+    from values already paid for.  With no collision the walk spends
+    ceil(SZEGEDY_BUDGET_FACTOR * sqrt(states)) steps unless `step_budget`
+    is given.  Explicit step_budget and shot_cap skip the per-chain
+    schedule solve, which repeated studies want to reuse.
     """
     chain = johnson_chain(element_count, subset_size, oracle)
     start_count = oracle.query_count
     oracle.charge(subset_size)
-    costs = WalkCosts(setup=float(subset_size), transition=1.0, check=0.0)
-    if not chain.marked:
-        budget = step_budget if step_budget is not None else max(
-            1, math.ceil(SZEGEDY_BUDGET_FACTOR * math.sqrt(chain.size))
-        )
-        result = szegedy_find_marked(chain, costs, rng, step_budget=budget)
-    else:
-        result = szegedy_find_marked(chain, costs, rng, step_budget=step_budget,
-                                     shot_cap=shot_cap)
+    if step_budget is None and not chain.marked:
+        step_budget = math.ceil(SZEGEDY_BUDGET_FACTOR * math.sqrt(chain.size))
+    result = szegedy_find_marked(chain, WalkCosts(setup=subset_size), rng, step_budget, shot_cap)
     oracle.charge(result.walk_steps)
-    if result.state is None:
-        return EdWalkResult(pair=None, queries=oracle.query_count - start_count,
-                            walk_steps=result.walk_steps)
-    subset = chain.subset_of(result.state)
-    values = oracle.peek_all()
-    seen: dict[int, int] = {}
-    for element in subset:
-        v = int(values[element])
-        if v in seen:
-            pair = (seen[v], element)
-            return EdWalkResult(pair=pair, queries=oracle.query_count - start_count,
-                                walk_steps=result.walk_steps)
-        seen[v] = element
-    raise RuntimeError("marked subset lost its collision; chain marking is broken")
+    pair = None
+    if result.state is not None:
+        values = oracle.peek_all()
+        seen: dict[int, int] = {}
+        for element in chain.subset_of(result.state):
+            v = int(values[element])
+            if v in seen:
+                pair = (seen[v], element)
+                break
+            seen[v] = element
+        else:
+            raise RuntimeError("marked subset lost its collision; chain marking is broken")
+    return EdWalkResult(pair=pair, queries=oracle.query_count - start_count,
+                        walk_steps=result.walk_steps)

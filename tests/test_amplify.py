@@ -11,6 +11,7 @@ from qsearchlab import grover, sim
 from qsearchlab.amplify import (
     AmplifyParams,
     AmplifyResult,
+    StatePreparation,
     amplification_round,
     amplification_schedule_scale,
     amplitude_amplify,
@@ -264,6 +265,10 @@ def test_amplify_params_validation():
         AmplifyParams(good=(1,), success_floor=0.0)
     with pytest.raises(ParameterError):
         AmplifyParams(good=(1,), success_floor=1.5)
+    identity = lambda state: state  # noqa: E731
+    for dimension, cost in ((0, 1), (4, -1)):
+        with pytest.raises(ParameterError, match="preparation"):
+            StatePreparation(dimension, identity, identity, cost)
     prep = uniform_preparation(6)
     short_mask = AmplifyParams(good=np.array([True, False]), success_floor=0.5)
     with pytest.raises(ParameterError):

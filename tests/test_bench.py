@@ -72,6 +72,11 @@ def test_config_validation():
         ExperimentConfig(experiment="grover-scaling", trials=0)
     with pytest.raises(UsageError):
         ExperimentConfig(experiment="grover-scaling", format="xml")
+    with pytest.raises(UsageError, match="seed"):
+        ExperimentConfig(experiment="grover-scaling", seed=-1)
+    record = run_experiment(ExperimentConfig(experiment="grover-scaling", sizes=(4,), trials=1))[0]
+    with pytest.raises(UsageError, match="format"):
+        bench.record_line(record, "xml")
     with pytest.raises(UsageError, match="grover-scaling"):
         ExperimentConfig(experiment="no-such-thing")
 
@@ -483,6 +488,8 @@ def test_cli_list_exits_zero(capsys):
     out = capsys.readouterr().out
     assert "grover-scaling" in out
     assert "walk-szegedy-cycle" in out
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_cli_run_writes_csv(tmp_path, capsys):
@@ -587,6 +594,9 @@ _OUTSIDE_INPUTS = {
     "local-min-size-0": (["-e", "local-min", "--sizes", "0"], None),
     "ed-hybrid-size-1": (["-e", "ed-hybrid", "--sizes", "1"], None),
     "ed-walk-size-1": (["-e", "ed-walk", "--sizes", "1"], None),
+    "local-min-size-not-a-power-of-two": (["-e", "local-min", "--sizes", "100"], None),
+    "walk-grid-size-not-a-volume": (["-e", "walk-grid-2d", "--sizes", "50"], None),
+    "all-with-a-config-file": (["-e", "all"], "trials = 1\n"),
     "marked-count-nan": ([], "experiment = grover-scaling\nmarked_count = nan\n"),
     "marked-count-inf": ([], "experiment = grover-unknown\nmarked_count = inf\n"),
     "step-budget-nan": ([], "experiment = walk-grid-2d\nstep_budget = nan\n"),

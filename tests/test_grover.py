@@ -192,6 +192,8 @@ def test_certainty_mode_validation():
         prepared_certain_state(_planted_oracle(8, [0, 1]), GroverParams(8, 1))
     with pytest.raises(ParameterError):
         prepared_certain_state(_planted_oracle(8, [0]), GroverParams(4, 1))
+    with pytest.raises(ParameterError, match="at least one marked"):
+        prepared_certain_state(_planted_oracle(8, []), GroverParams(8, 0))
 
 
 # ------------------------------------------------------------- plain search
@@ -218,6 +220,11 @@ def test_search_success_rate_matches_formula():
 def test_search_size_mismatch_raises():
     with pytest.raises(ParameterError):
         search(_planted_oracle(8, [0]), GroverParams(16, 1), SeededRng(0))
+    with pytest.raises(ParameterError, match="size must match"):
+        search_unknown_count(_planted_oracle(8, [0]), 16, SeededRng(0))
+    for min_marked in (0, 9):
+        with pytest.raises(ParameterError, match="min_marked"):
+            search_unknown_count(_planted_oracle(8, [0]), 8, SeededRng(0), min_marked=min_marked)
 
 
 def test_grover_params_validation():
@@ -301,15 +308,15 @@ def _assert_plan_is_the_scalar_draws(rng, reference, cap, budget):
     # `rng` and `reference` start in the same state; `reference` draws the
     # plan with scalar numpy calls, and `rng` is placed after every prefix
     bit_generator = rng.generator.bit_generator
-    entry, rounds, draws, ends = grover._plan(bit_generator, cap, budget)
+    reader, rounds, draws, ends = grover._plan(bit_generator, cap, budget)
     states = []
     assert list(zip(rounds, draws)) == _plain_schedule(reference, cap, budget, states)
     scalar = np.random.Generator(np.random.PCG64())
     for prefix, state in enumerate(states):
         if prefix:
-            sim.place_draws(bit_generator, entry, ends[prefix - 1])
+            reader.place(ends[prefix - 1])
         else:
-            bit_generator.state = entry
+            bit_generator.state = reader.entry
         assert bit_generator.state == state
         scalar.bit_generator.state = state
         assert rng.random() == scalar.random()
@@ -450,8 +457,7 @@ def _every_draw_sweep(oracle, rng, cap, budget, axis=None):
     # visited and every pending draw is sampled to its index, misses
     # included.  Returns what _sweep_restarts does.
     start = sim.uniform_state(oracle.size) if axis is None else StateVector._wrap(axis.copy())
-    bit_generator = rng.generator.bit_generator
-    entry, rounds, draws, ends = grover._plan(bit_generator, cap, budget)
+    reader, rounds, draws, ends = grover._plan(rng.generator.bit_generator, cap, budget)
     if not rounds:
         return [], None, False
     by_depth = {}
@@ -476,7 +482,7 @@ def _every_draw_sweep(oracle, rng, cap, budget, axis=None):
                 first_hit = attempt
                 break
     charged = min(first_hit + 1, len(rounds))
-    sim.place_draws(bit_generator, entry, ends[charged - 1])
+    reader.place(ends[charged - 1])
     oracle.charge(sum(rounds[:charged]))
     oracle.charge(charged)
     index = indices[charged - 1]

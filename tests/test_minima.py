@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qsearchlab import grover
 from qsearchlab.minima import (
     HypercubeOracle,
     LocalMinParams,
@@ -34,6 +35,27 @@ def test_find_minimum_query_accounting():
     result = find_minimum(oracle, 64, rng)
     assert result.queries == oracle.query_count
     assert result.queries <= 30 * 8 + 1  # default budget ceiling
+
+
+@pytest.mark.parametrize("size", [16, 64, 257, 1024])
+def test_find_minimum_charges_its_champion_and_each_threshold_attempt(monkeypatch, size):
+    # one query for the starting champion's value, then each threshold
+    # search's rounds and one verification per attempt, read from the sweep
+    sweep, charged = grover._sweep_restarts, []
+
+    def spy(*args, **kwargs):
+        rounds, index, found = sweep(*args, **kwargs)
+        charged.append(sum(rounds) + len(rounds))
+        return rounds, index, found
+
+    monkeypatch.setattr(grover, "_sweep_restarts", spy)
+    for seed in range(50):
+        charged.clear()
+        rng = SeededRng(31, seed)
+        oracle = ValueOracle(rng.generator.permutation(size))
+        result = find_minimum(oracle, size, rng)
+        assert charged
+        assert result.queries == oracle.query_count == 1 + sum(charged)
 
 
 def test_find_minimum_tiny_budget_returns_unverified_champion():
@@ -84,6 +106,8 @@ def test_hypercube_oracle_validation():
         HypercubeOracle(2, [1, 2, 3])
     with pytest.raises(SizeCapError):
         HypercubeOracle(17, np.zeros(1 << 17, dtype=int))
+    with pytest.raises(ParameterError, match="bit_count"):
+        HypercubeOracle(0, [1])
     oracle = HypercubeOracle(2, [0, 1, 2, 3])
     with pytest.raises(ParameterError):
         oracle.value((0, 1, 1))
@@ -148,6 +172,31 @@ def test_find_local_minimum_descends_from_sample():
     assert result.success
     assert result.index == target
     assert result.value == 0
+
+
+def test_local_descent_goes_on_after_a_neighbor_search_misses(monkeypatch):
+    # Every neighbor search reports absent, better neighbors or not; the
+    # classical check hands back the best neighbor and the descent goes on.
+    n, target = 7, 53
+    oracle = HypercubeOracle(n, [bin(x ^ target).count("1") for x in range(1 << n)])
+    search, better_existed = grover.search_unknown_count, []
+
+    def miss_neighbors(search_oracle, size, rng, **kwargs):
+        if size != n:  # the sample minimum's own searches run as they are
+            return search(search_oracle, size, rng, **kwargs)
+        better_existed.append(bool(search_oracle.peek_all().any()))
+        return None
+
+    monkeypatch.setattr(grover, "search_unknown_count", miss_neighbors)
+    params = LocalMinParams(sample_count=1, descent_budget=n + 1)
+    result = find_local_minimum(oracle, SeededRng(3, 3), params)
+    assert result.success
+    assert (result.index, result.value) == (target, 0)
+    assert len(better_existed) == result.descent_steps >= 2
+    assert better_existed == [True] * (result.descent_steps - 1) + [False]
+    # each step is one classical scan of the centre and its n neighbors
+    assert result.queries == oracle.query_count
+    assert result.queries >= result.descent_steps * (n + 1)
 
 
 def test_local_min_params():

@@ -169,6 +169,8 @@ def test_bit_oracle_validation():
         BitOracle([])
     with pytest.raises(IndexError):
         BitOracle([1, 0]).query(2)
+    with pytest.raises(ParameterError, match="non-empty"):
+        ValueOracle([])
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, bool])

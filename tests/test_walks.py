@@ -174,6 +174,11 @@ def test_grid_validation():
     grid = TorusGrid(3, 2)
     with pytest.raises(IndexError):
         grid.coordinates(9)
+    for cell in (-1, 9):
+        with pytest.raises(IndexError):
+            localized_coined_state(grid, cell)
+    with pytest.raises(ParameterError, match="max_steps"):
+        grid_walk_probability_profile(grid, {0}, -1)
 
 
 # ------------------------------------------------------------- coined walk
@@ -413,6 +418,8 @@ def test_grid_walk_search_validation():
         grid_walk_search(grid, BitOracle(np.zeros(9, dtype=int)), SeededRng(0), 5)
     with pytest.raises(ParameterError):
         grid_walk_search(grid, BitOracle(np.zeros(16, dtype=int)), SeededRng(0), 0)
+    with pytest.raises(ParameterError, match="grid cells"):
+        grid_classical_search(grid, BitOracle(np.zeros(9, dtype=int)))
 
 
 def test_classical_scan_costs_one_query_per_cell():
@@ -447,6 +454,15 @@ def test_chain_validation():
                 _dense_chain(np.array(matrix))
     with pytest.raises(IndexError):
         cycle_chain(4, marked={4})
+    with pytest.raises(ParameterError, match="size >= 3"):
+        cycle_chain(2)
+    with pytest.raises(ParameterError, match="subset size"):
+        JohnsonChain(5, 5)
+    with pytest.raises(ParameterError, match="element count"):
+        johnson_chain(5, 2, ValueOracle([1, 2, 3, 4]))
+    for element_count, subset_size in ((0, 0), (4, 5), (4, -1)):
+        with pytest.raises(ParameterError):
+            collision_vertex_probability(element_count, subset_size)
     for size, rows, cols, p in (
         (3, [0, 1, 2], [1, 2, 0], [1.0, 1.0, 1.0]),  # rows sum to 1, but 0 -> 1 lacks 1 -> 0
         (3, [0, 1, 2], [1, 0, 3], [1.0, 1.0, 1.0]),  # a state out of range
@@ -1015,6 +1031,10 @@ def test_default_shot_cap_is_root_hitting_time():
     assert default_shot_cap(torus_chain(4, 2, marked={5})) >= 1
     with pytest.raises(ParameterError):
         default_shot_cap(cycle_chain(8))
+    # every state marked: a stationary start has already hit
+    everywhere = cycle_chain(5, marked=range(5))
+    assert exact_hitting_mean(everywhere) == 0.0
+    assert default_shot_cap(everywhere) == 1
 
 
 # ------------------------------------------------------- quantized search
@@ -1225,3 +1245,6 @@ def test_ed_walk_on_distinct_values_returns_nothing():
     oracle = ValueOracle([3, 1, 4, 5])
     result = ed_walk(oracle, 4, 2, SeededRng(1, 1))
     assert result.pair is None
+    # 2 setup queries and the no-collision budget ceil(6 * sqrt(10 states)) = 19
+    assert (result.queries, result.walk_steps) == (21, 19)
+    assert oracle.query_count == 21
