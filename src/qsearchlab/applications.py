@@ -239,7 +239,7 @@ def estimate_success(formula: Cnf3Formula, rng: SeededRng, trials: int) -> SatRu
     """Monte Carlo estimate of the repair walk's single-run success rate."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    batch_rows = max(1, min(4096, (4_000_000 // max(1, formula.clause_count * 3))))
+    batch_rows = max(1, min(4096, 4_000_000 // (formula.clause_count * 3)))
     # a batch's largest array is its (rows, 3n + 1) float64 literal picks;
     # batch_rows holds its (3, m, rows) literal gather to 4 MB
     sim.check_state_size(min(batch_rows, trials) * (3 * formula.variable_count + 1))

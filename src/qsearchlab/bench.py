@@ -204,9 +204,7 @@ def _grid_for(size: int, dimensions: int) -> walks.TorusGrid:
 def _trial_walk_grid(size, rng, params, dimensions):
     grid = _grid_for(size, dimensions)
     oracle = _single_marked_oracle(size, rng)
-    budget = params.get(
-        "step_budget", max(1, math.ceil(2.0 * math.sqrt(size * max(1.0, math.log(size)))))
-    )
+    budget = params.get("step_budget", math.ceil(2.0 * math.sqrt(size * max(1.0, math.log(size)))))
     result = walks.grid_walk_search(grid, oracle, rng, budget)
     return float(oracle.query_count), result.steps, result.cell is not None
 

@@ -100,8 +100,7 @@ def success_probability(size: int, marked_count: int, iterations: int) -> float:
     if iterations < 0:
         raise ParameterError("iterations must be >= 0")
     theta = _half_angle(size, marked_count)
-    value = math.sin((2 * iterations + 1) * theta) ** 2
-    return min(1.0, max(0.0, value))
+    return math.sin((2 * iterations + 1) * theta) ** 2
 
 
 def success_profile(size: int, marked_count: int, max_rounds: int) -> np.ndarray:

@@ -240,7 +240,7 @@ def grid_walk_probability_profile(grid: TorusGrid, marked, max_steps: int) -> np
         if step:
             state = grid_walk_step(grid, state, marked_idx)
         cells = state.amps.reshape(grid.cells, -1)
-        profile[step] = (np.abs(cells[marked_idx]) ** 2).sum() if marked_idx.size else 0.0
+        profile[step] = (np.abs(cells[marked_idx]) ** 2).sum()
     return profile
 
 
@@ -501,10 +501,7 @@ def marked_pair_probability(chain: MarkovChain, edge_state: np.ndarray) -> float
     p = np.abs(_edge_amplitudes(chain, edge_state)) ** 2
     total = p.sum()
     sim.check_norm(total, "edge state")
-    if not chain.marked:
-        return 0.0
-    edges = chain.edges
-    keep = chain._marked_edges | chain.marked_mask[edges.cols]
+    keep = chain._marked_edges | chain.marked_mask[chain.edges.cols]
     return float(p[keep].sum() / total)
 
 
@@ -542,7 +539,7 @@ def recommended_step_budget(chain: MarkovChain) -> int:
     if not chain.marked:
         raise ParameterError("budget heuristic needs a non-empty marked set")
     product = len(chain.marked) / chain.size * max(chain.spectral_gap, 1e-12)
-    return max(1, math.ceil(SZEGEDY_BUDGET_FACTOR / math.sqrt(product)))
+    return math.ceil(SZEGEDY_BUDGET_FACTOR / math.sqrt(product))
 
 
 def szegedy_find_marked(
@@ -573,6 +570,8 @@ def szegedy_find_marked(
         step_budget = recommended_step_budget(chain)
     if step_budget < 1:
         raise ParameterError("step_budget must be >= 1")
+    if shot_cap is not None and shot_cap < 1:
+        raise ParameterError("shot_cap must be >= 1")
     hit = None
     steps_used = 0
     preparations = 0
@@ -583,8 +582,6 @@ def szegedy_find_marked(
     else:
         if shot_cap is None:
             shot_cap = default_shot_cap(chain)
-        elif shot_cap < 1:
-            raise ParameterError("shot_cap must be >= 1")
         sim.check_state_size((min(shot_cap, step_budget) + 1) * chain.edges.count)
         trajectory = [stationary_edge_state(chain)]
     marked = chain.marked
@@ -678,9 +675,12 @@ def expected_steps_to_success(chain: MarkovChain, shot_cap: Optional[int] = None
     """Exact expected walk steps until a measured pair touches the marked set.
 
     Closed-form companion to szegedy_find_marked with an unlimited budget.
-    Shot lengths are uniform on [1, cap] and the per-length success
-    probability comes from the deterministic marked-pair profile, so the
-    value carries no sampling noise.  Exact oracle: reference for tests.
+    Shots are independent, with lengths uniform on [1, cap], so by Wald's
+    identity the expected steps are the mean shot length (cap + 1)/2 over
+    the mean chance that a shot hits, sum_{l=1..cap} P_l / cap, where P_l
+    is the marked-pair probability after l steps of the deterministic
+    trajectory.  The value carries no sampling noise; it is inf when no
+    shot can hit.  Exact oracle: reference for tests.
     """
     if not chain.marked:
         raise ParameterError("expected steps need a non-empty marked set")
@@ -690,22 +690,13 @@ def expected_steps_to_success(chain: MarkovChain, shot_cap: Optional[int] = None
         raise ParameterError("shot_cap must be >= 1")
     sim.check_state_size(shot_cap + 1)
     state = stationary_edge_state(chain)
-    profile = np.empty(shot_cap + 1)
-    profile[0] = marked_pair_probability(chain, state)
-    for t in range(1, shot_cap + 1):
+    hit_sum = 0.0
+    for _ in range(shot_cap):
         state = szegedy_step(chain, state)
-        profile[t] = marked_pair_probability(chain, state)
-    lengths = np.arange(1, shot_cap + 1, dtype=np.float64)
-    hit = profile[1:]
-    mean_hit = hit.mean()
-    if mean_hit <= 0.0:
+        hit_sum += marked_pair_probability(chain, state)
+    if hit_sum <= 0.0:
         return math.inf
-    miss_mass = (1.0 - hit).sum()
-    mean_failed_shot = 0.0 if miss_mass <= 0.0 else float(
-        (lengths * (1.0 - hit)).sum() / miss_mass)
-    mean_success_shot = float((lengths * hit).sum() / (mean_hit * shot_cap))
-    failed_shots = (1.0 - mean_hit) / mean_hit
-    return failed_shots * mean_failed_shot + mean_success_shot
+    return (shot_cap + 1) / 2 * shot_cap / hit_sum
 
 
 def default_shot_cap(chain: MarkovChain) -> int:
@@ -718,7 +709,7 @@ def default_shot_cap(chain: MarkovChain) -> int:
     """
     if not chain.marked:
         raise ParameterError("shot cap needs a non-empty marked set")
-    return max(1, math.ceil(math.sqrt(max(1.0, exact_hitting_mean(chain)))))
+    return math.ceil(math.sqrt(max(1.0, exact_hitting_mean(chain))))
 
 
 def _subsets(element_count: int, width: int) -> np.ndarray:
@@ -850,16 +841,11 @@ def ed_walk(
     result = szegedy_find_marked(chain, WalkCosts(setup=subset_size), rng, step_budget, shot_cap)
     oracle.charge(result.walk_steps)
     pair = None
-    if result.state is not None:
+    if result.state is not None:  # johnson_chain's rule: equal values sort next to each other
         values = oracle.peek_all()
-        seen: dict[int, int] = {}
-        for element in chain.subset_of(result.state):
-            v = int(values[element])
-            if v in seen:
-                pair = (seen[v], element)
-                break
-            seen[v] = element
-        else:
+        held = sorted((int(values[element]), element) for element in chain.subset_of(result.state))
+        pair = next(((a, b) for (u, a), (v, b) in zip(held, held[1:]) if u == v), None)
+        if pair is None:
             raise RuntimeError("marked subset lost its collision; chain marking is broken")
     return EdWalkResult(pair=pair, queries=oracle.query_count - start_count,
                         walk_steps=result.walk_steps)

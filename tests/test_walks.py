@@ -1126,6 +1126,11 @@ def test_szegedy_search_validation():
         szegedy_find_marked(chain, WalkCosts(), SeededRng(0), step_budget=0)
     with pytest.raises(ParameterError):
         szegedy_find_marked(chain, WalkCosts(), SeededRng(0), shot_cap=0)
+    # the cap is refused before the search looks at the marked set
+    with pytest.raises(ParameterError):
+        szegedy_find_marked(cycle_chain(8), WalkCosts(), SeededRng(0), step_budget=5, shot_cap=0)
+    with pytest.raises(ParameterError):
+        ed_walk(ValueOracle([3, 1, 4, 5]), 4, 2, SeededRng(0), shot_cap=0)
     with pytest.raises(ParameterError):
         WalkCosts(setup=-1.0)
     with pytest.raises(ParameterError):
@@ -1142,6 +1147,66 @@ def test_expected_steps_matches_search_monte_carlo():
     assert all(r.state == 0 for r in runs)
     sampled = sum(r.walk_steps for r in runs) / len(runs)
     assert abs(sampled - exact) / exact < 0.15
+
+
+def _expected_steps_four_terms(chain, shot_cap=None):
+    """Reference: failed shots times the mean failed shot, plus the mean successful shot."""
+    if shot_cap is None:
+        shot_cap = default_shot_cap(chain)
+    state = stationary_edge_state(chain)
+    profile = np.empty(shot_cap + 1)
+    profile[0] = walks.marked_pair_probability(chain, state)
+    for t in range(1, shot_cap + 1):
+        state = szegedy_step(chain, state)
+        profile[t] = walks.marked_pair_probability(chain, state)
+    lengths = np.arange(1, shot_cap + 1, dtype=np.float64)
+    hit = profile[1:]
+    mean_hit = hit.mean()
+    if mean_hit <= 0.0:
+        return math.inf
+    miss_mass = (1.0 - hit).sum()
+    mean_failed_shot = 0.0 if miss_mass <= 0.0 else float(
+        (lengths * (1.0 - hit)).sum() / miss_mass)
+    mean_success_shot = float((lengths * hit).sum() / (mean_hit * shot_cap))
+    failed_shots = (1.0 - mean_hit) / mean_hit
+    return failed_shots * mean_failed_shot + mean_success_shot
+
+
+def _ed_walk_chain(size):
+    """The ed-walk experiment's subset chain at `size`, marked for one planted collision."""
+    values = list(range(size))
+    values[size - 1] = values[1]
+    return johnson_chain(size, math.ceil(size ** (2.0 / 3.0)), ValueOracle(values))
+
+
+_EXPECTED_STEPS_CHAINS = {
+    "cycles one mark": lambda: [cycle_chain(n, marked={0}) for n in range(3, 130)],
+    "cycles two marks": lambda: [cycle_chain(n, marked={0, n // 3}) for n in range(3, 130)],
+    "2-d tori": lambda: [torus_chain(side, 2, marked=marks) for side in range(2, 11)
+                         for marks in ({0}, {0, side * side // 2})],
+    "3-d tori": lambda: [torus_chain(side, 3, marked=marks) for side in range(2, 6)
+                         for marks in ({0}, {0, side**3 // 2})],
+    "ed-walk chains": lambda: [_ed_walk_chain(n) for n in (6, 8, 10, 12)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_EXPECTED_STEPS_CHAINS))
+def test_expected_steps_closed_form_matches_four_term_reference(family):
+    for chain in _EXPECTED_STEPS_CHAINS[family]():
+        for cap in (None, 1, 3, 17):
+            got = expected_steps_to_success(chain, cap)
+            want = _expected_steps_four_terms(chain, cap)
+            assert math.isinf(got) == math.isinf(want)
+            if not math.isinf(want):
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_expected_steps_is_inf_when_no_shot_can_hit(monkeypatch):
+    monkeypatch.setattr(walks, "marked_pair_probability", lambda chain, state: 0.0)
+    chain = cycle_chain(8, marked={0})
+    for cap in (None, 1, 3, 17):
+        assert expected_steps_to_success(chain, cap) == math.inf
+        assert _expected_steps_four_terms(chain, cap) == math.inf
 
 
 def test_expected_steps_validation():
@@ -1239,6 +1304,18 @@ def test_ed_walk_recovers_planted_collision():
             assert result.pair == (1, 4)
             found += 1
     assert found >= 30
+
+
+def test_ed_walk_with_two_collisions_returns_a_true_one():
+    values = [0, 1, 2, 3, 1, 5, 3, 7]  # 1 at (1, 4) and 3 at (3, 6)
+    found = set()
+    for seed in range(60):
+        result = ed_walk(ValueOracle(values), 8, 4, SeededRng(2929, seed))
+        if result.pair is not None:
+            a, b = result.pair
+            assert a < b and values[a] == values[b]
+            found.add(result.pair)
+    assert found == {(1, 4), (3, 6)}
 
 
 def test_ed_walk_on_distinct_values_returns_nothing():
