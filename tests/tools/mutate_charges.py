@@ -1,8 +1,6 @@
 """Raise each query-charge site by one and check that a named test catches it.
 
-    python tests/tools/mutate_charges.py                   # all sites
-    python tests/tools/mutate_charges.py --site walks.ed_walk.setup
-    python tests/tools/mutate_charges.py --list
+    python tests/tools/mutate_charges.py
 
 Run it from anywhere; it reads the repository it sits in and writes nothing
 there.  For each site it copies src/, tests/, perfbench/ and pyproject.toml
@@ -21,7 +19,6 @@ tests, and 2 when the unmutated copy fails.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -30,7 +27,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import List, NamedTuple, Sequence, Set
+from typing import NamedTuple, Set
 
 REPO = Path(__file__).resolve().parents[2]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
@@ -143,20 +140,7 @@ def run_copy(site: Site = None) -> Set[str]:
         return failing_tests(root)
 
 
-def main(argv: Sequence[str] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--site", action="append", choices=[s.name for s in SITES],
-                        help="run only this site (repeatable)")
-    parser.add_argument("--list", action="store_true", help="list the sites and exit")
-    args = parser.parse_args(argv)
-    sites: List[Site] = [s for s in SITES if not args.site or s.name in args.site]
-    if args.list:
-        for s in sites:
-            print(f"{s.name}: {s.path} {s.function}: {s.text!r} -> {s.mutant!r}")
-        return 0
-    for s in sites:  # a stale site fails here, before any copy runs
-        mutate((REPO / s.path).read_text(), s)
-
+def main() -> int:
     began = time.monotonic()
     baseline = run_copy()
     print(f"unmutated: {len(baseline)} failing ({time.monotonic() - began:.0f} s)", flush=True)
@@ -164,7 +148,7 @@ def main(argv: Sequence[str] = None) -> int:
         print("\n".join(sorted(baseline)))
         return 2
     bad = []
-    for s in sites:
+    for s in SITES:
         began = time.monotonic()
         failed = run_copy(s)
         named = failed - GOLDEN_TESTS
@@ -175,7 +159,7 @@ def main(argv: Sequence[str] = None) -> int:
               f"golden-hash tests failed ({time.monotonic() - began:.0f} s)", flush=True)
         for test in sorted(named):
             print(f"    {test}")
-    print(f"{len(sites)} mutants: {len(sites) - len(bad)} killed by a named test, "
+    print(f"{len(SITES)} mutants: {len(SITES) - len(bad)} killed by a named test, "
           f"{len(bad)} not" + (f" ({', '.join(bad)})" if bad else ""))
     return 1 if bad else 0
 
