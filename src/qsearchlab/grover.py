@@ -263,6 +263,11 @@ def _sweep_restarts(
     hit so far, are measured from one weight table by `WeightTable.first_marked`,
     which resolves only draws that land in a block holding a marked index;
     with nothing marked none can, so only the last attempt's depth is visited.
+    From the uniform state with at most `sim.SMALL_SUM` marks, the state is
+    two-valued, and a depth where `sim._two_valued_misses` finds every
+    pending draw clear of the marked slices builds no table, unless the
+    plan's last attempt is pending there.  Reading `amps` still writes the
+    pending reflection out at every depth, as measuring there would.
     The plan's last attempt, if still pending, is also sampled at its depth:
     with no hit it is charged and its index returned.  The attempts up to
     the first hit are then charged their summed rounds and one verification
@@ -279,6 +284,7 @@ def _sweep_restarts(
     for attempt, depth in enumerate(rounds):
         by_depth.setdefault(depth, []).append(attempt)
     marked = oracle.marked_indices()
+    two_valued = axis is None and marked.size <= sim.SMALL_SUM
     last = len(rounds) - 1
     first_hit, index = len(rounds), None
     sink = sim._CountingOracle()
@@ -289,8 +295,12 @@ def _sweep_restarts(
         if not pending:  # all after a hit; a deeper attempt may still come before it
             continue
         state, depth = sim._run_rounds(state, marked, sink, target - depth, axis), target
-        table = sim.born_table(state.amps)
-        hit = table.first_marked([draws[a] for a in pending], marked)
+        amps, pending_draws = state.amps, [draws[a] for a in pending]
+        if two_valued and pending[-1] != last and sim._two_valued_misses(
+                amps, marked, pending_draws):
+            continue  # no pending draw can land on a mark
+        table = sim.born_table(amps)
+        hit = table.first_marked(pending_draws, marked)
         if hit is not None:
             position, index = hit
             first_hit = pending[position]
@@ -324,7 +334,9 @@ def search_unknown_count(
     `_sweep_restarts`); each attempt up to the first verified one still
     charges its own rounds and its verification, as if it had restarted
     from uniform; only a draw that lands in a block holding a marked index
-    is resolved inside it, so with nothing marked one table is built.  The
+    is resolved inside it, so with nothing marked one table is built.  With
+    at most `sim.SMALL_SUM` marks, a depth whose draws all lie clear of the
+    marked slices of the closed-form running sum builds none.  The
     generator is left just past the last charged attempt's measurement
     draw, where restarts drawing as they go leave it.
     """

@@ -46,7 +46,11 @@ sampler: the walks measure their flat amplitude vectors through it too.
 A restart sweep needs only its first draw that lands on a marked index
 (`WeightTable.first_marked`): a draw whose block holds none is a miss, so
 only the others are resolved inside their block; with nothing marked, the
-sweep builds one table, at its last attempt's depth.
+sweep builds one table, at its last attempt's depth.  A sweep from the
+uniform state with at most SMALL_SUM marks holds two amplitude values, so
+the running sum of its weights is known in closed form; where every
+pending draw lies clear of each marked slice (`_two_valued_misses`), that
+depth builds no table at all.
 
 STATE_BYTE_CAP is the package's one memory budget, and `check_state_size`
 its one check: states, Szegedy trajectories, dense chain matrices and bench
@@ -59,6 +63,7 @@ draw through it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -110,7 +115,10 @@ BLOCK = 1024
 # reduction costs about 0.53 us at any length up to 128; a Python sum took
 # 0.07 us for 2 entries and 0.18 (real) or 0.39 us (complex) for 16, and is
 # the slower one past about 64 real or 24 complex entries (one BLAS thread,
-# numpy 2.4).
+# numpy 2.4).  A restart sweep with at most SMALL_SUM marks also tests its
+# draws against the marked slices in Python (`_two_valued_misses`); past it,
+# slice starts in numpy or a bisect over the marks read slower on min-scaling
+# or local-min trials.
 SMALL_SUM = 16
 # Raw generator words a RawDraws reads per refill, so no read is sized by
 # the caller's input; over criterion 05's 13,590 restart plans this took
@@ -715,13 +723,13 @@ class WeightTable:
             if whole < flat.size:
                 tail = flat[whole:]
                 weights = np.append(weights, tail @ tail)
-        self.edges = np.cumsum(weights, out=weights)
+        self.edges = np.add.accumulate(weights, out=weights)
         if self._amps is not None and self.edges[-1] < self._amps.size * _TINY:
             # a square rounded into the subnormal range is off by up to an ulp
             # of 2^-1074, which is no longer small against such a total: sum
             # the very weights a draw reads back inside its block
             blocks = np.add.reduceat(_born_weights(self._amps), np.arange(0, self._amps.size, BLOCK))
-            self.edges = np.cumsum(blocks, out=blocks)
+            self.edges = np.add.accumulate(blocks, out=blocks)
         self.total = self.edges[-1]
 
     def sample(self, draw: float) -> int:
@@ -773,12 +781,56 @@ class WeightTable:
     def _resolve(self, block: int, target: float) -> int:
         """Index inside a two-level table's `block` whose weight slice holds `target`."""
         start = block * BLOCK
-        local = np.cumsum(_born_weights(self._amps[start:start + BLOCK]))
+        weights = _born_weights(self._amps[start:start + BLOCK])
+        local = np.add.accumulate(weights, out=weights)
         offset = int(local.searchsorted(target - self.edges[block - 1] if block else target,
                                         side="right"))
         if offset == local.size:  # rounding put the remainder past the block's own sum
             offset = int(local.searchsorted(local[-1], side="left"))
         return start + offset
+
+
+def _two_valued_misses(amps: np.ndarray, marked: np.ndarray, draws: list) -> bool:
+    """Whether no draw's `sample` on the table of `amps` can be a marked index.
+
+    `amps` is real, with one value a on each of the k marked indices
+    (`marked`, sorted, distinct, k >= 1) and one value b on the other N - k,
+    as a restart sweep from the uniform state holds them.  The weights are
+    a*a and b*b, as `np.square` rounds them, so the running sum that the
+    table rounds is known exactly: the j-th marked index p_j (from 0) owns
+    the slice [S_j, S_j + a*a) with S_j = (p_j - j)*b*b + j*a*a, of a total
+    T = k*a*a + (N - k)*b*b.  The squared norm T is checked as `born_table`
+    checks it.  A draw may land on a mark only if its target lies within
+    delta of a marked slice, with delta = (2N + 4*BLOCK + 64) u T and
+    u = 2^-53.  A sum of m nonnegative terms in any order is off by at most
+    (m - 1) u of its value, up to terms of order (m u)^2, far below u here,
+    so against T:
+    - a one-level table's edges and its total are running sums of at most
+      N weights: 2N u;
+    - a two-level table's block totals each sum BLOCK products, fused or
+      rounded, and their running sum adds at most N/BLOCK terms: a block's
+      start and the total are each off by at most (BLOCK + N/BLOCK) u;
+      `_resolve` adds BLOCK u for the block's own running sum and u for the
+      remainder: (3 BLOCK + 2N/BLOCK + 1) u in all, below (2N + 4 BLOCK) u;
+    - the table's target, draw * total, is one rounding, and this check's T,
+      targets and slice bounds take at most 10 more: 64 u covers them.
+    """
+    n, marks = amps.size, marked.tolist()
+    free = next((i for i, p in enumerate(marks) if p != i), len(marks))  # an unmarked index
+    if free == n:  # every index is marked: every draw lands on one
+        return False
+    a, b = float(amps[marks[0]]), float(amps[free])
+    a2, b2 = a * a, b * b
+    total = len(marks) * a2 + (n - len(marks)) * b2
+    check_norm(total, "cannot measure: state")
+    delta = (2 * n + 4 * BLOCK + 64) * 2.0**-53 * total
+    starts = [(p - j) * b2 + j * a2 for j, p in enumerate(marks)]  # nondecreasing
+    for draw in draws:
+        target = draw * total
+        j = bisect_right(starts, target + delta) - 1  # the last slice starting by target + delta
+        if j >= 0 and target <= starts[j] + a2 + delta:  # earlier slices end no later
+            return False
+    return True
 
 
 _TINY = np.finfo(np.float64).tiny

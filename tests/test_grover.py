@@ -452,10 +452,12 @@ def test_sweep_skips_a_depth_without_pending_attempts():
     assert outcomes[0][:2] == (0, 12)
 
 
-def _every_draw_sweep(oracle, rng, cap, budget, axis=None):
+def _every_draw_sweep(oracle, rng, cap, budget, axis=None, visits=None):
     # Reference for the sweep: the same trajectory, but every depth is
     # visited and every pending draw is sampled to its index, misses
-    # included.  Returns what _sweep_restarts does.
+    # included.  Returns what _sweep_restarts does; `visits` gets (depth,
+    # whether a pending draw there verified, whether the last attempt was
+    # pending there) for each depth with pending attempts.
     start = sim.uniform_state(oracle.size) if axis is None else StateVector._wrap(axis.copy())
     reader, rounds, draws, ends = grover._plan(rng.generator.bit_generator, cap, budget)
     if not rounds:
@@ -481,6 +483,8 @@ def _every_draw_sweep(oracle, rng, cap, budget, axis=None):
             if marks[indices[attempt]]:
                 first_hit = attempt
                 break
+        if visits is not None:
+            visits.append((target, first_hit in pending, pending[-1] == len(rounds) - 1))
     charged = min(first_hit + 1, len(rounds))
     reader.place(ends[charged - 1])
     oracle.charge(sum(rounds[:charged]))
@@ -545,6 +549,40 @@ def test_a_search_with_nothing_marked_builds_one_weight_table(monkeypatch, size)
     monkeypatch.setattr(sim, "born_table", lambda amps: tables.append(amps.size) or original(amps))
     assert search_unknown_count(_planted_oracle(size, []), size, SeededRng(0)) is None
     assert tables == [size]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("size", [64, 8192, 16384, 65536])
+def test_a_search_with_few_marks_builds_tables_only_where_a_draw_can_verify(
+        monkeypatch, size, count):
+    # A depth builds a table only if a pending draw there lands on a mark, as
+    # the every-draw reference finds, or the plan's last attempt is pending.
+    marked = np.sort(SeededRng(size, count).generator.choice(size, count, replace=False))
+    cap = math.sqrt(size)
+    budget = grover.unknown_count_budget(cap)
+    expected, visited = [], 0
+    for seed in range(10):
+        visits = []
+        _every_draw_sweep(_planted_oracle(size, marked), SeededRng(seed, 6), cap, budget,
+                          visits=visits)
+        expected.append([depth for depth, hit, last in visits if hit or last])
+        visited += len(visits)
+    depth, tables = [0], []
+    run_rounds, born_table = sim._run_rounds, sim.born_table
+
+    def stepped(state, marked, oracle, count, axis=None):
+        depth[0] += count
+        return run_rounds(state, marked, oracle, count, axis)
+
+    monkeypatch.setattr(sim, "_run_rounds", stepped)
+    monkeypatch.setattr(sim, "born_table", lambda amps: tables.append(depth[0]) or born_table(amps))
+    built = []
+    for seed in range(10):
+        depth[0], tables = 0, []
+        search_unknown_count(_planted_oracle(size, marked), size, SeededRng(seed, 6))
+        built.append(tables)
+    assert built == expected
+    assert sum(map(len, built)) < visited / 2  # at most 13 of 27 depths at 64 with 2 marks
 
 
 @settings(max_examples=60, deadline=None)

@@ -1171,6 +1171,78 @@ def test_weight_table_matches_one_sequential_running_sum(size, shape, seed, comp
             born_table(amps * (1.0 + 1e-5))
 
 
+def _table_slice(table: WeightTable, index: int) -> tuple[float, float]:
+    # the table's own running sum before and after `index`, as sample reads it
+    if table._amps is None:
+        return (float(table.edges[index - 1]) if index else 0.0), float(table.edges[index])
+    block, offset = divmod(index, sim.BLOCK)
+    base = float(table.edges[block - 1]) if block else 0.0
+    local = np.cumsum(np.square(table._amps[block * sim.BLOCK:(block + 1) * sim.BLOCK]))
+    return base + (float(local[offset - 1]) if offset else 0.0), base + float(local[offset])
+
+
+def _ulps_around(target: float) -> list[float]:
+    out = [target]
+    for direction in (np.inf, -np.inf):
+        value = target
+        for step in range(1, 5):
+            value = float(np.nextafter(value, direction))
+            if step in (1, 2, 4):
+                out.append(value)
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 2, 16])
+@pytest.mark.parametrize("size", [64, 8192, 8193, 65536])
+def test_two_valued_miss_check_agrees_with_the_weight_table(size, count):
+    # States of a sweep from uniform, 0-40 rounds deep: a draw at either end
+    # of a marked slice of the table's own running sum, or a few ulps of the
+    # target off it, that first_marked maps to a mark is never called a miss;
+    # a draw mid-slice of an unmarked index further than the documented
+    # margin from every marked slice always is.
+    gen = SeededRng(size, count).generator
+    marked = sim._as_index_array(np.sort(gen.choice(size, count, replace=False)), size)
+    marks = marked.tolist()
+    state, sink = uniform_state(size), sim._CountingOracle()
+    hits = clear = 0
+    for rounds in range(41):
+        if rounds:
+            sim._run_rounds(state, marked, sink, 1)
+        amps = state.amps
+        table = born_table(amps)
+        for index in marks:
+            for end in _table_slice(table, index):
+                for target in _ulps_around(end):
+                    draw = target / table.total
+                    if not 0.0 <= draw < 1.0 or table.first_marked([draw], marked) is None:
+                        continue
+                    hits += 1
+                    assert not sim._two_valued_misses(amps, marked, [draw]), (rounds, index)
+        a, b = float(amps[marks[0]]), float(amps[next(i for i in range(size) if i not in marks)])
+        a2, b2 = a * a, b * b
+        total = count * a2 + (size - count) * b2
+        delta = (2 * size + 4 * sim.BLOCK + 64) * 2.0**-53 * total
+        starts = [(p - j) * b2 + j * a2 for j, p in enumerate(marks)]
+        near = {i for p in marks for i in range(p - 2, p + 3)}
+        picks = sorted(near.union(gen.choice(size, 64).tolist()).difference(marks))
+        draws = []
+        for i in picks:
+            if not 0 <= i < size:
+                continue
+            before = int(np.searchsorted(marked, i))
+            middle = (i - before) * b2 + before * a2 + b2 / 2
+            gap = min(middle - s - a2 if p < i else s - middle for s, p in zip(starts, marks))
+            if gap > delta:
+                draws.append(middle / total)
+        clear += len(draws)
+        assert sim._two_valued_misses(amps, marked, draws), rounds
+        assert not draws or table.first_marked(draws, marked) is None
+    assert hits and clear
+    for scale in (1.0 - 2e-6, 1.0 + 2e-6):  # squared norm off by 2e-6
+        with pytest.raises(NormalizationError):
+            sim._two_valued_misses(amps * np.sqrt(scale), marked, [0.5])
+
+
 def test_measure_deterministic_under_fixed_stream():
     state = uniform_state(9)
     a = [measure(state, SeededRng(5, 2)) for _ in range(1)]
